@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 
 from .brute import (
@@ -49,8 +48,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     def common(p, model=True):
         if model:
             p.add_argument("model", help="model file path")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for grid sweeps (default: all cores)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; selects nothing")
 
     p = sub.add_parser("partition", help="print the (constrained) partition value")
     common(p)
@@ -94,17 +93,17 @@ def _open_out(path: str):
             yield handle
 
 
-def _partition_value(model: Model, threads: int):
+def _partition_value(model: Model):
     if model.cardinality is not None:
         return constrained_partition(model.mln, model.cardinality,
-                                     model.domain, threads=threads)
+                                     model.domain)
     return partition_function(model.mln, model.domain)
 
 
-def _marginal_value(model: Model, sentence, threads: int) -> float:
+def _marginal_value(model: Model, sentence) -> float:
     if model.cardinality is not None:
         return constrained_marginal(model.mln, model.cardinality, sentence,
-                                    model.domain, threads=threads)
+                                    model.domain)
     return marginal(model.mln, sentence, model.domain)
 
 
@@ -120,7 +119,7 @@ def _queries(model: Model, query_text):
 
 def _cmd_partition(args) -> int:
     model = parse_model(args.model)
-    value = _partition_value(model, args.threads)
+    value = _partition_value(model)
     if args.format == "json":
         try:
             re_part = float(value)
@@ -134,7 +133,7 @@ def _cmd_partition(args) -> int:
 
 def _cmd_marginal(args) -> int:
     model = parse_model(args.model)
-    results = [(name, _marginal_value(model, sentence, args.threads))
+    results = [(name, _marginal_value(model, sentence))
                for name, sentence in _queries(model, args.query)]
     if args.format == "json":
         dump_json({"marginals": {name: value for name, value in results}},
@@ -154,8 +153,7 @@ def _require_counts(model: Model):
 def _cmd_countdist(args) -> int:
     model = parse_model(args.model)
     _require_counts(model)
-    dist = count_distribution(model.mln, model.count_spec, model.domain,
-                              threads=args.threads)
+    dist = count_distribution(model.mln, model.count_spec, model.domain)
     with _open_out(args.out) as handle:
         if args.format == "json":
             dump_json({"countdist": countdist_json(dist)}, handle)
@@ -167,8 +165,7 @@ def _cmd_countdist(args) -> int:
 def _cmd_spectrum(args) -> int:
     model = parse_model(args.model)
     _require_counts(model)
-    spec = full_spectrum(model.mln, model.count_spec, model.domain,
-                         threads=args.threads)
+    spec = full_spectrum(model.mln, model.count_spec, model.domain)
     with _open_out(args.out) as handle:
         write_spectrum_csv(spec, handle)
     return 0
@@ -177,7 +174,7 @@ def _cmd_spectrum(args) -> int:
 def _cmd_fixedpoints(args) -> int:
     if args.n < 1:
         raise FormulaSyntaxError("--n must be >= 1")
-    engine = fixed_point_distribution(args.n, threads=args.threads)
+    engine = fixed_point_distribution(args.n)
     analytic = [analytic_fixed_points(args.n, k) for k in range(args.n + 1)]
     with _open_out(args.out) as handle:
         write_fixed_points_csv(engine, analytic, handle)
@@ -198,7 +195,7 @@ def _cmd_check(args) -> int:
         print(f"{name}: engine={fmt12(lifted_value)} "
               f"brute={fmt12(brute_value)} rel={err:.3e} {status}")
 
-    lifted_z = _partition_value(model, threads=1)
+    lifted_z = _partition_value(model)
     if model.cardinality is not None:
         brute_z = brute_constrained_partition(
             model.mln, model.cardinality.psi.formulas,
@@ -208,7 +205,7 @@ def _cmd_check(args) -> int:
     compare("partition", lifted_z, brute_z)
 
     for name, sentence in model.queries:
-        lifted_p = _marginal_value(model, sentence, threads=1)
+        lifted_p = _marginal_value(model, sentence)
         if model.cardinality is not None:
             brute_p = brute_constrained_marginal(
                 model.mln, model.cardinality.psi.formulas,

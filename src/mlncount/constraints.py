@@ -144,7 +144,7 @@ def _tilt_vector(psi: CountSpec, d: Domain,
 
 
 def _tilted_masses(phi: Mln, psi: CountSpec, d: Domain,
-                   tilts: Sequence[float], threads: int):
+                   tilts: Sequence[float]):
     """Unnormalized count masses of ``phi``, computed under a tilted model.
 
     Tilting each count formula by a log-weight multiplies the mass of bin n
@@ -155,7 +155,7 @@ def _tilted_masses(phi: Mln, psi: CountSpec, d: Domain,
     extra = [(beta, t) for beta, t in zip(psi.formulas, tilts) if t != 0.0]
     tilted = Mln.of(tuple(phi.weighted_formulas) + tuple(extra),
                     phi.vocabulary)
-    q = count_distribution(tilted, psi, d, threads=threads)
+    q = count_distribution(tilted, psi, d)
     z = float(partition_function(tilted, d))
 
     def undo(idx) -> float:
@@ -175,19 +175,19 @@ def constrained_partition(phi: Mln, cc: CardinalityConstraint, d: Domain,
 
     Structured predicates are evaluated through an exactly-invertible tilt
     centered on the kept region, since a far-off-center region's mass is
-    otherwise lost to transform round-off.
+    otherwise lost to transform round-off.  ``threads`` selects nothing.
     """
     targets = _targets(cc.predicate)
     if targets:
         tilts = _tilt_vector(cc.psi, d, targets)
-        q, _, undo = _tilted_masses(phi, cc.psi, d, tilts, threads)
+        q, _, undo = _tilted_masses(phi, cc.psi, d, tilts)
         z_prime = math.fsum(undo(idx) for idx in np.ndindex(*q.shape)
                             if cc.predicate(idx) and q.probabilities[idx] > 0)
         if z_prime <= 0.0:
             raise InfeasibleConstraintError(
                 "cardinality constraint excludes every world")
         return z_prime
-    q = count_distribution(phi, cc.psi, d, threads=threads)
+    q = count_distribution(phi, cc.psi, d)
     kept = math.fsum(
         float(q.probabilities[idx])
         for idx in np.ndindex(*q.shape) if cc.predicate(idx))
@@ -207,15 +207,15 @@ def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
                          threads: int = 1) -> float:
     """Probability of the sentence ``gamma`` under the constrained
     distribution, read off an extended count grid whose last axis tracks
-    the query's truth."""
+    the query's truth.  ``threads`` selects nothing."""
     extended = CountSpec.of(tuple(cc.psi.formulas) + (gamma,))
     targets = _targets(cc.predicate)
     if targets:
         tilts = _tilt_vector(cc.psi, d, targets) + [0.0]
-        q, _, undo = _tilted_masses(phi, extended, d, tilts, threads)
+        q, _, undo = _tilted_masses(phi, extended, d, tilts)
         masses = undo
     else:
-        q = count_distribution(phi, extended, d, threads=threads)
+        q = count_distribution(phi, extended, d)
 
         def masses(idx):
             return float(q.probabilities[idx])
@@ -283,6 +283,7 @@ def fixed_point_distribution(n: int, threads: int = 1,
     the row is unchanged; the default ln(1/(n-1)) centers the row mass near
     size n, without which the target row drowns in transform round-off for
     n beyond ~6 (its relative mass decays like n^n / (2^n - 1)^n).
+    ``threads`` selects nothing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -295,7 +296,7 @@ def fixed_point_distribution(n: int, threads: int = 1,
         formulas.append((Atom(f, (x, y)), tilt))
     phi = Mln.of(formulas, [f])
     psi = CountSpec.of([Atom(f, (x, y)), Atom(f, (x, x))])
-    q = count_distribution(phi, psi, Domain(n), threads=threads)
+    q = count_distribution(phi, psi, Domain(n))
     row = q.probabilities[n, : n + 1].astype(float)
     total = math.fsum(row)
     if total <= 0.0:

@@ -20,7 +20,9 @@ that is polynomial in the domain size:
    per-cell-pair cross weights.
 
 Arithmetic is generic: integer weights give exact (bignum) results, any
-other weights run in complex floating point with overflow detection.
+other weights run in complex floating point with overflow detection.  A
+weight may also be a numpy array, which evaluates the sum for every element
+in one pass over the compositions.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NumericOverflowError, UnsupportedSentenceError
 from .logic import (
@@ -41,7 +45,7 @@ _MAGNITUDE_LIMIT = 1e300
 
 def cpow(base, exponent: int):
     """base**exponent by repeated squaring; exact for ints, checked for
-    magnitude otherwise."""
+    magnitude otherwise (every element, for numpy arrays)."""
     if isinstance(base, int):
         return base ** exponent
     result = 1
@@ -53,7 +57,9 @@ def cpow(base, exponent: int):
         e >>= 1
         if e:
             b = b * b
-    if abs(result) > _MAGNITUDE_LIMIT or result != result:
+    # False for NaN; elementwise for arrays.
+    within = abs(result) <= _MAGNITUDE_LIMIT
+    if within is not True and not np.all(within):
         raise NumericOverflowError(
             f"|{base!r}**{exponent}| exceeds {_MAGNITUDE_LIMIT:g}")
     return result
@@ -499,16 +505,20 @@ class CompiledTheory:
             w = w.updated({k: v[0] for k, v in self.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})
         total = 0
-        for branch in self.branches:
-            factor = 1
-            for name, value in branch.nullary_values:
-                factor = factor * (w(name) if value else wbar(name))
-            cells = _cell_weights(branch.cell_counts, w, wbar)
-            pairs = _pair_weights(branch.pair_counts, len(branch.cells), w, wbar)
-            value, _ = _config_sum(d.size, cells, pairs)
-            total = total + factor * value
+        # Array overflow shows as inf or NaN and raises below, not as a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for branch in self.branches:
+                factor = 1
+                for name, value in branch.nullary_values:
+                    factor = factor * (w(name) if value else wbar(name))
+                cells = _cell_weights(branch.cell_counts, w, wbar)
+                pairs = _pair_weights(branch.pair_counts, len(branch.cells),
+                                      w, wbar)
+                value, _ = _config_sum(d.size, cells, pairs)
+                total = total + factor * value
         if not isinstance(total, int):
-            if total != total or abs(total) > _MAGNITUDE_LIMIT:
+            within = abs(total) <= _MAGNITUDE_LIMIT
+            if within is not True and not np.all(within):
                 raise NumericOverflowError(
                     "weighted count left the floating-point range")
         return total

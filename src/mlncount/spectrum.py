@@ -1,19 +1,16 @@
 """Count distributions and their discrete Fourier transforms.
 
 For a model and a list of formulas, the count distribution is the law of the
-vector of true-grounding counts under the model's distribution.  Its DFT is
-obtained point by point: the frequency-k value is a single weighted model
-count in which each count formula's indicator predicate carries the root of
-unity ``exp(-2*pi*i*k_j/M_j)``.  Inverting the transform on the full grid
-recovers the distribution.
-
-Transforms are evaluated naively (quadratic in the grid size); the grids of
-interest are small and the code is kept close to the defining sums.
+vector of true-grounding counts under the model's distribution.  Its DFT
+value at frequency k is a weighted model count in which each count formula's
+indicator predicate carries the root of unity ``exp(-2*pi*i*k_j/M_j)``.  All
+frequencies are evaluated in one weighted count whose indicator weights are
+arrays over the grid, so the composition sum is walked once.  Inverting the
+transform on the full grid (by FFT) recovers the distribution.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,106 +81,65 @@ class CountDistribution:
         return self.probabilities[index]
 
 
-class _SpectrumEvaluator:
-    """One compiled theory reused for every frequency; only the indicator
-    weights of the count formulas change between points."""
-
-    def __init__(self, phi: Mln, psi: CountSpec, d: Domain):
-        theory, w, wbar = translate_mln(phi)
-        used = {p.name for p in theory.vocabulary}
-        sentences = list(theory.sentences)
-        vocab = list(theory.vocabulary)
-        self.beta_names = []
-        for beta in psi.formulas:
-            fv = tuple(sorted(free_variables(beta), key=lambda v: v.name))
-            xi = Predicate(fresh_name("xb", used), len(fv))
-            vocab.append(xi)
-            sentences.append(universal_closure(Iff(Atom(xi, fv), beta)))
-            self.beta_names.append(xi.name)
-        self.compiled = compile_theory(Fo2Theory.of(sentences, vocab))
-        self.w = w
-        self.wbar = wbar
-        self.d = d
-        self.shape = shape_vector(psi, d)
-        # The zero-frequency count is the partition normalizer itself.
-        self.z = as_real(self.point_raw((0,) * len(psi)), "partition function")
-        if self.z <= 0:
-            raise InfeasibleConstraintError(
-                "partition function is zero: every world is excluded")
-
-    def point_raw(self, k):
-        updates = {}
-        for name, kj, mj in zip(self.beta_names, k, self.shape):
-            updates[name] = 1 if kj == 0 else \
-                complex(math.cos(-2 * math.pi * kj / mj),
-                        math.sin(-2 * math.pi * kj / mj))
-        return self.compiled.wfomc(self.w.updated(updates), self.wbar, self.d)
-
-    def point(self, k) -> complex:
-        return complex(self.point_raw(k)) / self.z
+def _spectrum_values(phi: Mln, psi: CountSpec, d: Domain,
+                     ks: np.ndarray) -> np.ndarray:
+    """Normalized transform values at the frequency vectors in the columns
+    of ``ks`` (one row per count formula), from one weighted count whose
+    indicator weights are arrays over the columns."""
+    theory, w, wbar = translate_mln(phi)
+    used = {p.name for p in theory.vocabulary}
+    sentences = list(theory.sentences)
+    vocab = list(theory.vocabulary)
+    roots = {}
+    for beta, kj, mj in zip(psi.formulas, ks, shape_vector(psi, d)):
+        fv = tuple(sorted(free_variables(beta), key=lambda v: v.name))
+        xi = Predicate(fresh_name("xb", used), len(fv))
+        vocab.append(xi)
+        sentences.append(universal_closure(Iff(Atom(xi, fv), beta)))
+        roots[xi.name] = np.exp(-2j * np.pi * kj / mj)
+    compiled = compile_theory(Fo2Theory.of(sentences, vocab))
+    # With the indicators at their default weight 1 the count is the
+    # partition normalizer itself, exact for integer weights.
+    z = as_real(compiled.wfomc(w, wbar, d), "partition function")
+    if z <= 0:
+        raise InfeasibleConstraintError(
+            "partition function is zero: every world is excluded")
+    raw = compiled.wfomc(w.updated(roots), wbar, d)
+    return np.full(ks.shape[1], raw / z, dtype=np.complex128)
 
 
 def spectrum_point(phi: Mln, psi: CountSpec, k, d: Domain) -> complex:
     """Transform value at one frequency vector: the normalized weighted
     count with root-of-unity indicator weights."""
-    ev = _SpectrumEvaluator(phi, psi, d)
     k = tuple(k)
-    for kj, mj in zip(k, ev.shape):
+    shape = shape_vector(psi, d)
+    for kj, mj in zip(k, shape):
         if not 0 <= kj < mj:
-            raise ValueError(f"frequency {k} outside grid {ev.shape}")
-    return ev.point(k)
-
-
-def _point_block(ev: _SpectrumEvaluator, indices) -> list[complex]:
-    return [ev.point(k) for k in indices]
+            raise ValueError(f"frequency {k} outside grid {shape}")
+    ks = np.array(k).reshape(-1, 1)
+    return complex(_spectrum_values(phi, psi, d, ks)[0])
 
 
 def full_spectrum(phi: Mln, psi: CountSpec, d: Domain,
                   threads: int = 1) -> Spectrum:
-    """Transform values at every grid frequency, in C index order."""
-    ev = _SpectrumEvaluator(phi, psi, d)
-    indices = list(np.ndindex(*ev.shape))
-    if threads > 1 and len(indices) > 4 * threads:
-        import multiprocessing
+    """Transform values at every grid frequency, in C index order.
 
-        chunk = (len(indices) + threads - 1) // threads
-        blocks = [indices[i:i + chunk] for i in range(0, len(indices), chunk)]
-        with multiprocessing.Pool(threads) as pool:
-            results = pool.starmap(_point_block,
-                                   [(ev, block) for block in blocks])
-        flat = [v for block in results for v in block]
-    else:
-        flat = [ev.point(k) for k in indices]
-    values = np.array(flat, dtype=np.complex128).reshape(ev.shape)
-    return Spectrum(values)
+    ``threads`` is accepted for compatibility and selects nothing: the grid
+    is evaluated in one vectorized pass.
+    """
+    shape = shape_vector(psi, d)
+    ks = np.indices(shape).reshape(len(shape), -1)
+    return Spectrum(_spectrum_values(phi, psi, d, ks).reshape(shape))
 
 
 def forward_dft(values: np.ndarray) -> np.ndarray:
-    """Naive multidimensional transform: g(k) = sum_n f(n) e^{-2 pi i <k, n/M>}."""
-    return _naive_dft(np.asarray(values, dtype=np.complex128), -1.0, 1.0)
+    """Multidimensional transform: g(k) = sum_n f(n) e^{-2 pi i <k, n/M>}."""
+    return np.fft.fftn(np.asarray(values, dtype=np.complex128))
 
 
 def inverse_dft_raw(values: np.ndarray) -> np.ndarray:
-    """Naive inverse: f(n) = (1/prod M) sum_k g(k) e^{+2 pi i <n, k/M>}."""
-    arr = np.asarray(values, dtype=np.complex128)
-    return _naive_dft(arr, +1.0, 1.0 / arr.size)
-
-
-def _naive_dft(arr: np.ndarray, sign: float, scale: float) -> np.ndarray:
-    shape = arr.shape
-    coords = [np.array(idx, dtype=np.float64)
-              for idx in np.ndindex(*shape)]
-    grid = np.stack(coords) if coords else np.zeros((0, 0))
-    norm = grid / np.array(shape, dtype=np.float64)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.shape, dtype=np.complex128)
-    # Quadratic evaluation, blocked to bound the phase-matrix size.
-    block = max(1, (4 << 20) // max(1, flat.size))
-    for lo in range(0, flat.size, block):
-        hi = min(lo + block, flat.size)
-        phase = np.exp(sign * 2j * np.pi * (grid[lo:hi] @ norm.T))
-        out[lo:hi] = phase @ flat
-    return (out * scale).reshape(shape)
+    """Inverse: f(n) = (1/prod M) sum_k g(k) e^{+2 pi i <n, k/M>}."""
+    return np.fft.ifftn(np.asarray(values, dtype=np.complex128))
 
 
 def inverse_dft(g: Spectrum) -> CountDistribution:
@@ -207,9 +163,9 @@ def inverse_dft(g: Spectrum) -> CountDistribution:
 
 def count_distribution(phi: Mln, psi: CountSpec, d: Domain,
                        threads: int = 1) -> CountDistribution:
-    """Distribution of the count vector under the model, via one weighted
-    count per frequency and a naive inverse transform."""
-    dist = inverse_dft(full_spectrum(phi, psi, d, threads=threads))
+    """Distribution of the count vector under the model, via the spectrum
+    on the full grid and an inverse FFT.  ``threads`` selects nothing."""
+    dist = inverse_dft(full_spectrum(phi, psi, d))
     total = float(dist.probabilities.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise NumericResidueError(

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mlncount import (
@@ -170,3 +171,37 @@ class TestCompositionSum:
         assert cpow(3, 7) == 3 ** 7
         assert cpow(0.5 + 0.5j, 9) == pytest.approx((0.5 + 0.5j) ** 9)
         assert cpow(2.0, 0) == 1
+
+    def test_cpow_array_matches_scalar(self):
+        bases = np.array([0.5 + 0.5j, -1.2, 2.0, 1j, 0.0])
+        for e in (0, 1, 2, 7, 9):
+            got = np.broadcast_to(cpow(bases, e), bases.shape)
+            want = [cpow(complex(b), e) for b in bases]
+            assert got == pytest.approx(want, rel=1e-15)
+
+    def test_cpow_array_overflow_on_any_element(self):
+        # 1e151**2 = 1e302 is finite but above the limit; the others are not.
+        with pytest.raises(NumericOverflowError):
+            cpow(np.array([1.0, 1e151, 0.5j]), 2)
+        with pytest.raises(NumericOverflowError):
+            cpow(np.array([1.0, complex("nan")]), 3)
+        assert cpow(np.array([1.0, 1e149, 0.5j]), 2)[1] == pytest.approx(1e298)
+
+    def test_config_sum_array_weights_match_scalar_sums(self):
+        rng = np.random.default_rng(7)
+        c, n, size = 3, 5, 6
+
+        def draw():
+            return rng.uniform(-1.5, 1.5, size) + 1j * rng.uniform(-1, 1, size)
+
+        ws = [draw() for _ in range(c)]
+        r = [[None] * c for _ in range(c)]
+        for i in range(c):
+            for j in range(i, c):
+                r[i][j] = r[j][i] = draw()
+        value, leaves = _config_sum(n, ws, r)
+        assert leaves == math.comb(n + c - 1, c - 1)
+        for e in range(size):
+            want, _ = _config_sum(n, [complex(w[e]) for w in ws],
+                                  [[complex(x[e]) for x in row] for row in r])
+            assert value[e] == pytest.approx(want, rel=1e-12)

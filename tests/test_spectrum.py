@@ -81,6 +81,23 @@ class TestFullSpectrum:
             assert spec.values[(-k) % m] == \
                 pytest.approx(spec.values[k].conjugate())
 
+    def test_every_frequency_matches_transformed_brute_law(self):
+        # Draw until at least four models carry a forall-exists formula, so
+        # that the Skolem (1, -1) weights are exercised.
+        rng = random.Random(31)
+        checked = existentials = 0
+        while checked < 10 or existentials < 4:
+            mln, psi, d = random_feasible_mln(rng)
+            checked += 1
+            existentials += any(isinstance(f, ForAll) and
+                                isinstance(f.body, Exists)
+                                for f, _ in mln.weighted_formulas)
+            spec = full_spectrum(mln, CountSpec.of(psi), d)
+            law = np.zeros(spec.shape)
+            for idx, p in brute_count_distribution(mln, psi, d).items():
+                law[idx] = p
+            assert np.max(np.abs(spec.values - forward_dft(law))) <= 1e-9
+
     def test_zero_frequency_one_for_random_models(self):
         rng = random.Random(5)
         for _ in range(10):
