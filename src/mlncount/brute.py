@@ -25,7 +25,7 @@ from .errors import BruteForceCapError
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, PossibleWorld, Predicate, TRUE, Truth, conjoin, evaluate,
-    free_variables, ground_atoms, substitute,
+    evaluate_bitwise, free_variables, ground_atoms, substitute,
 )
 
 DEFAULT_ATOM_CAP = 30
@@ -143,26 +143,6 @@ def _ground_expand(f: Formula, d: Domain) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _eval_packed(f: Formula, bits: dict, n_words: int) -> np.ndarray:
-    full = np.uint64(0xFFFFFFFFFFFFFFFF)
-    if isinstance(f, Atom):
-        return bits[f]
-    if isinstance(f, Truth):
-        return np.full(n_words, full if f.value else np.uint64(0),
-                       dtype=np.uint64)
-    if isinstance(f, Not):
-        return ~_eval_packed(f.body, bits, n_words)
-    if isinstance(f, And):
-        return _eval_packed(f.left, bits, n_words) & _eval_packed(f.right, bits, n_words)
-    if isinstance(f, Or):
-        return _eval_packed(f.left, bits, n_words) | _eval_packed(f.right, bits, n_words)
-    if isinstance(f, Implies):
-        return ~_eval_packed(f.left, bits, n_words) | _eval_packed(f.right, bits, n_words)
-    if isinstance(f, Iff):
-        return ~(_eval_packed(f.left, bits, n_words) ^ _eval_packed(f.right, bits, n_words))
-    raise TypeError(f"unexpected node in ground tree: {f!r}")
-
-
 # Within-word patterns of the six lowest index bits: bit b of word-local
 # position, for positions 0..63.
 _LOW_PATTERNS = tuple(
@@ -172,9 +152,11 @@ _LOW_PATTERNS = tuple(
 
 
 def _atom_bit_arrays(atom_index: dict, word_lo: int, n_words: int) -> dict:
-    """Packed truth arrays per atom for worlds ``64*word_lo ..``."""
+    """Packed truth arrays per atom, and for TRUE and FALSE, for worlds
+    ``64*word_lo ..``."""
     widx = np.arange(word_lo, word_lo + n_words, dtype=np.uint64)
-    out = {}
+    out = {TRUE: np.full(n_words, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64),
+           FALSE: np.zeros(n_words, dtype=np.uint64)}
     for atom, j in atom_index.items():
         if j < 6:
             out[atom] = np.full(n_words, _LOW_PATTERNS[j], dtype=np.uint64)
@@ -238,9 +220,7 @@ def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
     for word_lo in range(0, total_words, _CHUNK_WORDS):
         n_words = min(_CHUNK_WORDS, total_words - word_lo)
         bits = _atom_bit_arrays(atom_index, word_lo, n_words)
-        sat = (np.full(n_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
-               if isinstance(ground, Truth)
-               else _eval_packed(ground, bits, n_words))
+        sat = evaluate_bitwise(ground, bits)
         sat_flags = np.unpackbits(sat.view(np.uint8), bitorder="little")
         idx = np.arange(word_lo << 6, (word_lo + n_words) << 6,
                         dtype=np.uint64)

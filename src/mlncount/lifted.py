@@ -17,7 +17,9 @@ that is polynomial in the domain size:
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
-   per-cell-pair cross weights.
+   per-cell-pair cross weights.  Cells and the pair table are evaluated on
+   numpy bool arrays.  Cells with equal rows of pair entries merge into one
+   cell whose weight is their sum, which cuts the compositions visited.
 
 Arithmetic is generic: integer weights give exact (bignum) results, any
 other weights run in complex floating point with overflow detection.  A
@@ -37,10 +39,14 @@ from .errors import NumericOverflowError, UnsupportedSentenceError
 from .logic import (
     And, Atom, Domain, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
     Predicate, TRUE, Truth, Var, all_variables, contains_constants,
-    contains_equality, free_variables,
+    contains_equality, evaluate_bitwise, free_variables,
 )
 
 _MAGNITUDE_LIMIT = 1e300
+# Bound on the (cell pair, cross assignment) entries the pair table
+# evaluates at once, so its memory does not grow with the cells squared.
+_CHUNK = 1 << 16
+_TRUTH_LEAVES = {TRUE: np.True_, FALSE: np.False_}
 
 
 def cpow(base, exponent: int):
@@ -376,44 +382,24 @@ def _subst_vars(f: Formula, mapping: dict) -> Formula:
     raise TypeError(f"quantifier inside matrix: {f!r}")
 
 
-def _eval_qf(f: Formula, values: dict) -> bool:
-    if isinstance(f, Atom):
-        return values[f]
-    if isinstance(f, Truth):
-        return f.value
-    if isinstance(f, Not):
-        return not _eval_qf(f.body, values)
-    if isinstance(f, And):
-        return _eval_qf(f.left, values) and _eval_qf(f.right, values)
-    if isinstance(f, Or):
-        return _eval_qf(f.left, values) or _eval_qf(f.right, values)
-    if isinstance(f, Implies):
-        return (not _eval_qf(f.left, values)) or _eval_qf(f.right, values)
-    if isinstance(f, Iff):
-        return _eval_qf(f.left, values) == _eval_qf(f.right, values)
-    raise TypeError(f"not a quantifier-free formula: {f!r}")
-
-
-def _cell_atoms(preds) -> list[Atom]:
-    """One atom per predicate: p(0) for unary, r(0, 0) for binary."""
-    out = []
-    for p in preds:
-        out.append(Atom(p, (0,) * p.arity))
-    return out
+def _assignments(k: int) -> np.ndarray:
+    """All 2^k truth assignments to k atoms, one per row, in
+    ``itertools.product((False, True), repeat=k)`` order."""
+    return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
 
 
 def _enumerate_cells(preds, diag_matrices) -> list[Cell]:
     """All assignments over the cell atoms consistent with every matrix
     evaluated at a single element (both variables identified)."""
-    atoms = _cell_atoms(preds)
-    diag = [_subst_vars(m, {v: 0 for v in free_variables(m)})
-            for m in diag_matrices]
-    cells = []
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        values = dict(zip(atoms, bits))
-        if all(_eval_qf(m, values) for m in diag):
-            cells.append(Cell(tuple(zip(preds, bits))))
-    return cells
+    bits = _assignments(len(preds))
+    # One atom per predicate: p(0) for unary, r(0, 0) for binary.
+    values = {Atom(p, (0,) * p.arity): bits[:, k]
+              for k, p in enumerate(preds)} | _TRUTH_LEAVES
+    ok = np.ones(len(bits), dtype=bool)
+    for m in diag_matrices:
+        ok &= evaluate_bitwise(
+            _subst_vars(m, {v: 0 for v in free_variables(m)}), values)
+    return [Cell(tuple(zip(preds, row))) for row in bits[ok].tolist()]
 
 
 def enumerate_cells(vocab, matrix: Formula) -> list[Cell]:
@@ -429,57 +415,68 @@ def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
     """Summed weight of cross-atom assignments between two distinct elements
     with the given cells, under ``matrix`` in both orientations."""
     preds = [p for p, _ in ci.assignment]
-    table = _pair_table([matrix], preds, [ci, cj])
+    ids, rows = _pair_table([matrix], preds, [ci, cj])
     total = 0
-    for counts in table[(0, 1)]:
-        term = 1
-        for name, t, f in counts:
-            term = term * cpow(w(name), t) * cpow(wbar(name), f)
-        total = total + term
+    for counts in rows[ids[0, 1]]:
+        total = total + _weight(counts, w, wbar)
     return total
 
 
 def _pair_table(matrices2, preds, cells):
-    """For every pair of cell positions i <= j, the list of per-predicate
-    (true, false) cross-atom count summaries of the satisfying assignments."""
+    """Cross-assignment summaries for every pair of cells.
+
+    Returns ``(ids, rows)``: ``rows[ids[i, j]]`` is the sorted tuple of
+    per-predicate (name, true, false) cross-atom count summaries of the
+    assignments satisfying every matrix, in both orientations, between an
+    element of cell i and one of cell j.  ``ids`` is symmetric, and equal
+    ids mean equal multisets of summaries."""
     binary = [p for p in preds if p.arity == 2]
-    cross = [Atom(p, (0, 1)) for p in binary] + [Atom(p, (1, 0)) for p in binary]
+    b = len(binary)
+    cross = _assignments(2 * b)
+    # A summary depends only on each predicate's true count t in 0..2;
+    # code it in base 3, once per table rather than once per pair.
+    code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
+    digits = np.arange(3 ** b)[:, None] // 3 ** np.arange(b) % 3
+    summaries = [tuple((p.name, t, 2 - t) for p, t in zip(binary, row))
+                 for row in digits.tolist()]
+    atoms = [Atom(p, (0, 1)) for p in binary] + [Atom(p, (1, 0)) for p in binary]
+    values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
     inst = [_subst_vars(m, _direction(m, 0, 1)) for m in matrices2] + \
            [_subst_vars(m, _direction(m, 1, 0)) for m in matrices2]
-    table = {}
-    for i, ci in enumerate(cells):
-        for j in range(i, len(cells)):
-            cj = cells[j]
-            base = {}
-            for p, v in ci.assignment:
-                base[Atom(p, (0,) * p.arity)] = v
-            for p, v in cj.assignment:
-                base[Atom(p, (1,) * p.arity)] = v
-            rows = []
-            for bits in itertools.product((False, True), repeat=len(cross)):
-                values = dict(base)
-                values.update(zip(cross, bits))
-                if not all(_eval_qf(m, values) for m in inst):
-                    continue
-                per_pred = []
-                for p in binary:
-                    t = sum(1 for a, b in zip(cross, bits)
-                            if a.pred == p and b)
-                    f = sum(1 for a, b in zip(cross, bits)
-                            if a.pred == p and not b)
-                    per_pred.append((p.name, t, f))
-                rows.append(tuple(per_pred))
-            table[(i, j)] = tuple(rows)
-    return table
+    c = len(cells)
+    table = np.array([[v for _, v in cell.assignment] for cell in cells],
+                     dtype=bool).reshape(c, len(preds))
+    ids = np.zeros((c, c), dtype=np.int64)
+    rows, index = [], {}
+    # Cell pairs i <= j, a chunk at a time: element 0 in cell i, element 1
+    # in cell j, evaluated as (pairs, cross assignments) arrays.
+    first, second = np.triu_indices(c)
+    step = max(1, _CHUNK // len(cross))
+    for lo in range(0, len(first), step):
+        left, right = first[lo:lo + step], second[lo:lo + step]
+        for k, p in enumerate(preds):
+            values[Atom(p, (0,) * p.arity)] = table[left, k, None]
+            values[Atom(p, (1,) * p.arity)] = table[right, k, None]
+        ok = np.ones((len(left), len(cross)), dtype=bool)
+        for m in inst:
+            ok &= evaluate_bitwise(m, values)
+        pair, assignment = np.nonzero(ok)
+        # Row p counts the satisfying assignments of pair p per summary code.
+        counts = np.bincount(pair * 3 ** b + code[assignment],
+                             minlength=len(left) * 3 ** b).reshape(len(left), -1)
+        for i, j, multiset in zip(left.tolist(), right.tolist(), counts):
+            key = multiset.tobytes()
+            if key not in index:
+                index[key] = len(rows)
+                rows.append(tuple(summaries[s] for s in
+                                  np.repeat(np.arange(3 ** b), multiset)))
+            ids[i, j] = ids[j, i] = index[key]
+    return ids, rows
 
 
 def _direction(matrix: Formula, first: int, second: int) -> dict:
     fv = sorted(free_variables(matrix), key=lambda v: v.name)
-    if len(fv) == 2:
-        return {fv[0]: first, fv[1]: second}
-    if len(fv) == 1:
-        return {fv[0]: first}
-    return {}
+    return dict(zip(fv, (first, second)))
 
 
 # --- compiled theories ------------------------------------------------------
@@ -487,8 +484,9 @@ def _direction(matrix: Formula, first: int, second: int) -> dict:
 @dataclass(frozen=True)
 class _Branch:
     nullary_values: tuple[tuple[str, bool], ...]
+    # One representative per class of interchangeable cells (see cell_counts).
     cells: tuple[Cell, ...]
-    cell_counts: tuple[tuple[tuple[str, int, int], ...], ...]
+    cell_counts: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...]
     pair_counts: dict
 
 
@@ -514,7 +512,13 @@ class CompiledTheory:
                 cells = _cell_weights(branch.cell_counts, w, wbar)
                 pairs = _pair_weights(branch.pair_counts, len(branch.cells),
                                       w, wbar)
-                value, _ = _config_sum(d.size, cells, pairs)
+                try:
+                    value, _ = _config_sum(d.size, cells, pairs)
+                except OverflowError as err:
+                    # An exact big-int term met a float weight.
+                    raise NumericOverflowError(
+                        f"weighted count left the floating-point range: {err}"
+                    ) from err
                 total = total + factor * value
         if not isinstance(total, int):
             within = abs(total) <= _MAGNITUDE_LIMIT
@@ -529,13 +533,22 @@ class CompiledTheory:
                    for b in self.branches if b.cells)
 
 
+def _weight(counts, w, wbar):
+    """Product of w(name)^t * wbar(name)^f over (name, t, f) counts."""
+    out = 1
+    for name, t, f in counts:
+        out = out * cpow(w(name), t) * cpow(wbar(name), f)
+    return out
+
+
 def _cell_weights(cell_counts, w, wbar) -> list:
+    """One weight per merged cell: the sum of its members' weights."""
     out = []
-    for counts in cell_counts:
-        weight = 1
-        for name, t, f in counts:
-            weight = weight * cpow(w(name), t) * cpow(wbar(name), f)
-        out.append(weight)
+    for members in cell_counts:
+        total = 0
+        for counts in members:
+            total = total + _weight(counts, w, wbar)
+        out.append(total)
     return out
 
 
@@ -544,10 +557,7 @@ def _pair_weights(pair_counts, n_cells, w, wbar) -> list:
     for (i, j), rows in pair_counts.items():
         total = 0
         for counts in rows:
-            term = 1
-            for name, t, f in counts:
-                term = term * cpow(w(name), t) * cpow(wbar(name), f)
-            total = total + term
+            total = total + _weight(counts, w, wbar)
         r[i][j] = total
         r[j][i] = total
     return r
@@ -597,14 +607,23 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
         if not feasible:
             continue
         cells = _enumerate_cells(element_preds, matrices1 + matrices2)
-        cell_counts = []
-        for cell in cells:
-            counts = tuple((p.name, int(v), int(not v))
-                           for p, v in cell.assignment)
-            cell_counts.append(counts)
-        pair_counts = _pair_table(matrices2, element_preds, cells)
-        branches.append(_Branch(tuple(zip(nullary, bits)), tuple(cells),
-                                tuple(cell_counts), pair_counts))
+        ids, rows = _pair_table(matrices2, element_preds, cells)
+        # Cells with the same row of pair entries (so r_ii = r_jj = r_ij)
+        # are interchangeable: by the multinomial theorem one cell whose
+        # weight is the sum of theirs replaces them, for any weights.
+        classes = {}
+        for i, row in enumerate(ids):
+            classes.setdefault(row.tobytes(), []).append(i)
+        reps = [members[0] for members in classes.values()]
+        cell_counts = tuple(
+            tuple(tuple((p.name, int(v), int(not v))
+                        for p, v in cells[m].assignment) for m in members)
+            for members in classes.values())
+        pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
+                       for a in range(len(reps)) for b in range(a, len(reps))}
+        branches.append(_Branch(tuple(zip(nullary, bits)),
+                                tuple(cells[m] for m in reps), cell_counts,
+                                pair_counts))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
 

@@ -336,6 +336,29 @@ def evaluate(f: Formula, w: PossibleWorld, d: Domain) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def evaluate_bitwise(f: Formula, leaves: dict):
+    """Truth of quantifier-free ``f`` at many assignments at once.
+
+    ``leaves`` maps each atom of ``f``, and TRUE and FALSE if they occur, to
+    numpy bool arrays (broadcast together) or to packed integer words, one
+    assignment per bit; connectives apply elementwise as ``~ & | ^``."""
+    if isinstance(f, (Atom, Truth)):
+        return leaves[f]
+    if isinstance(f, Not):
+        return ~evaluate_bitwise(f.body, leaves)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        a = evaluate_bitwise(f.left, leaves)
+        b = evaluate_bitwise(f.right, leaves)
+        if isinstance(f, And):
+            return a & b
+        if isinstance(f, Or):
+            return a | b
+        if isinstance(f, Implies):
+            return ~a | b
+        return ~(a ^ b)
+    raise TypeError(f"not a quantifier-free formula: {f!r}")
+
+
 def count_true_groundings(f: Formula, w: PossibleWorld, d: Domain) -> int:
     """N(f, w): number of groundings of ``f`` true in ``w``."""
     return sum(1 for g in groundings(f, d) if evaluate(g, w, d))

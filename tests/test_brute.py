@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mlncount import (
-    Atom, Domain, Exists, ForAll, Mln, Not, Or, Predicate, TRUE, Var,
+    Atom, Domain, Eq, Exists, ForAll, Iff, Mln, Not, Or, Predicate, TRUE, Var,
     WeightFunction, brute_mln_marginal, brute_mln_partition, brute_wfomc,
     enumerate_worlds,
 )
@@ -102,6 +102,15 @@ class TestBruteWfomc:
                 slow = naive_wfomc(theory.sentences, w, wbar, d,
                                    theory.vocabulary)
                 assert rel_close(fast, slow), (theory, n)
+
+    def test_truth_constant_inside_ground_tree(self):
+        # Grounding leaves x = y as TRUE or FALSE under the Iff.
+        s = ForAll(X, ForAll(Y, Iff(Eq(X, Y), Atom(F, (X, Y)))))
+        w, wbar = WeightFunction({"f": 2}), WeightFunction({"f": 3})
+        for n in (1, 2, 3):
+            d = Domain(n)
+            assert brute_wfomc(s, w, wbar, d, vocab=[F]) == \
+                naive_wfomc([s], w, wbar, d, [F]) == 2 ** n * 3 ** (n * n - n)
 
     def test_world_weight(self):
         w = WeightFunction({"p": 2})

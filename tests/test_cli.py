@@ -224,6 +224,13 @@ class TestExitCodes:
                            "--threads", "1")
         assert code == 3
 
+    def test_count_beyond_float_range(self, model_path, capsys):
+        text = ("domain 32\npredicate p/1\npredicate f/2\n"
+                "count c : p(x)\n")
+        code, out, err = run(capsys, "countdist", model_path(text))
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_infeasible_hard_formulas(self, model_path, capsys):
         text = ("domain 2\npredicate p/1\nhard : exists x p(x)\n"
                 "hard : forall x !p(x)\n")

@@ -11,7 +11,7 @@ from mlncount import (
 )
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _config_sum, compile_theory, cpow,
+    Fo2Theory, _config_sum, _pair_table, compile_theory, cpow,
 )
 
 from helpers import random_theory, rel_close
@@ -67,6 +67,23 @@ class TestCells:
         assert len(cells) == 1
         assert cells[0].value(P) is True
 
+    def test_hand_counted_cells_in_assignment_order(self):
+        # p(x) -> f(x,x) rules out only (p, f) = (True, False).
+        cells = enumerate_cells([P, F], Implies(Atom(P, (X,)), Atom(F, (X, X))))
+        assert [(c.value(P), c.value(F)) for c in cells] == \
+            [(False, False), (False, True), (True, True)]
+
+    def test_no_feasible_cell(self):
+        contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))
+        assert enumerate_cells([P, F], contradiction) == []
+        ids, rows = _pair_table([contradiction], [P, F], [])
+        assert ids.shape == (0, 0) and rows == []
+        compiled = compile_theory(Fo2Theory.of([ForAll(X, contradiction)],
+                                               [P, F]))
+        assert [b.cells for b in compiled.branches] == [()]
+        assert compiled.composition_count(Domain(3)) == 0
+        assert compiled.wfomc(ONES, ONES, Domain(3)) == 0
+
 
 class TestPairWeight:
     def test_free_cross_atoms(self):
@@ -81,6 +98,32 @@ class TestPairWeight:
     def test_no_binary_predicates(self):
         ci, cj = enumerate_cells([P], TRUE)
         assert pair_weight(ci, cj, TRUE, ONES, ONES) == 1
+        # p(x) -> p(y) fails only from a p-cell to a non-p cell.
+        ids, rows = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))], [P],
+                                [ci, cj])
+        assert rows[ids[0, 0]] == rows[ids[1, 1]] == ((),)
+        assert rows[ids[0, 1]] == rows[ids[1, 0]] == ()
+
+    def test_true_matrix_keeps_every_cross_assignment(self):
+        cells = enumerate_cells([P, F], TRUE)
+        ids, rows = _pair_table([TRUE], [P, F], cells)
+        assert len(set(ids.flat)) == 1
+        assert rows[ids[0, 0]] == ((("f", 0, 2),), (("f", 1, 1),),
+                                   (("f", 1, 1),), (("f", 2, 0),))
+
+    def test_hand_counted_weights(self):
+        w, wbar = WeightFunction({"f": 2}), WeightFunction({"f": 3})
+        ci, cj = enumerate_cells([F], TRUE)
+        # f(x,y) | f(y,x) in both orientations: TT, TF, FT -> 4 + 6 + 6.
+        either = Or(Atom(F, (X, Y)), Atom(F, (Y, X)))
+        assert pair_weight(ci, cj, either, w, wbar) == 16
+        # f(x,y) -> p(x): from a p-cell to a non-p cell, f(1,0) must be
+        # false and f(0,1) is free -> 2*3 + 3*3.
+        pi, pj = (c for c in enumerate_cells([P, F], TRUE) if not c.value(F))
+        implies = Implies(Atom(F, (X, Y)), Atom(P, (X,)))
+        assert pair_weight(pj, pi, implies, w, wbar) == 15
+        assert pair_weight(pi, pj, implies, w, wbar) == 15
+        assert pair_weight(pj, pj, implies, w, wbar) == 25
 
     def test_symmetry(self):
         cells = enumerate_cells([P, F], TRUE)
@@ -148,6 +191,38 @@ class TestLiftedWfomc:
         s = Exists(X, Exists(Y, Atom(F, (X, Y))))
         t = Fo2Theory.of([s], [F])
         assert lifted_wfomc(t, ONES, ONES, Domain(2)) == 15
+
+
+class TestCellMerge:
+    def test_unused_predicate_leaves_composition_count(self):
+        q = Predicate("q", 1)
+        plain = compile_theory(Fo2Theory.of([TOTALITY], [F]))
+        padded = compile_theory(Fo2Theory.of([TOTALITY], [F, q]))
+        assert sum(len(b.cells) for b in padded.branches) == \
+            sum(len(b.cells) for b in plain.branches)
+        for n in (1, 4, 9):
+            d = Domain(n)
+            assert padded.composition_count(d) == plain.composition_count(d)
+            assert padded.wfomc(ONES, ONES, d) == \
+                2 ** n * plain.wfomc(ONES, ONES, d)
+
+    def test_integer_weights_stay_exact_on_random_theories(self):
+        rng = random.Random(2021)
+        with_exists = 0
+        for _ in range(30):
+            theory, _, _ = random_theory(rng)
+            names = [p.name for p in theory.vocabulary]
+            w = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            wbar = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            with_exists += any(isinstance(s.body, Exists)
+                               for s in theory.sentences)
+            for n in (1, 2, 3):
+                got = lifted_wfomc(theory, w, wbar, Domain(n))
+                want = brute_wfomc(list(theory.sentences), w, wbar, Domain(n),
+                                   vocab=theory.vocabulary)
+                assert isinstance(got, int)
+                assert got == want, (theory.sentences, n)
+        assert with_exists >= 5
 
 
 class TestCompositionSum:

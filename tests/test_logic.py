@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from mlncount import (
     PossibleWorld, Predicate, TRUE, Var, count_true_groundings, evaluate,
     free_variables, groundings, parse_formula, pretty,
 )
+from mlncount.logic import FALSE, evaluate_bitwise
 from mlncount.errors import (
     FormulaSyntaxError, TooManyVariablesError, VocabularyError,
 )
@@ -132,6 +136,38 @@ class TestEvaluate:
             And(Atom(F, (X, Y)), Atom(F, (X, Z))), Eq(Y, Z)))))
         assert evaluate(f, world(Atom(F, (0, 1)), Atom(F, (1, 0))), Domain(2))
         assert not evaluate(f, world(Atom(F, (0, 0)), Atom(F, (0, 1))), Domain(2))
+
+
+class TestEvaluateBitwise:
+    ATOMS = [Atom(P, (0,)), Atom(F, (0, 1)), Atom(F, (1, 0))]
+    FORMULAS = [
+        Iff(Atom(P, (0,)), Or(Atom(F, (0, 1)), Not(Atom(F, (1, 0))))),
+        Implies(And(Atom(F, (0, 1)), TRUE), Atom(P, (0,))),
+        Or(FALSE, Iff(TRUE, Atom(F, (1, 0)))),
+    ]
+
+    def test_bool_arrays_match_evaluate(self):
+        rows = list(itertools.product((False, True), repeat=3))
+        bits = np.array(rows, dtype=bool)
+        leaves = {a: bits[:, k] for k, a in enumerate(self.ATOMS)}
+        leaves.update({TRUE: np.True_, FALSE: np.False_})
+        for f in self.FORMULAS:
+            want = [evaluate(f, world(*(a for a, v in zip(self.ATOMS, row)
+                                        if v)), Domain(2)) for row in rows]
+            assert evaluate_bitwise(f, leaves).tolist() == want
+
+    def test_packed_words_match_bool_arrays(self):
+        # Bit i of atom k's word is bit k of assignment i.
+        words = {a: np.array([sum(1 << i for i in range(8) if i >> k & 1)],
+                             dtype=np.uint8)
+                 for k, a in enumerate(self.ATOMS)}
+        words.update({TRUE: np.array([0xFF], dtype=np.uint8),
+                      FALSE: np.array([0], dtype=np.uint8)})
+        bits = {a: (w[0] >> np.arange(8)) & 1 == 1 for a, w in words.items()}
+        for f in self.FORMULAS:
+            packed = evaluate_bitwise(f, words)[0]
+            assert [(packed >> i) & 1 == 1 for i in range(8)] == \
+                evaluate_bitwise(f, bits).tolist()
 
 
 class TestCountTrueGroundings:

@@ -12,6 +12,8 @@ from mlncount import (
     forward_dft, full_spectrum, inverse_dft, inverse_dft_raw, shape_vector,
     spectrum_point,
 )
+from mlncount.errors import NumericOverflowError
+from mlncount.modelfile import parse_model_text
 from mlncount.spectrum import CountSpec, Spectrum
 
 from helpers import random_feasible_mln
@@ -162,6 +164,13 @@ class TestCountDistribution:
             mln, psi, d = random_feasible_mln(rng)
             dist = count_distribution(mln, CountSpec.of(psi), d)
             assert float(dist.probabilities.sum()) == pytest.approx(1.0, abs=1e-6)
+
+    def test_integer_count_beyond_float_range_is_typed_error(self):
+        # 2^1056 worlds: the exact normalizer is fine, the float sweep is not.
+        model = parse_model_text("domain 32\npredicate p/1\n"
+                                 "predicate f/2\ncount c : p(x)\n")
+        with pytest.raises(NumericOverflowError):
+            count_distribution(model.mln, model.count_spec, model.domain)
 
     def test_marginalizing_extended_axis_is_consistent(self):
         mln = Mln.of([(Atom(P, (X,)), 0.3)], [P, F])
