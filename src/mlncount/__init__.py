@@ -10,8 +10,8 @@ everything at small domain sizes.
 """
 
 from .brute import (
-    WeightFunction, brute_count_distribution, brute_mln_marginal,
-    brute_mln_partition, brute_wfomc, enumerate_worlds,
+    brute_count_distribution, brute_mln_marginal, brute_mln_partition,
+    brute_wfomc, enumerate_worlds,
 )
 from .constraints import (
     Between, CardinalityConstraint, CardinalityPredicate, Conjunction,
@@ -30,8 +30,9 @@ from .lifted import (
 )
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, PossibleWorld, Predicate, TRUE, Var, count_true_groundings, evaluate,
-    free_variables, groundings, pretty, universal_closure,
+    Or, PossibleWorld, Predicate, TRUE, Var, WeightFunction,
+    count_true_groundings, evaluate, free_variables, groundings, pretty,
+    universal_closure,
 )
 from .mln import Mln, marginal, partition_function, translate_mln
 from .modelfile import Model, parse_model, parse_model_text

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import BruteForceCapError
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, PossibleWorld, Predicate, TRUE, Truth, conjoin, evaluate,
-    evaluate_bitwise, free_variables, ground_atoms, substitute,
+    Or, PossibleWorld, Predicate, TRUE, Truth, WeightFunction, conjoin,
+    evaluate, evaluate_bitwise, free_variables, ground_atoms, substitute,
 )
 
 DEFAULT_ATOM_CAP = 30
@@ -35,38 +35,6 @@ _CHUNK_WORDS = 1 << 14
 
 if sys.byteorder != "little":
     raise ImportError("bit-packed world enumeration assumes a little-endian host")
-
-
-class WeightFunction:
-    """Mapping from predicate names to complex weights, defaulting to 1.
-
-    Integer and real weights are kept in their native types so that
-    unit-weight model counts stay exact.
-    """
-
-    def __init__(self, weights=None, default=1):
-        self._weights = dict(weights or {})
-        self._default = default
-
-    def __call__(self, pred) -> complex:
-        name = pred.name if isinstance(pred, Predicate) else pred
-        return self._weights.get(name, self._default)
-
-    def updated(self, extra) -> "WeightFunction":
-        merged = dict(self._weights)
-        merged.update(extra)
-        return WeightFunction(merged, self._default)
-
-    def conjugated(self) -> "WeightFunction":
-        conj = {k: (v.conjugate() if isinstance(v, complex) else v)
-                for k, v in self._weights.items()}
-        return WeightFunction(conj, self._default)
-
-    def items(self):
-        return self._weights.items()
-
-    def __repr__(self):
-        return f"WeightFunction({self._weights!r}, default={self._default!r})"
 
 
 def atom_count(vocab: Iterable[Predicate], d: Domain) -> int:

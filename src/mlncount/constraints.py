@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InfeasibleConstraintError, NumericOverflowError
 from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
-from .mln import Mln, partition_function
+from .mln import Mln, as_probability, partition_function
 from .spectrum import CountSpec, count_distribution, shape_vector
 
 
@@ -232,10 +232,7 @@ def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
     if den <= 0.0:
         raise InfeasibleConstraintError(
             "cardinality constraint excludes every world")
-    p = num / den
-    if -1e-9 <= p < 0:
-        p = 0.0
-    return p
+    return as_probability(num / den, "constrained marginal")
 
 
 def rewrite_function_constraints(fcs: Sequence[FunctionConstraint],

@@ -20,6 +20,9 @@ that is polynomial in the domain size:
    per-cell-pair cross weights.  Cells and the pair table are evaluated on
    numpy bool arrays.  Cells with equal rows of pair entries merge into one
    cell whose weight is their sum, which cuts the compositions visited.
+   Mutually exclusive cells are pruned, exactly and for any weights: an
+   empty pair row (from ``exists x`` sentences, for one) makes every term
+   that fills both cells zero, so the sum skips those compositions.
 
 Arithmetic is generic: integer weights give exact (bignum) results, any
 other weights run in complex floating point with overflow detection.  A
@@ -29,6 +32,7 @@ in one pass over the compositions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,7 +43,7 @@ from .errors import NumericOverflowError, UnsupportedSentenceError
 from .logic import (
     And, Atom, Domain, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
     Predicate, TRUE, Truth, Var, all_variables, contains_constants,
-    contains_equality, evaluate_bitwise, free_variables,
+    contains_equality, evaluate_bitwise, free_variables, fresh_name,
 )
 
 _MAGNITUDE_LIMIT = 1e300
@@ -124,13 +128,7 @@ class _Vocabulary:
         self._names = {p.name for p in self.preds}
 
     def fresh(self, base: str, arity: int) -> Predicate:
-        i = 0
-        name = f"{base}{i}"
-        while name in self._names:
-            i += 1
-            name = f"{base}{i}"
-        p = Predicate(name, arity)
-        self._names.add(name)
+        p = Predicate(fresh_name(base, self._names), arity)
         self.preds.append(p)
         return p
 
@@ -528,9 +526,20 @@ class CompiledTheory:
         return total
 
     def composition_count(self, d: Domain) -> int:
-        """Number of cell compositions the sum visits, over all branches."""
-        return sum(math.comb(d.size + len(b.cells) - 1, len(b.cells) - 1)
-                   for b in self.branches if b.cells)
+        """Number of cell compositions the sum visits, over all branches:
+        those that fill no two cells joined by an empty pair row and put at
+        most one element in a cell whose own pair row is empty."""
+        total = 0
+        for b in self.branches:
+            c = len(b.cells)
+            exclusions = _exclusions(
+                [[not b.pair_counts[min(i, j), max(i, j)] for j in range(c)]
+                 for i in range(c)])
+            if exclusions is None:
+                total += math.comb(d.size + c - 1, c - 1) if c else 0
+            else:
+                total += _pruned_count(d.size, *exclusions)
+        return total
 
 
 def _weight(counts, w, wbar):
@@ -643,10 +652,51 @@ def _subst_nullary(f: Formula, values: dict) -> Formula:
     raise TypeError(f"quantifier inside matrix: {f!r}")
 
 
+def _exclusions(zero):
+    """Zero-partner masks of a symmetric table of exact zeros: bit j of
+    ``below[i]`` is set for each cell j < i with ``zero[i][j]`` (j must stay
+    empty once i is nonempty), and ``solo[i]`` is ``zero[i][i]`` (i holds at
+    most one element).  None when no entry is zero."""
+    below = [sum(1 << j for j in range(i) if row[j])
+             for i, row in enumerate(zero)]
+    solo = [row[i] for i, row in enumerate(zero)]
+    if any(below) or any(solo):
+        return below, solo
+    return None
+
+
+def _pruned_count(n: int, below: list, solo: list) -> int:
+    """Compositions of n elements that ``_config_sum`` visits under the
+    given exclusions, memoized on (cell, mask of excluded cells)."""
+
+    @functools.cache
+    def counts(idx: int, blocked: int) -> list:
+        # Visited compositions of m = 0..n elements into cells 0..idx.
+        if idx == 0:
+            return [int(not m or not (blocked & 1 or solo[0] and m > 1))
+                    for m in range(n + 1)]
+        low = (1 << idx) - 1
+        out = counts(idx - 1, blocked & low)
+        if blocked >> idx & 1:
+            return out
+        # k >= 1 elements in cell idx leave m - k to the cells below.
+        sub = counts(idx - 1, (blocked | below[idx]) & low)
+        fill = sub if solo[idx] else list(itertools.accumulate(sub))
+        return out[:1] + [a + b for a, b in zip(out[1:], fill)]
+
+    return counts(len(below) - 1, 0)[n]
+
+
 def _config_sum(n: int, cell_weights: list, r: list):
     """Sum over compositions of n elements into cells, in colexicographic
     order, of multinomial(n; counts) * prod w_i^{n_i} * prod r_ii^{C(n_i,2)}
-    * prod_{i<j} r_ij^{n_i n_j}.  Returns (value, compositions_visited)."""
+    * prod_{i<j} r_ij^{n_i n_j}.  Returns (value, compositions_visited).
+
+    Mutually exclusive cells are pruned, exactly and for any weights: an int
+    ``0`` entry (what ``_pair_weights`` leaves for an empty pair row) makes
+    every term that fills both cells, or fills a cell with a zero diagonal
+    twice, an exact zero, so those compositions are skipped; the others are
+    added in the same order as without pruning."""
     c = len(cell_weights)
     if c == 0:
         return (1 if n == 0 else 0), 0
@@ -692,7 +742,46 @@ def _config_sum(n: int, cell_weights: list, r: list):
             rec(idx - 1, remaining - k, term)
             assigned.pop()
 
-    rec(c - 1, n, 1)
+    exclusions = _exclusions([[type(x) is int and x == 0 for x in row]
+                              for row in r])
+    if exclusions is None:
+        rec(c - 1, n, 1)
+        return total, leaves
+    below, solo = exclusions
+
+    # The same walk, entering no subtree whose term is an exact zero:
+    # ``blocked`` marks the lower cells a nonempty cell excludes.  It is kept
+    # apart from ``rec`` so that a table without zeros pays no check per node.
+    def pruned(idx: int, remaining: int, acc, blocked: int):
+        nonlocal total, leaves
+        if idx == 0:
+            k = remaining
+            term = acc
+            if k:
+                if blocked & 1 or solo[0] and k > 1:
+                    return
+                term = term * cpow(cell_weights[0], k)
+                term = term * rpow(0, 0, k * (k - 1) // 2)
+                for j, nj in assigned:
+                    term = term * rpow(0, j, k * nj)
+            total += term
+            leaves += 1
+            return
+        pruned(idx - 1, remaining, acc, blocked)
+        if blocked >> idx & 1:
+            return
+        child = blocked | below[idx]
+        for k in range(1, (min(remaining, 1) if solo[idx] else remaining) + 1):
+            term = acc * math.comb(remaining, k)
+            term = term * cpow(cell_weights[idx], k)
+            term = term * rpow(idx, idx, k * (k - 1) // 2)
+            for j, nj in assigned:
+                term = term * rpow(idx, j, k * nj)
+            assigned.append((idx, k))
+            pruned(idx - 1, remaining - k, term, child)
+            assigned.pop()
+
+    pruned(c - 1, n, 1, 0)
     return total, leaves
 
 

@@ -181,6 +181,47 @@ class PossibleWorld:
         return len(self.true_atoms)
 
 
+class WeightFunction:
+    """Mapping from predicate names to complex weights, defaulting to 1.
+
+    Integer and real weights are kept in their native types so that
+    unit-weight model counts stay exact.
+    """
+
+    def __init__(self, weights=None, default=1):
+        self._weights = dict(weights or {})
+        self._default = default
+
+    def __call__(self, pred) -> complex:
+        name = pred.name if isinstance(pred, Predicate) else pred
+        return self._weights.get(name, self._default)
+
+    def updated(self, extra) -> "WeightFunction":
+        merged = dict(self._weights)
+        merged.update(extra)
+        return WeightFunction(merged, self._default)
+
+    def conjugated(self) -> "WeightFunction":
+        conj = {k: (v.conjugate() if isinstance(v, complex) else v)
+                for k, v in self._weights.items()}
+        return WeightFunction(conj, self._default)
+
+    def items(self):
+        return self._weights.items()
+
+    def __repr__(self):
+        return f"WeightFunction({self._weights!r}, default={self._default!r})"
+
+
+def fresh_name(base: str, used: set[str]) -> str:
+    """First of base0, base1, ... not in ``used``, which it joins."""
+    i = 0
+    while f"{base}{i}" in used:
+        i += 1
+    used.add(f"{base}{i}")
+    return f"{base}{i}"
+
+
 def free_variables(f: Formula) -> frozenset[Var]:
     """Variables of ``f`` not bound to any quantifier."""
     if isinstance(f, Atom):

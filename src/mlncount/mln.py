@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .brute import WeightFunction
 from .errors import (
     InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
 )
 from .lifted import Fo2Theory, lifted_wfomc
 from .logic import (
-    Atom, Domain, Formula, Iff, Predicate, all_variables, free_variables,
-    universal_closure,
+    Atom, Domain, Formula, Iff, Predicate, WeightFunction, all_variables,
+    fresh_name, free_variables, universal_closure,
 )
 
 IMAG_TOL = 1e-9
@@ -37,16 +36,6 @@ class Mln:
     def of(weighted_formulas, vocabulary) -> "Mln":
         return Mln(tuple((f, float(w)) for f, w in weighted_formulas),
                    tuple(vocabulary))
-
-
-def fresh_name(base: str, used: set[str]) -> str:
-    i = 0
-    name = f"{base}{i}"
-    while name in used:
-        i += 1
-        name = f"{base}{i}"
-    used.add(name)
-    return name
 
 
 def translate_mln(phi: Mln):
@@ -90,6 +79,14 @@ def as_real(value, what: str):
     return value
 
 
+def as_probability(p: float, what: str) -> float:
+    """Clamp a round-off excursion of a probability into [0, 1]; one beyond
+    ``IMAG_TOL`` is a numeric fault, not a probability."""
+    if not -IMAG_TOL <= p <= 1 + IMAG_TOL:
+        raise NumericResidueError(f"{what} {p!r} lies outside [0, 1]")
+    return min(max(p, 0.0), 1.0)
+
+
 def partition_function(phi: Mln, d: Domain):
     """Normalization constant of the model's distribution; exact when all
     effective weights are integers."""
@@ -122,6 +119,4 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
         p = float(Fraction(num, den))
     else:
         p = num / den
-    if -IMAG_TOL <= p < 0:
-        p = 0.0
-    return p
+    return as_probability(p, "marginal")

@@ -19,9 +19,9 @@ from .errors import InfeasibleConstraintError, NumericResidueError
 from .lifted import Fo2Theory, compile_theory
 from .logic import (
     Atom, Domain, Formula, Iff, Predicate, count_true_groundings,
-    free_variables, universal_closure,
+    fresh_name, free_variables, universal_closure,
 )
-from .mln import Mln, as_real, fresh_name, translate_mln
+from .mln import Mln, as_real, translate_mln
 
 SUM_TOL = 1e-6
 IMAG_TOL = 1e-6

@@ -17,8 +17,8 @@ from mlncount.brute import (
 from mlncount.constraints import (
     Between, CardinalityConstraint, Conjunction, CustomPredicate,
 )
-from mlncount.errors import InfeasibleConstraintError
-from mlncount.spectrum import CountSpec
+from mlncount.errors import InfeasibleConstraintError, NumericResidueError
+from mlncount.spectrum import CountDistribution, CountSpec
 
 from helpers import random_feasible_mln
 
@@ -129,6 +129,24 @@ class TestConstrainedMarginal:
         gamma = Exists(X, Atom(P, (X,)))
         assert constrained_marginal(mln, cc, gamma, Domain(2)) == \
             pytest.approx(1.0)
+
+    @pytest.mark.parametrize("masses,want", [
+        ([[-1e-12, 1.0]], 1.0), ([[0.5, -1e-12]], 0.0),
+        ([[-0.5, 1.5]], None), ([[1.5, -0.5]], None)])
+    def test_probability_range(self, monkeypatch, masses, want):
+        # Grid axes: the count of p, then the query's truth.
+        monkeypatch.setattr(
+            "mlncount.constraints.count_distribution",
+            lambda *args, **kwargs: CountDistribution(np.array(masses)))
+        mln = Mln.of([], [P])
+        cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
+                                   CustomPredicate(lambda v: True))
+        gamma = Exists(X, Atom(P, (X,)))
+        if want is None:
+            with pytest.raises(NumericResidueError, match="outside"):
+                constrained_marginal(mln, cc, gamma, Domain(1))
+        else:
+            assert constrained_marginal(mln, cc, gamma, Domain(1)) == want
 
     def test_matches_brute(self):
         rng = random.Random(21)

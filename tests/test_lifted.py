@@ -1,20 +1,24 @@
+import dataclasses
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mlncount import (
-    And, Atom, Domain, Eq, Exists, ForAll, Implies, Not, Or, Predicate, TRUE,
-    Var, WeightFunction, brute_wfomc, enumerate_cells, lifted_wfomc,
-    pair_weight, skolemize,
+    And, Atom, Domain, Eq, Exists, ForAll, Implies, Mln, Not, Or, Predicate,
+    TRUE, Var, WeightFunction, brute_wfomc, enumerate_cells, lifted_wfomc,
+    marginal, pair_weight, skolemize,
 )
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _config_sum, _pair_table, compile_theory, cpow,
+    Fo2Theory, _cell_weights, _config_sum, _exclusions, _pair_table,
+    _pair_weights, _pruned_count, compile_theory, cpow,
 )
 
-from helpers import random_theory, rel_close
+from helpers import random_matrix, random_theory, rel_close
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
@@ -280,3 +284,162 @@ class TestCompositionSum:
             want, _ = _config_sum(n, [complex(w[e]) for w in ws],
                                   [[complex(x[e]) for x in row] for row in r])
             assert value[e] == pytest.approx(want, rel=1e-12)
+
+
+def _reference_sum(n, ws, r):
+    """The composition sum term by term over itertools compositions, with
+    every pair factor an explicit power (``0 ** 0 == 1``)."""
+    c = len(ws)
+    total = 0
+    for bars in itertools.combinations(range(n + c - 1), c - 1):
+        ks = [b - a - 1 for a, b in zip((-1,) + bars, bars + (n + c - 1,))]
+        term = math.factorial(n) // math.prod(map(math.factorial, ks))
+        for i, k in enumerate(ks):
+            term = term * ws[i] ** k * r[i][i] ** (k * (k - 1) // 2)
+            for j in range(i + 1, c):
+                term = term * r[i][j] ** (k * ks[j])
+        total = total + term
+    return total
+
+
+def _is_zero(x):
+    return type(x) is int and x == 0
+
+
+def _structurally_nonzero(n, r):
+    """Compositions with no exact-zero pair factor."""
+    c = len(r)
+    out = 0
+    for bars in itertools.combinations(range(n + c - 1), c - 1):
+        ks = [b - a - 1 for a, b in zip((-1,) + bars, bars + (n + c - 1,))]
+        out += all(not _is_zero(r[i][j]) or (ks[i] * ks[j] if i != j else
+                                    ks[i] * (ks[i] - 1)) == 0
+                   for i in range(c) for j in range(i, c))
+    return out
+
+
+def _zero_pattern(value):
+    """A 5-cell pair table with int 0 at: (3, 3) (a cell holding at most one
+    element), (0, 4) (the leaf cell against an outer cell) and every pair of
+    cell 2 with another cell; ``value(i, j)`` fills the rest."""
+    c = 5
+    zeros = {(3, 3), (0, 4), (0, 2), (1, 2), (2, 3), (2, 4)}
+    r = [[None] * c for _ in range(c)]
+    for i in range(c):
+        for j in range(i, c):
+            r[i][j] = r[j][i] = 0 if (i, j) in zeros else value(i, j)
+    return r
+
+
+class TestPrunedSum:
+    N = 6
+
+    def _check(self, ws, r, exact):
+        value, leaves = _config_sum(self.N, ws, r)
+        want = _reference_sum(self.N, ws, r)
+        if exact:
+            assert value == want and type(value) is type(want)
+        else:
+            assert np.allclose(value, want, rtol=1e-12, atol=0)
+        assert leaves == _structurally_nonzero(self.N, r) < \
+            math.comb(self.N + len(ws) - 1, len(ws) - 1)
+        zero = [[_is_zero(x) for x in row] for row in r]
+        assert _pruned_count(self.N, *_exclusions(zero)) == leaves
+        return value
+
+    def test_int_weights(self):
+        rng = random.Random(3)
+        self._check([rng.randint(-3, 4) for _ in range(5)],
+                    _zero_pattern(lambda i, j: rng.randint(-3, 4) or 5), True)
+
+    def test_fraction_weights(self):
+        rng = random.Random(4)
+
+        def frac():
+            return Fraction(rng.randint(-7, 9) or 1, rng.randint(1, 5))
+
+        self._check([frac() for _ in range(5)],
+                    _zero_pattern(lambda i, j: frac()), True)
+
+    def test_complex_weights_match_unpruned_walk_bit_for_bit(self):
+        rng = random.Random(5)
+
+        def draw():
+            return complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1))
+
+        ws = [draw() for _ in range(5)]
+        r = _zero_pattern(lambda i, j: draw())
+        value = self._check(ws, r, False)
+        # A float 0.0 is not an exact zero: the walk visits every
+        # composition, and the skipped terms were exact zeros.
+        unpruned = [[0.0 if _is_zero(x) else x for x in row] for row in r]
+        value_all, leaves_all = _config_sum(self.N, ws, unpruned)
+        assert leaves_all == math.comb(self.N + 4, 4)
+        assert value == value_all
+
+    def test_array_weights(self):
+        rng = np.random.default_rng(6)
+
+        def draw():
+            return rng.uniform(-1.5, 1.5, 4) + 1j * rng.uniform(-1, 1, 4)
+
+        ws = [draw() for _ in range(5)]
+        r = _zero_pattern(lambda i, j: draw())
+        value = self._check(ws, r, False)
+        unpruned = [[0.0 if _is_zero(x) else x for x in row] for row in r]
+        assert np.array_equal(value, _config_sum(self.N, ws, unpruned)[0])
+
+    def test_all_compositions_pruned(self):
+        # Two cells that exclude each other and themselves: n >= 3 leaves
+        # no nonzero term.
+        assert _config_sum(3, [2, 3], [[0, 0], [0, 0]]) == (0, 0)
+        assert _config_sum(1, [2, 3], [[0, 0], [0, 0]]) == (5, 2)
+
+    def test_exact_loop_marginal_on_total_relations(self):
+        f = Predicate("f", 2)
+        phi = Mln.of([(ForAll(X, Exists(Y, Atom(f, (X, Y)))), math.inf)], [f])
+        n = 28
+        got = marginal(phi, Exists(X, Atom(f, (X, X))), Domain(n))
+        total = (2 ** n - 1) ** n
+        assert got == float(Fraction(total - (2 ** (n - 1) - 1) ** n, total))
+
+
+class TestPrunedCompositionCount:
+    def test_equals_visited_compositions_on_every_branch(self):
+        rng = random.Random(404)
+        with_exists = pruned = 0
+        for trial in range(40):
+            theory, w, wbar = random_theory(rng)
+            if trial % 2 == 0:
+                atoms = [Atom(p, (X,) * p.arity) for p in theory.vocabulary]
+                theory = Fo2Theory.of(
+                    theory.sentences + (Exists(X, random_matrix(rng, atoms)),),
+                    theory.vocabulary)
+                with_exists += 1
+            compiled = compile_theory(theory)
+            w = w.updated({k: v[0] for k, v in compiled.skolem_weights})
+            wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
+            for branch in compiled.branches:
+                single = dataclasses.replace(compiled, branches=(branch,))
+                cells = _cell_weights(branch.cell_counts, w, wbar)
+                pairs = _pair_weights(branch.pair_counts, len(branch.cells),
+                                      w, wbar)
+                for n in (1, 3, 5):
+                    _, leaves = _config_sum(n, cells, pairs)
+                    assert single.composition_count(Domain(n)) == leaves
+                c = len(branch.cells)
+                pruned += leaves < (math.comb(5 + c - 1, c - 1) if c else 0)
+        assert with_exists >= 5
+        assert pruned >= 5
+
+    def test_polynomial_in_n(self):
+        f = Predicate("f", 2)
+        loop = Exists(X, Atom(f, (X, X)))
+        compiled = compile_theory(Fo2Theory.of(
+            [ForAll(X, Exists(Y, Atom(f, (X, Y)))), loop], [f]))
+        # r = 0 on cell pairs (0, 4) and (2, 4): fill cells 0-3, or fill
+        # cell 4 with cells 1 and 3 only.
+        for n in (28, 2000):
+            want = math.comb(n + 3, 3) + math.comb(n + 2, 2) - (n + 1)
+            assert compiled.composition_count(Domain(n)) == want
+        assert want > 10 ** 9

@@ -8,7 +8,10 @@ from mlncount import (
     brute_mln_marginal, brute_mln_partition, marginal, partition_function,
     translate_mln,
 )
-from mlncount.errors import InfeasibleConstraintError, UnsupportedSentenceError
+from mlncount.errors import (
+    InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
+)
+from mlncount.mln import as_probability
 
 from helpers import random_feasible_mln
 
@@ -144,6 +147,25 @@ class TestMarginal:
         mln = Mln.of([(TOTALITY, math.inf)], [F])
         assert marginal(mln, TOTALITY, Domain(2)) == pytest.approx(1.0)
         assert marginal(mln, Not(TOTALITY), Domain(2)) == pytest.approx(0.0)
+
+
+class TestProbabilityRange:
+    @pytest.mark.parametrize("weight,n", [(-6, 8), (-10, 30)])
+    def test_skolem_cancellation_raises_instead_of_returning(self, weight, n):
+        # Double-precision cancellation between the (1, -1) Skolem weights
+        # drives the loop marginal of total relations to -24.96 (w = -6,
+        # n = 8) and -2.7e8 (w = -10, n = 30).
+        mln = Mln.of([(TOTALITY, math.inf), (Atom(F, (X, Y)), weight)], [F])
+        with pytest.raises(NumericResidueError, match="outside"):
+            marginal(mln, Exists(X, Atom(F, (X, X))), Domain(n))
+
+    def test_round_off_excursions_are_clamped(self):
+        assert as_probability(-1e-12, "p") == 0.0
+        assert as_probability(1 + 1e-12, "p") == 1.0
+        assert as_probability(0.25, "p") == 0.25
+        for bad in (-1e-8, 1 + 1e-8, float("nan")):
+            with pytest.raises(NumericResidueError):
+                as_probability(bad, "p")
 
 
 class TestSoftClosedFormulas:
