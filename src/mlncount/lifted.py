@@ -486,6 +486,9 @@ class _Branch:
     cells: tuple[Cell, ...]
     cell_counts: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...]
     pair_counts: dict
+    # ``_exclusions`` of the empty pair rows: the cells that cannot both be
+    # nonempty, and the cells that hold at most one element.
+    exclusions: tuple[list, list]
 
 
 @dataclass(frozen=True)
@@ -511,7 +514,8 @@ class CompiledTheory:
                 pairs = _pair_weights(branch.pair_counts, len(branch.cells),
                                       w, wbar)
                 try:
-                    value, _ = _config_sum(d.size, cells, pairs)
+                    value, _ = _config_sum(d.size, cells, pairs,
+                                           branch.exclusions)
                 except OverflowError as err:
                     # An exact big-int term met a float weight.
                     raise NumericOverflowError(
@@ -529,17 +533,8 @@ class CompiledTheory:
         """Number of cell compositions the sum visits, over all branches:
         those that fill no two cells joined by an empty pair row and put at
         most one element in a cell whose own pair row is empty."""
-        total = 0
-        for b in self.branches:
-            c = len(b.cells)
-            exclusions = _exclusions(
-                [[not b.pair_counts[min(i, j), max(i, j)] for j in range(c)]
-                 for i in range(c)])
-            if exclusions is None:
-                total += math.comb(d.size + c - 1, c - 1) if c else 0
-            else:
-                total += _pruned_count(d.size, *exclusions)
-        return total
+        return sum(_pruned_count(d.size, *b.exclusions)
+                   for b in self.branches if b.cells)
 
 
 def _weight(counts, w, wbar):
@@ -630,9 +625,12 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
             for members in classes.values())
         pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                        for a in range(len(reps)) for b in range(a, len(reps))}
+        exclusions = _exclusions(
+            [[not pair_counts[min(a, b), max(a, b)] for b in range(len(reps))]
+             for a in range(len(reps))])
         branches.append(_Branch(tuple(zip(nullary, bits)),
                                 tuple(cells[m] for m in reps), cell_counts,
-                                pair_counts))
+                                pair_counts, exclusions))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
 
@@ -656,13 +654,11 @@ def _exclusions(zero):
     """Zero-partner masks of a symmetric table of exact zeros: bit j of
     ``below[i]`` is set for each cell j < i with ``zero[i][j]`` (j must stay
     empty once i is nonempty), and ``solo[i]`` is ``zero[i][i]`` (i holds at
-    most one element).  None when no entry is zero."""
+    most one element)."""
     below = [sum(1 << j for j in range(i) if row[j])
              for i, row in enumerate(zero)]
     solo = [row[i] for i, row in enumerate(zero)]
-    if any(below) or any(solo):
-        return below, solo
-    return None
+    return below, solo
 
 
 def _pruned_count(n: int, below: list, solo: list) -> int:
@@ -687,16 +683,17 @@ def _pruned_count(n: int, below: list, solo: list) -> int:
     return counts(len(below) - 1, 0)[n]
 
 
-def _config_sum(n: int, cell_weights: list, r: list):
+def _config_sum(n: int, cell_weights: list, r: list, exclusions=None):
     """Sum over compositions of n elements into cells, in colexicographic
     order, of multinomial(n; counts) * prod w_i^{n_i} * prod r_ii^{C(n_i,2)}
     * prod_{i<j} r_ij^{n_i n_j}.  Returns (value, compositions_visited).
 
-    Mutually exclusive cells are pruned, exactly and for any weights: an int
-    ``0`` entry (what ``_pair_weights`` leaves for an empty pair row) makes
-    every term that fills both cells, or fills a cell with a zero diagonal
-    twice, an exact zero, so those compositions are skipped; the others are
-    added in the same order as without pruning."""
+    Mutually exclusive cells are pruned, exactly and for any weights:
+    ``exclusions`` are the ``_exclusions`` masks of the empty pair rows,
+    whose entry ``_pair_weights`` leaves as int 0, so every term that fills
+    both cells of such a row, or puts two elements in a cell whose own row
+    is empty, is an exact zero and its composition is skipped; the others
+    are added in the same order as without pruning.  None prunes nothing."""
     c = len(cell_weights)
     if c == 0:
         return (1 if n == 0 else 0), 0
@@ -710,49 +707,15 @@ def _config_sum(n: int, cell_weights: list, r: list):
             pow_cache[key] = got
         return got
 
+    below, solo = exclusions or ([0] * c, [False] * c)
     total = 0
     leaves = 0
     # Assign the last cell's count in the outermost loop so completed
-    # compositions appear in colexicographic order.
+    # compositions appear in colexicographic order.  ``blocked`` marks the
+    # lower cells that a nonempty cell excludes.
     assigned: list[tuple[int, int]] = []
 
-    def rec(idx: int, remaining: int, acc):
-        nonlocal total, leaves
-        if idx == 0:
-            k = remaining
-            term = acc
-            if k:
-                term = term * cpow(cell_weights[0], k)
-                term = term * rpow(0, 0, k * (k - 1) // 2)
-                for j, nj in assigned:
-                    term = term * rpow(0, j, k * nj)
-            total += term
-            leaves += 1
-            return
-        for k in range(remaining + 1):
-            if k == 0:
-                rec(idx - 1, remaining, acc)
-                continue
-            term = acc * math.comb(remaining, k)
-            term = term * cpow(cell_weights[idx], k)
-            term = term * rpow(idx, idx, k * (k - 1) // 2)
-            for j, nj in assigned:
-                term = term * rpow(idx, j, k * nj)
-            assigned.append((idx, k))
-            rec(idx - 1, remaining - k, term)
-            assigned.pop()
-
-    exclusions = _exclusions([[type(x) is int and x == 0 for x in row]
-                              for row in r])
-    if exclusions is None:
-        rec(c - 1, n, 1)
-        return total, leaves
-    below, solo = exclusions
-
-    # The same walk, entering no subtree whose term is an exact zero:
-    # ``blocked`` marks the lower cells a nonempty cell excludes.  It is kept
-    # apart from ``rec`` so that a table without zeros pays no check per node.
-    def pruned(idx: int, remaining: int, acc, blocked: int):
+    def rec(idx: int, remaining: int, acc, blocked: int):
         nonlocal total, leaves
         if idx == 0:
             k = remaining
@@ -767,7 +730,7 @@ def _config_sum(n: int, cell_weights: list, r: list):
             total += term
             leaves += 1
             return
-        pruned(idx - 1, remaining, acc, blocked)
+        rec(idx - 1, remaining, acc, blocked)
         if blocked >> idx & 1:
             return
         child = blocked | below[idx]
@@ -778,10 +741,10 @@ def _config_sum(n: int, cell_weights: list, r: list):
             for j, nj in assigned:
                 term = term * rpow(idx, j, k * nj)
             assigned.append((idx, k))
-            pruned(idx - 1, remaining - k, term, child)
+            rec(idx - 1, remaining - k, term, child)
             assigned.pop()
 
-    pruned(c - 1, n, 1, 0)
+    rec(c - 1, n, 1, 0)
     return total, leaves
 
 

@@ -79,10 +79,13 @@ def as_real(value, what: str):
     return value
 
 
+PROB_TOL = 1e-9
+
+
 def as_probability(p: float, what: str) -> float:
     """Clamp a round-off excursion of a probability into [0, 1]; one beyond
-    ``IMAG_TOL`` is a numeric fault, not a probability."""
-    if not -IMAG_TOL <= p <= 1 + IMAG_TOL:
+    ``PROB_TOL`` is a numeric fault, not a probability."""
+    if not -PROB_TOL <= p <= 1 + PROB_TOL:
         raise NumericResidueError(f"{what} {p!r} lies outside [0, 1]")
     return min(max(p, 0.0), 1.0)
 

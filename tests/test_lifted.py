@@ -335,7 +335,8 @@ class TestPrunedSum:
     N = 6
 
     def _check(self, ws, r, exact):
-        value, leaves = _config_sum(self.N, ws, r)
+        exclusions = _exclusions([[_is_zero(x) for x in row] for row in r])
+        value, leaves = _config_sum(self.N, ws, r, exclusions)
         want = _reference_sum(self.N, ws, r)
         if exact:
             assert value == want and type(value) is type(want)
@@ -343,8 +344,7 @@ class TestPrunedSum:
             assert np.allclose(value, want, rtol=1e-12, atol=0)
         assert leaves == _structurally_nonzero(self.N, r) < \
             math.comb(self.N + len(ws) - 1, len(ws) - 1)
-        zero = [[_is_zero(x) for x in row] for row in r]
-        assert _pruned_count(self.N, *_exclusions(zero)) == leaves
+        assert _pruned_count(self.N, *exclusions) == leaves
         return value
 
     def test_int_weights(self):
@@ -370,10 +370,9 @@ class TestPrunedSum:
         ws = [draw() for _ in range(5)]
         r = _zero_pattern(lambda i, j: draw())
         value = self._check(ws, r, False)
-        # A float 0.0 is not an exact zero: the walk visits every
-        # composition, and the skipped terms were exact zeros.
-        unpruned = [[0.0 if _is_zero(x) else x for x in row] for row in r]
-        value_all, leaves_all = _config_sum(self.N, ws, unpruned)
+        # Without exclusions the walk visits every composition; the skipped
+        # terms were exact zeros.
+        value_all, leaves_all = _config_sum(self.N, ws, r)
         assert leaves_all == math.comb(self.N + 4, 4)
         assert value == value_all
 
@@ -386,14 +385,15 @@ class TestPrunedSum:
         ws = [draw() for _ in range(5)]
         r = _zero_pattern(lambda i, j: draw())
         value = self._check(ws, r, False)
-        unpruned = [[0.0 if _is_zero(x) else x for x in row] for row in r]
-        assert np.array_equal(value, _config_sum(self.N, ws, unpruned)[0])
+        assert np.array_equal(value, _config_sum(self.N, ws, r)[0])
 
     def test_all_compositions_pruned(self):
         # Two cells that exclude each other and themselves: n >= 3 leaves
         # no nonzero term.
-        assert _config_sum(3, [2, 3], [[0, 0], [0, 0]]) == (0, 0)
-        assert _config_sum(1, [2, 3], [[0, 0], [0, 0]]) == (5, 2)
+        zero = [[0, 0], [0, 0]]
+        exclusions = _exclusions([[True, True], [True, True]])
+        assert _config_sum(3, [2, 3], zero, exclusions) == (0, 0)
+        assert _config_sum(1, [2, 3], zero, exclusions) == (5, 2)
 
     def test_exact_loop_marginal_on_total_relations(self):
         f = Predicate("f", 2)
@@ -425,12 +425,39 @@ class TestPrunedCompositionCount:
                 pairs = _pair_weights(branch.pair_counts, len(branch.cells),
                                       w, wbar)
                 for n in (1, 3, 5):
-                    _, leaves = _config_sum(n, cells, pairs)
+                    _, leaves = _config_sum(n, cells, pairs,
+                                            branch.exclusions)
                     assert single.composition_count(Domain(n)) == leaves
                 c = len(branch.cells)
                 pruned += leaves < (math.comb(5 + c - 1, c - 1) if c else 0)
         assert with_exists >= 5
         assert pruned >= 5
+
+    def test_cancelling_int_row_is_not_pruned(self):
+        # w(f) = 1, wbar(f) = -1: a pair row that leaves f(x,y) and f(y,x)
+        # free sums to (1 - 1)^2 = int 0 but is not empty, so the sum still
+        # visits its compositions, and composition_count agrees.
+        f = Predicate("f", 2)
+        compiled = compile_theory(Fo2Theory.of(
+            [ForAll(X, Exists(Y, Atom(f, (X, Y)))),
+             Exists(X, Atom(f, (X, X)))], [f]))
+        w = WeightFunction({"f": 1}).updated(
+            {k: v[0] for k, v in compiled.skolem_weights})
+        wbar = WeightFunction({"f": -1}).updated(
+            {k: v[1] for k, v in compiled.skolem_weights})
+        cancelled = 0
+        for branch in compiled.branches:
+            single = dataclasses.replace(compiled, branches=(branch,))
+            cells = _cell_weights(branch.cell_counts, w, wbar)
+            pairs = _pair_weights(branch.pair_counts, len(branch.cells),
+                                  w, wbar)
+            cancelled += sum(
+                _is_zero(pairs[i][j]) and bool(rows)
+                for (i, j), rows in branch.pair_counts.items())
+            for n in (2, 4, 6):
+                value, leaves = _config_sum(n, cells, pairs, branch.exclusions)
+                assert single.composition_count(Domain(n)) == leaves
+        assert cancelled > 0
 
     def test_polynomial_in_n(self):
         f = Predicate("f", 2)
