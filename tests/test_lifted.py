@@ -12,6 +12,7 @@ from mlncount import (
     TRUE, Var, WeightFunction, brute_wfomc, enumerate_cells, lifted_wfomc,
     marginal, pair_weight, skolemize,
 )
+from mlncount import lifted
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
     Fo2Theory, _cell_weights, _config_sum, _exclusions, _pair_table,
@@ -458,6 +459,25 @@ class TestPrunedCompositionCount:
                 value, leaves = _config_sum(n, cells, pairs, branch.exclusions)
                 assert single.composition_count(Domain(n)) == leaves
         assert cancelled > 0
+
+    def test_wfomc_visits_what_composition_count_reports(self, monkeypatch):
+        visited = []
+
+        def counting(*args):
+            value, leaves = _config_sum(*args)
+            visited.append(leaves)
+            return value, leaves
+
+        monkeypatch.setattr(lifted, "_config_sum", counting)
+        f = Predicate("f", 2)
+        compiled = compile_theory(Fo2Theory.of(
+            [ForAll(X, Exists(Y, Atom(f, (X, Y)))),
+             Exists(X, Atom(f, (X, X)))], [f]))
+        d = Domain(12)
+        compiled.wfomc(ONES, ONES, d)
+        c = sum(math.comb(d.size + len(b.cells) - 1, len(b.cells) - 1)
+                for b in compiled.branches)
+        assert sum(visited) == compiled.composition_count(d) < c
 
     def test_polynomial_in_n(self):
         f = Predicate("f", 2)
