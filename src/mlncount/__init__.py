@@ -4,9 +4,9 @@ domain size.
 
 The partition function, marginals, and full count distributions are all
 computed through complex-weighted first-order model counting; count
-distributions go through a discrete Fourier transform evaluated one weighted
-count per frequency.  An exhaustive world-enumeration oracle cross-validates
-everything at small domain sizes.
+distributions go through a discrete Fourier transform whose frequencies are
+all evaluated in one weighted count with array weights.  An exhaustive
+world-enumeration oracle cross-validates everything at small domain sizes.
 """
 
 from .brute import (

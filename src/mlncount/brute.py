@@ -25,7 +25,8 @@ from .errors import BruteForceCapError
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, PossibleWorld, Predicate, TRUE, Truth, WeightFunction, conjoin,
-    evaluate, evaluate_bitwise, free_variables, ground_atoms, substitute,
+    evaluate, evaluate_bitwise, free_variables, ground_atoms, groundings,
+    predicates_of, substitute,
 )
 
 DEFAULT_ATOM_CAP = 30
@@ -156,7 +157,7 @@ def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
             raise ValueError(f"gamma must be a conjunction of closed "
                              f"formulas; {s} has free variables")
     if vocab is None:
-        vocab = sorted({p for s in sentences for p in _preds(s)})
+        vocab = sorted({p for s in sentences for p in predicates_of(s)})
     vocab = list(vocab)
     atoms = ground_atoms(vocab, d)
     n_atoms = len(atoms)
@@ -225,11 +226,6 @@ def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
     return total
 
 
-def _preds(f: Formula):
-    from .logic import predicates_of
-    return predicates_of(f)
-
-
 # ---------------------------------------------------------------------------
 # Ground-truth references for the log-linear distribution itself.  These go
 # world by world through the original (untranslated) semantics, so they share
@@ -239,7 +235,6 @@ class _GroundMln:
     """Groundings of a model's formulas, precomputed once per domain."""
 
     def __init__(self, mln, d: Domain):
-        from .logic import groundings
         self.d = d
         self.hard = []
         self.soft = []
@@ -287,7 +282,6 @@ def brute_count_distribution(mln, psi, d: Domain,
 
     Returns a dict mapping count vectors (tuples) to probabilities.
     """
-    from .logic import groundings
     grounded = _GroundMln(mln, d)
     beta_grounds = [groundings(b, d) for b in psi]
     masses: dict[tuple, float] = {}
@@ -306,7 +300,6 @@ def brute_count_distribution(mln, psi, d: Domain,
 def brute_constrained_partition(mln, psi, predicate, d: Domain,
                                 cap: int = DEFAULT_ATOM_CAP) -> float:
     """Total mass of the worlds whose count vector the predicate keeps."""
-    from .logic import groundings
     grounded = _GroundMln(mln, d)
     beta_grounds = [groundings(b, d) for b in psi]
     total = 0.0
@@ -323,7 +316,6 @@ def brute_constrained_partition(mln, psi, predicate, d: Domain,
 
 def brute_constrained_marginal(mln, psi, predicate, gamma: Formula, d: Domain,
                                cap: int = DEFAULT_ATOM_CAP) -> float:
-    from .logic import groundings
     grounded = _GroundMln(mln, d)
     beta_grounds = [groundings(b, d) for b in psi]
     num = 0.0

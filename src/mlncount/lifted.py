@@ -6,14 +6,16 @@ that is polynomial in the domain size:
 1. *Normalization* rewrites every sentence into one of the prenex shapes
    ``forall x m``, ``forall x forall y m``, ``forall x exists y m``,
    ``exists x m`` or a quantifier-free combination of nullary atoms, using
-   fresh definition predicates for nested quantifiers.  Definitions are
-   equivalences, so each original world extends uniquely and the weighted
-   count is unchanged.
+   fresh definition predicates for nested quantifiers, after ``logic.fold``
+   has folded TRUE/FALSE leaves and dropped vacuous quantifiers.
+   Definitions are equivalences, so each original world extends uniquely
+   and the weighted count is unchanged.
 2. *Skolemization* removes existentials: ``forall x exists y m`` becomes
    ``forall x forall y (m -> s(x))`` with a fresh unary ``s`` weighted
    ``(1, -1)``, so worlds without a witness cancel out of the sum.
 3. *Conditioning* branches on the truth of nullary atoms, leaving pure
-   universally quantified matrices per branch.
+   universally quantified matrices per branch (``logic.fold`` with the
+   branch's nullary values).
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
@@ -43,7 +45,8 @@ from .errors import NumericOverflowError, UnsupportedSentenceError
 from .logic import (
     And, Atom, Domain, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
     Predicate, TRUE, Truth, Var, all_variables, contains_constants,
-    contains_equality, evaluate_bitwise, free_variables, fresh_name,
+    contains_equality, evaluate_bitwise, fold, free_variables, fresh_name,
+    substitute,
 )
 
 _MAGNITUDE_LIMIT = 1e300
@@ -133,66 +136,6 @@ class _Vocabulary:
         return p
 
 
-def _fold(f: Formula) -> Formula:
-    """Constant-fold Truth leaves."""
-    if isinstance(f, (Atom, Truth)):
-        return f
-    if isinstance(f, Not):
-        b = _fold(f.body)
-        if isinstance(b, Truth):
-            return FALSE if b.value else TRUE
-        return Not(b)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        a = _fold(f.left)
-        b = _fold(f.right)
-        ta = a.value if isinstance(a, Truth) else None
-        tb = b.value if isinstance(b, Truth) else None
-        if isinstance(f, And):
-            if ta is not None:
-                return b if ta else FALSE
-            if tb is not None:
-                return a if tb else FALSE
-        elif isinstance(f, Or):
-            if ta is not None:
-                return TRUE if ta else b
-            if tb is not None:
-                return TRUE if tb else a
-        elif isinstance(f, Implies):
-            if ta is not None:
-                return b if ta else TRUE
-            if tb is not None:
-                return TRUE if tb else _fold(Not(a))
-        else:
-            if ta is not None:
-                return b if ta else _fold(Not(b))
-            if tb is not None:
-                return a if tb else _fold(Not(a))
-        return type(f)(a, b)
-    if isinstance(f, (ForAll, Exists)):
-        b = _fold(f.body)
-        if isinstance(b, Truth):
-            return b
-        return type(f)(f.var, b)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _drop_vacuous(f: Formula) -> Formula:
-    """Remove quantifiers whose variable does not occur free in the body;
-    sound because domains are nonempty."""
-    if isinstance(f, (Atom, Truth)):
-        return f
-    if isinstance(f, Not):
-        return Not(_drop_vacuous(f.body))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_drop_vacuous(f.left), _drop_vacuous(f.right))
-    if isinstance(f, (ForAll, Exists)):
-        body = _drop_vacuous(f.body)
-        if f.var not in free_variables(body):
-            return body
-        return type(f)(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def _check_fragment(s: Formula) -> None:
     if free_variables(s):
         raise UnsupportedSentenceError(f"sentence has free variables: {s}")
@@ -252,13 +195,13 @@ def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
 
 def _normalize_sentence(s: Formula, vocab: _Vocabulary, out: list) -> None:
     _check_fragment(s)
-    s = _fold(_drop_vacuous(s))
+    s = fold(s)
     prefix = []
     body = s
     while isinstance(body, (ForAll, Exists)) and len(prefix) < 2:
         prefix.append((isinstance(body, Exists), body.var))
         body = body.body
-    matrix = _fold(_eliminate_inner(body, vocab, out))
+    matrix = fold(_eliminate_inner(body, vocab, out))
 
     if not prefix:
         out.append(_Prop(matrix))
@@ -332,19 +275,26 @@ def _records_to_sentences(records) -> list[Formula]:
     return out
 
 
+def _normalize_theory(t: Fo2Theory):
+    """Normalize and Skolemize every sentence of ``t``.  Returns (records,
+    vocabulary, skolem weight entries)."""
+    vocab = _Vocabulary(t.vocabulary)
+    records = []
+    for s in t.sentences:
+        _normalize_sentence(s, vocab, records)
+    records, skolem_weights = _skolemize_records(records, vocab)
+    return records, vocab, skolem_weights
+
+
 def skolemize(t: Fo2Theory, w, wbar):
     """Equi-count elimination of existential quantifiers.
 
     Returns the input unchanged when there is nothing to do; otherwise a
     theory with only universal prefixes plus extended weight functions.
     """
-    vocab = _Vocabulary(t.vocabulary)
-    records = []
-    for s in t.sentences:
-        _normalize_sentence(s, vocab, records)
-    if not any(isinstance(r, (_ForallExists, _Exists1)) for r in records):
+    records, vocab, skolem_weights = _normalize_theory(t)
+    if not skolem_weights:
         return t, w, wbar
-    records, skolem_weights = _skolemize_records(records, vocab)
     new_w = w.updated({k: v[0] for k, v in skolem_weights.items()})
     new_wbar = wbar.updated({k: v[1] for k, v in skolem_weights.items()})
     return (Fo2Theory.of(_records_to_sentences(records), vocab.preds),
@@ -367,19 +317,6 @@ class Cell:
         raise KeyError(pred)
 
 
-def _subst_vars(f: Formula, mapping: dict) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.pred, tuple(mapping.get(a, a) if isinstance(a, Var) else a
-                                  for a in f.args))
-    if isinstance(f, Truth):
-        return f
-    if isinstance(f, Not):
-        return Not(_subst_vars(f.body, mapping))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_subst_vars(f.left, mapping), _subst_vars(f.right, mapping))
-    raise TypeError(f"quantifier inside matrix: {f!r}")
-
-
 def _assignments(k: int) -> np.ndarray:
     """All 2^k truth assignments to k atoms, one per row, in
     ``itertools.product((False, True), repeat=k)`` order."""
@@ -396,7 +333,7 @@ def _enumerate_cells(preds, diag_matrices) -> list[Cell]:
     ok = np.ones(len(bits), dtype=bool)
     for m in diag_matrices:
         ok &= evaluate_bitwise(
-            _subst_vars(m, {v: 0 for v in free_variables(m)}), values)
+            substitute(m, {v: 0 for v in free_variables(m)}), values)
     return [Cell(tuple(zip(preds, row))) for row in bits[ok].tolist()]
 
 
@@ -414,10 +351,7 @@ def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
     with the given cells, under ``matrix`` in both orientations."""
     preds = [p for p, _ in ci.assignment]
     ids, rows = _pair_table([matrix], preds, [ci, cj])
-    total = 0
-    for counts in rows[ids[0, 1]]:
-        total = total + _weight(counts, w, wbar)
-    return total
+    return _weight_sum(rows[ids[0, 1]], w, wbar)
 
 
 def _pair_table(matrices2, preds, cells):
@@ -439,8 +373,8 @@ def _pair_table(matrices2, preds, cells):
                  for row in digits.tolist()]
     atoms = [Atom(p, (0, 1)) for p in binary] + [Atom(p, (1, 0)) for p in binary]
     values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
-    inst = [_subst_vars(m, _direction(m, 0, 1)) for m in matrices2] + \
-           [_subst_vars(m, _direction(m, 1, 0)) for m in matrices2]
+    inst = [substitute(m, _direction(m, 0, 1)) for m in matrices2] + \
+           [substitute(m, _direction(m, 1, 0)) for m in matrices2]
     c = len(cells)
     table = np.array([[v for _, v in cell.assignment] for cell in cells],
                      dtype=bool).reshape(c, len(preds))
@@ -537,79 +471,48 @@ class CompiledTheory:
                    for b in self.branches if b.cells)
 
 
-def _weight(counts, w, wbar):
-    """Product of w(name)^t * wbar(name)^f over (name, t, f) counts."""
-    out = 1
-    for name, t, f in counts:
-        out = out * cpow(w(name), t) * cpow(wbar(name), f)
-    return out
+def _weight_sum(rows, w, wbar):
+    """Sum over rows of the product of w(name)^t * wbar(name)^f over each
+    row's (name, t, f) counts; int 0 for no rows."""
+    total = 0
+    for counts in rows:
+        term = 1
+        for name, t, f in counts:
+            term = term * cpow(w(name), t) * cpow(wbar(name), f)
+        total = total + term
+    return total
 
 
 def _cell_weights(cell_counts, w, wbar) -> list:
     """One weight per merged cell: the sum of its members' weights."""
-    out = []
-    for members in cell_counts:
-        total = 0
-        for counts in members:
-            total = total + _weight(counts, w, wbar)
-        out.append(total)
-    return out
+    return [_weight_sum(members, w, wbar) for members in cell_counts]
 
 
 def _pair_weights(pair_counts, n_cells, w, wbar) -> list:
     r = [[0] * n_cells for _ in range(n_cells)]
     for (i, j), rows in pair_counts.items():
-        total = 0
-        for counts in rows:
-            total = total + _weight(counts, w, wbar)
-        r[i][j] = total
-        r[j][i] = total
+        r[i][j] = r[j][i] = _weight_sum(rows, w, wbar)
     return r
 
 
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
     """Weight-independent compilation: normalize, Skolemize, branch on
     nullary atoms, and tabulate cells and cross-assignment counts."""
-    vocab = _Vocabulary(t.vocabulary)
-    records = []
-    for s in t.sentences:
-        _normalize_sentence(s, vocab, records)
-    records, _skw = _skolemize_records(records, vocab)
+    records, vocab, _skw = _normalize_theory(t)
     nullary = sorted(p.name for p in vocab.preds if p.arity == 0)
     element_preds = [p for p in vocab.preds if p.arity in (1, 2)]
 
     branches = []
     for bits in itertools.product((False, True), repeat=len(nullary)):
-        values = dict(zip(nullary, bits))
-        matrices1 = []
-        matrices2 = []
-        feasible = True
-        for rec in records:
-            if isinstance(rec, _Prop):
-                m = _fold(_subst_nullary(rec.matrix, values))
-                if not (isinstance(m, Truth) and m.value):
-                    feasible = False
-                    break
-            elif isinstance(rec, _Forall1):
-                m = _fold(_subst_nullary(rec.matrix, values))
-                if isinstance(m, Truth):
-                    if not m.value:
-                        feasible = False
-                        break
-                else:
-                    matrices1.append(m)
-            elif isinstance(rec, _Forall2):
-                m = _fold(_subst_nullary(rec.matrix, values))
-                if isinstance(m, Truth):
-                    if not m.value:
-                        feasible = False
-                        break
-                else:
-                    matrices2.append(m)
-            else:
-                raise TypeError(f"unexpected record after Skolemization: {rec}")
-        if not feasible:
+        values = {Atom(Predicate(name, 0), ()): TRUE if bit else FALSE
+                  for name, bit in zip(nullary, bits)}
+        # A _Prop matrix has only nullary atoms, so it folds to TRUE or FALSE.
+        folded = [(isinstance(rec, _Forall2), fold(rec.matrix, values))
+                  for rec in records]
+        if any(m == FALSE for _, m in folded):
             continue
+        matrices1 = [m for two, m in folded if not two and m != TRUE]
+        matrices2 = [m for two, m in folded if two and m != TRUE]
         cells = _enumerate_cells(element_preds, matrices1 + matrices2)
         ids, rows = _pair_table(matrices2, element_preds, cells)
         # Cells with the same row of pair entries (so r_ii = r_jj = r_ij)
@@ -633,21 +536,6 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
                                 pair_counts, exclusions))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
-
-
-def _subst_nullary(f: Formula, values: dict) -> Formula:
-    if isinstance(f, Atom):
-        if f.pred.arity == 0 and f.pred.name in values:
-            return TRUE if values[f.pred.name] else FALSE
-        return f
-    if isinstance(f, Truth):
-        return f
-    if isinstance(f, Not):
-        return Not(_subst_nullary(f.body, values))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_subst_nullary(f.left, values),
-                       _subst_nullary(f.right, values))
-    raise TypeError(f"quantifier inside matrix: {f!r}")
 
 
 def _exclusions(zero):

@@ -239,66 +239,36 @@ def free_variables(f: Formula) -> frozenset[Var]:
     raise TypeError(f"not a formula: {f!r}")
 
 
+def _terms(f: Formula) -> tuple:
+    """The terms at the root of ``f``: atom arguments, equality sides or a
+    quantified variable."""
+    if isinstance(f, Atom):
+        return f.args
+    if isinstance(f, Eq):
+        return (f.left, f.right)
+    if isinstance(f, (ForAll, Exists)):
+        return (f.var,)
+    return ()
+
+
 def all_variables(f: Formula) -> frozenset[Var]:
     """All variable names in the tree, bound or free."""
-    if isinstance(f, Atom):
-        return frozenset(a for a in f.args if isinstance(a, Var))
-    if isinstance(f, Eq):
-        return frozenset(t for t in (f.left, f.right) if isinstance(t, Var))
-    if isinstance(f, Truth):
-        return frozenset()
-    if isinstance(f, Not):
-        return all_variables(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return all_variables(f.left) | all_variables(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return all_variables(f.body) | {f.var}
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(t for g in iter_subformulas(f) for t in _terms(g)
+                     if isinstance(t, Var))
 
 
 def predicates_of(f: Formula) -> frozenset[Predicate]:
-    if isinstance(f, Atom):
-        return frozenset((f.pred,))
-    if isinstance(f, (Eq, Truth)):
-        return frozenset()
-    if isinstance(f, Not):
-        return predicates_of(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return predicates_of(f.left) | predicates_of(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return predicates_of(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return frozenset(g.pred for g in iter_subformulas(f) if isinstance(g, Atom))
 
 
 def contains_equality(f: Formula) -> bool:
-    if isinstance(f, Eq):
-        return True
-    if isinstance(f, (Atom, Truth)):
-        return False
-    if isinstance(f, Not):
-        return contains_equality(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return contains_equality(f.left) or contains_equality(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return contains_equality(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(isinstance(g, Eq) for g in iter_subformulas(f))
 
 
 def contains_constants(f: Formula) -> bool:
     """True if any atom argument is a concrete domain element."""
-    if isinstance(f, Atom):
-        return any(isinstance(a, int) for a in f.args)
-    if isinstance(f, Eq):
-        return isinstance(f.left, int) or isinstance(f.right, int)
-    if isinstance(f, Truth):
-        return False
-    if isinstance(f, Not):
-        return contains_constants(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return contains_constants(f.left) or contains_constants(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return contains_constants(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+    return any(isinstance(t, int) for g in iter_subformulas(f)
+               for t in _terms(g))
 
 
 def check_variable_limit(f: Formula, limit: int = 2) -> None:
@@ -328,6 +298,43 @@ def substitute(f: Formula, binding: dict[Var, int]) -> Formula:
     if isinstance(f, (ForAll, Exists)):
         inner = {v: e for v, e in binding.items() if v != f.var}
         return type(f)(f.var, substitute(f.body, inner)) if inner else f
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _negate(f: Formula) -> Formula:
+    if isinstance(f, Truth):
+        return FALSE if f.value else TRUE
+    return Not(f)
+
+
+def fold(f: Formula, values=None) -> Formula:
+    """Constant-fold TRUE/FALSE leaves and drop vacuous quantifiers, those
+    whose variable is not free in the folded body (sound because domains
+    are nonempty).  ``values`` maps atoms to the TRUE or FALSE leaf that
+    replaces them.  The result is TRUE, FALSE or a formula with no Truth
+    leaf and no vacuous quantifier."""
+    if isinstance(f, (Atom, Eq, Truth)):
+        return values.get(f, f) if values else f
+    if isinstance(f, Not):
+        return _negate(fold(f.body, values))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        a, b = fold(f.left, values), fold(f.right, values)
+        if isinstance(b, Truth) and not isinstance(a, Truth):
+            if isinstance(f, Implies):
+                return TRUE if b.value else Not(a)
+            a, b = b, a  # the other connectives commute
+        if not isinstance(a, Truth):
+            return type(f)(a, b)
+        if isinstance(f, And):
+            return b if a.value else FALSE
+        if isinstance(f, Or):
+            return TRUE if a.value else b
+        if isinstance(f, Implies):
+            return b if a.value else TRUE
+        return b if a.value else _negate(b)
+    if isinstance(f, (ForAll, Exists)):
+        b = fold(f.body, values)
+        return type(f)(f.var, b) if f.var in free_variables(b) else b
     raise TypeError(f"not a formula: {f!r}")
 
 

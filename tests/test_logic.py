@@ -9,7 +9,11 @@ from mlncount import (
     PossibleWorld, Predicate, TRUE, Var, count_true_groundings, evaluate,
     free_variables, groundings, parse_formula, pretty,
 )
-from mlncount.logic import FALSE, evaluate_bitwise
+from mlncount.logic import (
+    FALSE, Truth, all_variables, contains_constants, contains_equality,
+    evaluate_bitwise, fold, ground_atoms, iter_subformulas, predicates_of,
+    universal_closure,
+)
 from mlncount.errors import (
     FormulaSyntaxError, TooManyVariablesError, VocabularyError,
 )
@@ -232,3 +236,74 @@ def _formulas(depth):
 @given(_formulas(3))
 def test_parse_pretty_roundtrip(f):
     assert parse_formula(pretty(f), VOCAB) == f
+
+
+# -- constant folding ----------------------------------------------------------
+
+Q = Predicate("q", 0)
+_FOLD_VOCAB = [Q, P, F]
+_FOLD_WORLDS = [world(*(a for a, bit in zip(ground_atoms(_FOLD_VOCAB, Domain(2)),
+                                            bits) if bit))
+                for bits in itertools.product((False, True), repeat=7)]
+
+
+def _folding_formulas(depth):
+    leaves = st.sampled_from([TRUE, FALSE, Atom(Q, ()), Atom(P, (X,)),
+                              Atom(P, (Y,)), Atom(F, (X, Y)), Atom(F, (Y, Y))])
+    if depth == 0:
+        return leaves
+    sub = _folding_formulas(depth - 1)
+    return st.one_of(
+        leaves,
+        st.builds(Not, sub),
+        *(st.builds(op, sub, sub) for op in (And, Or, Implies, Iff)),
+        *(st.builds(q, st.sampled_from([X, Y]), sub) for q in (ForAll, Exists)),
+    )
+
+
+def _is_folded(f):
+    if isinstance(f, Truth):
+        return True
+    return all(
+        not isinstance(g, Truth)
+        and (not isinstance(g, (ForAll, Exists)) or g.var in free_variables(g.body))
+        for g in iter_subformulas(f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_folding_formulas(4), st.booleans())
+def test_fold_preserves_meaning(f, q_value):
+    f = universal_closure(f)
+    folded = fold(f)
+    assert _is_folded(folded)
+    q_leaf = TRUE if q_value else FALSE
+    with_q = fold(f, {Atom(Q, ()): q_leaf})
+    assert _is_folded(with_q)
+    assert Atom(Q, ()) not in set(iter_subformulas(with_q))
+    d = Domain(2)
+    for w in _FOLD_WORLDS:
+        assert evaluate(folded, w, d) == evaluate(f, w, d)
+        if (Atom(Q, ()) in w) == q_value:
+            assert evaluate(with_q, w, d) == evaluate(f, w, d)
+
+
+def test_fold_drops_quantifier_left_vacuous_by_folding():
+    f = ForAll(X, ForAll(Y, Or(Atom(P, (Y,)), And(Atom(F, (X, Y)), FALSE))))
+    assert fold(f) == ForAll(Y, Atom(P, (Y,)))
+    assert fold(Exists(X, Not(Atom(Q, ()))), {Atom(Q, ()): FALSE}) == TRUE
+
+
+def test_tree_queries_pinned():
+    # z is bound but never used; 0 occurs as an atom argument and 1 in an Eq.
+    f = And(Exists(Z, Atom(P, (X,))),
+            Or(Eq(Y, 1), Implies(Atom(F, (Y, 0)), Atom(Q, ()))))
+    assert all_variables(f) == {X, Y, Z}
+    assert predicates_of(f) == {P, F, Q}
+    assert contains_equality(f)
+    assert contains_constants(f)
+    assert contains_constants(Eq(X, 1))
+    plain = ForAll(X, Exists(Y, Atom(F, (X, Y))))
+    assert all_variables(plain) == {X, Y}
+    assert predicates_of(plain) == {F}
+    assert not contains_equality(plain)
+    assert not contains_constants(plain)
