@@ -258,7 +258,8 @@ def all_variables(f: Formula) -> frozenset[Var]:
 
 
 def predicates_of(f: Formula) -> frozenset[Predicate]:
-    return frozenset(g.pred for g in iter_subformulas(f) if isinstance(g, Atom))
+    return frozenset(g.pred for g in iter_subformulas(f)
+                     if isinstance(g, Atom))
 
 
 def contains_equality(f: Formula) -> bool:

@@ -238,13 +238,14 @@ def test_parse_pretty_roundtrip(f):
     assert parse_formula(pretty(f), VOCAB) == f
 
 
-# -- constant folding ----------------------------------------------------------
+# -- constant folding ---------------------------------------------------------
 
 Q = Predicate("q", 0)
 _FOLD_VOCAB = [Q, P, F]
-_FOLD_WORLDS = [world(*(a for a, bit in zip(ground_atoms(_FOLD_VOCAB, Domain(2)),
-                                            bits) if bit))
-                for bits in itertools.product((False, True), repeat=7)]
+_FOLD_ATOMS = ground_atoms(_FOLD_VOCAB, Domain(2))
+_FOLD_WORLDS = [world(*(a for a, bit in zip(_FOLD_ATOMS, bits) if bit))
+                for bits in itertools.product((False, True),
+                                              repeat=len(_FOLD_ATOMS))]
 
 
 def _folding_formulas(depth):
@@ -257,17 +258,18 @@ def _folding_formulas(depth):
         leaves,
         st.builds(Not, sub),
         *(st.builds(op, sub, sub) for op in (And, Or, Implies, Iff)),
-        *(st.builds(q, st.sampled_from([X, Y]), sub) for q in (ForAll, Exists)),
+        *(st.builds(q, st.sampled_from([X, Y]), sub)
+          for q in (ForAll, Exists)),
     )
 
 
 def _is_folded(f):
     if isinstance(f, Truth):
         return True
-    return all(
-        not isinstance(g, Truth)
-        and (not isinstance(g, (ForAll, Exists)) or g.var in free_variables(g.body))
-        for g in iter_subformulas(f))
+    return all(not isinstance(g, Truth)
+               and (not isinstance(g, (ForAll, Exists))
+                    or g.var in free_variables(g.body))
+               for g in iter_subformulas(f))
 
 
 @settings(max_examples=150, deadline=None)
