@@ -23,8 +23,8 @@ from .constraints import (
 )
 from .errors import (
     BruteForceCapError, FormulaSyntaxError, InfeasibleConstraintError,
-    MlncountError, NumericOverflowError, NumericResidueError,
-    TooManyVariablesError, UnsupportedSentenceError, VocabularyError,
+    MlncountError, TooManyVariablesError, UnsupportedSentenceError,
+    VocabularyError,
 )
 from .mln import marginal, partition_function
 from .modelfile import Model, parse_model
@@ -240,9 +240,6 @@ def main(argv=None) -> int:
     except BruteForceCapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
-    except (NumericResidueError, NumericOverflowError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except MlncountError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -19,12 +19,12 @@ that is polynomial in the domain size:
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
-   per-cell-pair cross weights.  Cells and the pair table are evaluated on
-   numpy bool arrays.  Cells with equal rows of pair entries merge into one
-   cell whose weight is their sum, which cuts the compositions visited.
-   Mutually exclusive cells are pruned, exactly and for any weights: an
-   empty pair row (from ``exists x`` sentences, for one) makes every term
-   that fills both cells zero, so the sum skips those compositions.
+   per-cell-pair cross weights.  Compilation keeps each cell's bool row
+   and, per cell pair, the base-3 codes of the allowed cross assignments;
+   each call builds a code's weight monomial once.  Cells with equal pair
+   rows merge, weights summed, which cuts the compositions visited.  An
+   empty pair row (from ``exists x`` sentences, for one) zeroes every term
+   that fills both its cells, for any weights, so the sum skips them.
 
 Arithmetic is generic: integer weights give exact (bignum) results, any
 other weights run in complex floating point with overflow detection.  A
@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -323,9 +324,9 @@ def _assignments(k: int) -> np.ndarray:
     return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
 
 
-def _enumerate_cells(preds, diag_matrices) -> list[Cell]:
-    """All assignments over the cell atoms consistent with every matrix
-    evaluated at a single element (both variables identified)."""
+def _enumerate_cells(preds, diag_matrices) -> np.ndarray:
+    """Bool rows, one column per predicate, of the cell assignments
+    consistent with every matrix at a single element (y = x)."""
     bits = _assignments(len(preds))
     # One atom per predicate: p(0) for unary, r(0, 0) for binary.
     values = {Atom(p, (0,) * p.arity): bits[:, k]
@@ -334,7 +335,7 @@ def _enumerate_cells(preds, diag_matrices) -> list[Cell]:
     for m in diag_matrices:
         ok &= evaluate_bitwise(
             substitute(m, {v: 0 for v in free_variables(m)}), values)
-    return [Cell(tuple(zip(preds, row))) for row in bits[ok].tolist()]
+    return bits[ok]
 
 
 def enumerate_cells(vocab, matrix: Formula) -> list[Cell]:
@@ -343,41 +344,38 @@ def enumerate_cells(vocab, matrix: Formula) -> list[Cell]:
     ``matrix`` is quantifier-free; TRUE means unconstrained.
     """
     preds = [p for p in vocab if p.arity in (1, 2)]
-    return _enumerate_cells(preds, [matrix])
+    return [Cell(tuple(zip(preds, row)))
+            for row in _enumerate_cells(preds, [matrix]).tolist()]
 
 
 def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
     """Summed weight of cross-atom assignments between two distinct elements
     with the given cells, under ``matrix`` in both orientations."""
     preds = [p for p, _ in ci.assignment]
-    ids, rows = _pair_table([matrix], preds, [ci, cj])
-    return _weight_sum(rows[ids[0, 1]], w, wbar)
+    table = np.array([[v for _, v in c.assignment] for c in (ci, cj)], bool)
+    ids, rows = _pair_table([matrix], preds, table)
+    # Two classes without members: only the pair entry is evaluated.
+    _, r = _weights(preds, ([], []), {(0, 1): rows[ids[0, 1]]}, w, wbar)
+    return r[0][1]
 
 
-def _pair_table(matrices2, preds, cells):
-    """Cross-assignment summaries for every pair of cells.
+def _pair_table(matrices2, preds, table):
+    """Cross-assignment codes for every pair of the cells in ``table``.
 
-    Returns ``(ids, rows)``: ``rows[ids[i, j]]`` is the sorted tuple of
-    per-predicate (name, true, false) cross-atom count summaries of the
-    assignments satisfying every matrix, in both orientations, between an
-    element of cell i and one of cell j.  ``ids`` is symmetric, and equal
-    ids mean equal multisets of summaries."""
+    A code's base-3 digit k counts the true cross atoms of the k-th binary
+    predicate.  Returns ``(ids, rows)``: ``rows[ids[i, j]]`` is the sorted
+    list of the codes of the assignments satisfying every matrix, in both
+    orientations, between an element of cell i and one of cell j.  ``ids``
+    is symmetric, and equal ids mean equal rows."""
     binary = [p for p in preds if p.arity == 2]
     b = len(binary)
     cross = _assignments(2 * b)
-    # A summary depends only on each predicate's true count t in 0..2;
-    # code it in base 3, once per table rather than once per pair.
     code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
-    digits = np.arange(3 ** b)[:, None] // 3 ** np.arange(b) % 3
-    summaries = [tuple((p.name, t, 2 - t) for p, t in zip(binary, row))
-                 for row in digits.tolist()]
     atoms = [Atom(p, (0, 1)) for p in binary] + [Atom(p, (1, 0)) for p in binary]
     values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
     inst = [substitute(m, _direction(m, 0, 1)) for m in matrices2] + \
            [substitute(m, _direction(m, 1, 0)) for m in matrices2]
-    c = len(cells)
-    table = np.array([[v for _, v in cell.assignment] for cell in cells],
-                     dtype=bool).reshape(c, len(preds))
+    c = len(table)
     ids = np.zeros((c, c), dtype=np.int64)
     rows, index = [], {}
     # Cell pairs i <= j, a chunk at a time: element 0 in cell i, element 1
@@ -393,15 +391,14 @@ def _pair_table(matrices2, preds, cells):
         for m in inst:
             ok &= evaluate_bitwise(m, values)
         pair, assignment = np.nonzero(ok)
-        # Row p counts the satisfying assignments of pair p per summary code.
+        # Row p counts the satisfying assignments of pair p per code.
         counts = np.bincount(pair * 3 ** b + code[assignment],
                              minlength=len(left) * 3 ** b).reshape(len(left), -1)
         for i, j, multiset in zip(left.tolist(), right.tolist(), counts):
             key = multiset.tobytes()
             if key not in index:
                 index[key] = len(rows)
-                rows.append(tuple(summaries[s] for s in
-                                  np.repeat(np.arange(3 ** b), multiset)))
+                rows.append(np.repeat(np.arange(3 ** b), multiset).tolist())
             ids[i, j] = ids[j, i] = index[key]
     return ids, rows
 
@@ -416,9 +413,12 @@ def _direction(matrix: Formula, first: int, second: int) -> dict:
 @dataclass(frozen=True)
 class _Branch:
     nullary_values: tuple[tuple[str, bool], ...]
-    # One representative per class of interchangeable cells (see cell_counts).
+    # One representative per class of interchangeable cells.
     cells: tuple[Cell, ...]
-    cell_counts: tuple[tuple[tuple[tuple[str, int, int], ...], ...], ...]
+    # Per class, its cells' bool rows over the element predicates.
+    cell_counts: tuple[list, ...]
+    # (a, b), a <= b -> the sorted ``_pair_table`` codes between classes a
+    # and b, whose monomials ``_weights`` builds once per call.
     pair_counts: dict
     # ``_exclusions`` of the empty pair rows: the cells that cannot both be
     # nonempty, and the cells that hold at most one element.
@@ -444,9 +444,8 @@ class CompiledTheory:
                 factor = 1
                 for name, value in branch.nullary_values:
                     factor = factor * (w(name) if value else wbar(name))
-                cells = _cell_weights(branch.cell_counts, w, wbar)
-                pairs = _pair_weights(branch.pair_counts, len(branch.cells),
-                                      w, wbar)
+                cells, pairs = _weights(self.vocabulary, branch.cell_counts,
+                                        branch.pair_counts, w, wbar)
                 try:
                     value, _ = _config_sum(d.size, cells, pairs,
                                            branch.exclusions)
@@ -471,28 +470,33 @@ class CompiledTheory:
                    for b in self.branches if b.cells)
 
 
-def _weight_sum(rows, w, wbar):
-    """Sum over rows of the product of w(name)^t * wbar(name)^f over each
-    row's (name, t, f) counts; int 0 for no rows."""
-    total = 0
-    for counts in rows:
+def _weights(vocab, cell_counts, pair_counts, w, wbar):
+    """Class weights and the symmetric pair-weight matrix of one branch.
+
+    A class's weight sums its cells' products of w(p)^v * wbar(p)^(1-v) over
+    the unary and binary p in ``vocab``, v a row bit.  A pair entry sums in
+    code order its codes' monomials, each built once per call: products of
+    w(p)^t * wbar(p)^(2-t) over the binary p, the first the lowest digit t."""
+
+    def product(names, digits, top):
         term = 1
-        for name, t, f in counts:
-            term = term * cpow(w(name), t) * cpow(wbar(name), f)
-        total = total + term
-    return total
+        for name, t in zip(names, digits):
+            term = term * cpow(w(name), t) * cpow(wbar(name), top - t)
+        return term
 
-
-def _cell_weights(cell_counts, w, wbar) -> list:
-    """One weight per merged cell: the sum of its members' weights."""
-    return [_weight_sum(members, w, wbar) for members in cell_counts]
-
-
-def _pair_weights(pair_counts, n_cells, w, wbar) -> list:
-    r = [[0] * n_cells for _ in range(n_cells)]
-    for (i, j), rows in pair_counts.items():
-        r[i][j] = r[j][i] = _weight_sum(rows, w, wbar)
-    return r
+    names = [p.name for p in vocab if p.arity in (1, 2)]
+    cells = [functools.reduce(operator.add,
+                              (product(names, row, 1) for row in members), 0)
+             for members in cell_counts]
+    binary = [p.name for p in vocab if p.arity == 2]
+    place = [3 ** k for k in range(len(binary))]
+    monomials = {c: product(binary, [c // v % 3 for v in place], 2)
+                 for c in sorted(set().union(*pair_counts.values()))}
+    r = [[0] * len(cell_counts) for _ in cell_counts]
+    for (i, j), codes in pair_counts.items():
+        r[i][j] = r[j][i] = functools.reduce(
+            operator.add, (monomials[c] for c in codes), 0)
+    return cells, r
 
 
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
@@ -513,8 +517,8 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
             continue
         matrices1 = [m for two, m in folded if not two and m != TRUE]
         matrices2 = [m for two, m in folded if two and m != TRUE]
-        cells = _enumerate_cells(element_preds, matrices1 + matrices2)
-        ids, rows = _pair_table(matrices2, element_preds, cells)
+        table = _enumerate_cells(element_preds, matrices1 + matrices2)
+        ids, rows = _pair_table(matrices2, element_preds, table)
         # Cells with the same row of pair entries (so r_ii = r_jj = r_ij)
         # are interchangeable: by the multinomial theorem one cell whose
         # weight is the sum of theirs replaces them, for any weights.
@@ -522,18 +526,16 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
         for i, row in enumerate(ids):
             classes.setdefault(row.tobytes(), []).append(i)
         reps = [members[0] for members in classes.values()]
-        cell_counts = tuple(
-            tuple(tuple((p.name, int(v), int(not v))
-                        for p, v in cells[m].assignment) for m in members)
-            for members in classes.values())
+        cell_counts = tuple(table[members].tolist()
+                            for members in classes.values())
         pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                        for a in range(len(reps)) for b in range(a, len(reps))}
         exclusions = _exclusions(
-            [[not pair_counts[min(a, b), max(a, b)] for b in range(len(reps))]
-             for a in range(len(reps))])
+            [[not rows[ids[i, j]] for j in reps] for i in reps])
         branches.append(_Branch(tuple(zip(nullary, bits)),
-                                tuple(cells[m] for m in reps), cell_counts,
-                                pair_counts, exclusions))
+                                tuple(Cell(tuple(zip(element_preds, row)))
+                                      for row in table[reps].tolist()),
+                                cell_counts, pair_counts, exclusions))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
 
@@ -578,7 +580,7 @@ def _config_sum(n: int, cell_weights: list, r: list, exclusions=None):
 
     Mutually exclusive cells are pruned, exactly and for any weights:
     ``exclusions`` are the ``_exclusions`` masks of the empty pair rows,
-    whose entry ``_pair_weights`` leaves as int 0, so every term that fills
+    whose entry ``_weights`` leaves as int 0, so every term that fills
     both cells of such a row, or puts two elements in a cell whose own row
     is empty, is an exact zero and its composition is skipped; the others
     are added in the same order as without pruning.  None prunes nothing."""

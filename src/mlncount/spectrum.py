@@ -113,9 +113,9 @@ def spectrum_point(phi: Mln, psi: CountSpec, k, d: Domain) -> complex:
     count with root-of-unity indicator weights."""
     k = tuple(k)
     shape = shape_vector(psi, d)
-    for kj, mj in zip(k, shape):
-        if not 0 <= kj < mj:
-            raise ValueError(f"frequency {k} outside grid {shape}")
+    if len(k) != len(shape) or not all(
+            0 <= kj < mj for kj, mj in zip(k, shape)):
+        raise ValueError(f"frequency {k} outside grid {shape}")
     ks = np.array(k).reshape(-1, 1)
     return complex(_spectrum_values(phi, psi, d, ks)[0])
 

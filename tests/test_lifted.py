@@ -8,15 +8,15 @@ import numpy as np
 import pytest
 
 from mlncount import (
-    And, Atom, Domain, Eq, Exists, ForAll, Implies, Mln, Not, Or, Predicate,
-    TRUE, Var, WeightFunction, brute_wfomc, enumerate_cells, lifted_wfomc,
-    marginal, pair_weight, skolemize,
+    And, Atom, Domain, Eq, Exists, ForAll, Implies, Mln, Not, Or,
+    PossibleWorld, Predicate, TRUE, Var, WeightFunction, brute_wfomc,
+    enumerate_cells, evaluate, lifted_wfomc, marginal, pair_weight, skolemize,
 )
 from mlncount import lifted
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _cell_weights, _config_sum, _exclusions, _pair_table,
-    _pair_weights, _pruned_count, compile_theory, cpow,
+    Fo2Theory, _config_sum, _enumerate_cells, _exclusions, _pair_table,
+    _pruned_count, _weights, compile_theory, cpow,
 )
 
 from helpers import random_matrix, random_theory, rel_close
@@ -81,7 +81,8 @@ class TestCells:
     def test_no_feasible_cell(self):
         contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))
         assert enumerate_cells([P, F], contradiction) == []
-        ids, rows = _pair_table([contradiction], [P, F], [])
+        ids, rows = _pair_table([contradiction], [P, F],
+                                _enumerate_cells([P, F], [contradiction]))
         assert ids.shape == (0, 0) and rows == []
         compiled = compile_theory(Fo2Theory.of([ForAll(X, contradiction)],
                                                [P, F]))
@@ -105,16 +106,16 @@ class TestPairWeight:
         assert pair_weight(ci, cj, TRUE, ONES, ONES) == 1
         # p(x) -> p(y) fails only from a p-cell to a non-p cell.
         ids, rows = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))], [P],
-                                [ci, cj])
-        assert rows[ids[0, 0]] == rows[ids[1, 1]] == ((),)
-        assert rows[ids[0, 1]] == rows[ids[1, 0]] == ()
+                                _enumerate_cells([P], [TRUE]))
+        assert rows[ids[0, 0]] == rows[ids[1, 1]] == [0]
+        assert rows[ids[0, 1]] == rows[ids[1, 0]] == []
 
     def test_true_matrix_keeps_every_cross_assignment(self):
-        cells = enumerate_cells([P, F], TRUE)
-        ids, rows = _pair_table([TRUE], [P, F], cells)
+        ids, rows = _pair_table([TRUE], [P, F],
+                                _enumerate_cells([P, F], [TRUE]))
         assert len(set(ids.flat)) == 1
-        assert rows[ids[0, 0]] == ((("f", 0, 2),), (("f", 1, 1),),
-                                   (("f", 1, 1),), (("f", 2, 0),))
+        # One code per cross assignment: its number of true f atoms.
+        assert rows[ids[0, 0]] == [0, 1, 1, 2]
 
     def test_hand_counted_weights(self):
         w, wbar = WeightFunction({"f": 2}), WeightFunction({"f": 3})
@@ -129,6 +130,33 @@ class TestPairWeight:
         assert pair_weight(pj, pi, implies, w, wbar) == 15
         assert pair_weight(pi, pj, implies, w, wbar) == 15
         assert pair_weight(pj, pj, implies, w, wbar) == 25
+
+    def test_two_binary_predicates_match_world_evaluation(self):
+        # Distinct integer weights per predicate and polarity: a swapped
+        # code digit or power would change the exact sum.
+        g = Predicate("g", 2)
+        w = WeightFunction({"f": 2, "g": 5})
+        wbar = WeightFunction({"f": 3, "g": 7})
+        cross = [Atom(q, args) for q in (F, g) for args in ((0, 1), (1, 0))]
+        atoms = [Atom(q, args) for q in (F, g)
+                 for args in ((X, Y), (Y, X), (X, X), (Y, Y))]
+        cells = enumerate_cells([F, g], TRUE)
+        rng = random.Random(11)
+        for _ in range(20):
+            matrix = random_matrix(rng, atoms)
+            # The matrix between elements 0 and 1, in both orientations.
+            sentence = ForAll(X, ForAll(Y, Or(Eq(X, Y), matrix)))
+            for ci, cj in itertools.product(cells, repeat=2):
+                own = {Atom(q, (e, e)) for e, c in ((0, ci), (1, cj))
+                       for q in (F, g) if c.value(q)}
+                want = 0
+                for bits in itertools.product((False, True), repeat=4):
+                    world = PossibleWorld(frozenset(
+                        own | {a for a, b in zip(cross, bits) if b}))
+                    if evaluate(sentence, world, Domain(2)):
+                        want += math.prod(w(a.pred) if b else wbar(a.pred)
+                                          for a, b in zip(cross, bits))
+                assert pair_weight(ci, cj, matrix, w, wbar) == want
 
     def test_symmetry(self):
         cells = enumerate_cells([P, F], TRUE)
@@ -422,9 +450,9 @@ class TestPrunedCompositionCount:
             wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
             for branch in compiled.branches:
                 single = dataclasses.replace(compiled, branches=(branch,))
-                cells = _cell_weights(branch.cell_counts, w, wbar)
-                pairs = _pair_weights(branch.pair_counts, len(branch.cells),
-                                      w, wbar)
+                cells, pairs = _weights(compiled.vocabulary,
+                                        branch.cell_counts,
+                                        branch.pair_counts, w, wbar)
                 for n in (1, 3, 5):
                     _, leaves = _config_sum(n, cells, pairs,
                                             branch.exclusions)
@@ -449,9 +477,8 @@ class TestPrunedCompositionCount:
         cancelled = 0
         for branch in compiled.branches:
             single = dataclasses.replace(compiled, branches=(branch,))
-            cells = _cell_weights(branch.cell_counts, w, wbar)
-            pairs = _pair_weights(branch.pair_counts, len(branch.cells),
-                                  w, wbar)
+            cells, pairs = _weights(compiled.vocabulary, branch.cell_counts,
+                                    branch.pair_counts, w, wbar)
             cancelled += sum(
                 _is_zero(pairs[i][j]) and bool(rows)
                 for (i, j), rows in branch.pair_counts.items())

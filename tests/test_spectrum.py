@@ -72,6 +72,16 @@ class TestSpectrumPoint:
                        for j in range(3))
             assert got == pytest.approx(want)
 
+    def test_frequency_off_the_grid_raises(self):
+        mln = Mln.of([(Atom(P, (X,)), 0.4)], [P, F])
+        psi = CountSpec.of([Atom(F, (X, Y)), Atom(P, (X,))])
+        assert shape_vector(psi, Domain(2)) == (5, 3)
+        # Too many entries, too few, and entries out of range.
+        for k in [(1, 0, 2), (1,), (5, 0), (0, -1)]:
+            with pytest.raises(ValueError):
+                spectrum_point(mln, psi, k, Domain(2))
+        assert abs(spectrum_point(mln, psi, (1, 0), Domain(2))) <= 1
+
 
 class TestFullSpectrum:
     def test_conjugate_symmetry(self):
