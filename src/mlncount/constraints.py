@@ -111,11 +111,10 @@ class FunctionConstraint:
                 f"{self.relation}")
 
 
-def _targets(predicate: CardinalityPredicate) -> dict[int, float] | None:
-    """Per-dimension target counts for structured predicates, or None when
-    the predicate's shape gives no usable center (escape-hatch functions)."""
-    if isinstance(predicate, TautologyTrue):
-        return {}
+def _targets(predicate: CardinalityPredicate) -> dict[int, float]:
+    """Per-dimension target counts of the structured predicates; none for
+    predicates whose shape gives no center (tautologies, escape-hatch
+    functions), which leaves their dimensions untilted."""
     if isinstance(predicate, Equals):
         return {predicate.dim: float(predicate.value)}
     if isinstance(predicate, Between):
@@ -123,12 +122,9 @@ def _targets(predicate: CardinalityPredicate) -> dict[int, float] | None:
     if isinstance(predicate, Conjunction):
         merged: dict[int, float] = {}
         for part in predicate.parts:
-            sub = _targets(part)
-            if sub is None:
-                return None
-            merged.update(sub)
+            merged.update(_targets(part))
         return merged
-    return None
+    return {}
 
 
 def _tilt_vector(psi: CountSpec, d: Domain,
@@ -143,29 +139,22 @@ def _tilt_vector(psi: CountSpec, d: Domain,
     return tilts
 
 
-def _tilted_masses(phi: Mln, psi: CountSpec, d: Domain,
-                   tilts: Sequence[float]):
-    """Unnormalized count masses of ``phi``, computed under a tilted model.
+def _tilted(phi: Mln, psi: CountSpec, d: Domain, tilts: Sequence[float]):
+    """The model with each count formula tilted by its log-weight, and its
+    count distribution over ``psi``.
 
-    Tilting each count formula by a log-weight multiplies the mass of bin n
-    by exp(<t, n>) exactly, so dividing it back out recovers the original
-    masses with full relative precision near the tilt's center.  Returns
-    (probabilities-under-tilt, tilted normalizer, undo function).
-    """
+    Tilting multiplies the mass of bin n by exp(<t, n>) exactly, so
+    ``_untilt`` recovers the original masses with full relative precision
+    near the tilt's center; a zero tilt leaves the model as it is."""
     extra = [(beta, t) for beta, t in zip(psi.formulas, tilts) if t != 0.0]
     tilted = Mln.of(tuple(phi.weighted_formulas) + tuple(extra),
                     phi.vocabulary)
-    q = count_distribution(tilted, psi, d)
-    z = float(partition_function(tilted, d))
+    return tilted, count_distribution(tilted, psi, d)
 
-    def undo(idx) -> float:
-        mass = float(q.probabilities[idx])
-        if mass == 0.0:
-            return 0.0
-        dot = sum(t * i for t, i in zip(tilts, idx))
-        return mass * z * math.exp(-dot)
 
-    return q, z, undo
+def _untilt(tilts: Sequence[float], idx) -> float:
+    """exp(-<t, n>), the factor that undoes the tilt at grid point n."""
+    return math.exp(-sum(t * i for t, i in zip(tilts, idx)))
 
 
 def constrained_partition(phi: Mln, cc: CardinalityConstraint, d: Domain,
@@ -173,33 +162,25 @@ def constrained_partition(phi: Mln, cc: CardinalityConstraint, d: Domain,
     """Normalizer of the constrained distribution: the total unnormalized
     count mass on the grid points the predicate keeps.
 
-    Structured predicates are evaluated through an exactly-invertible tilt
-    centered on the kept region, since a far-off-center region's mass is
-    otherwise lost to transform round-off.  ``threads`` selects nothing.
+    The masses are evaluated through an exactly-invertible tilt centered on
+    the kept region, since a far-off-center region's mass is otherwise lost
+    to transform round-off.  ``threads`` selects nothing.
     """
-    targets = _targets(cc.predicate)
-    if targets:
-        tilts = _tilt_vector(cc.psi, d, targets)
-        q, _, undo = _tilted_masses(phi, cc.psi, d, tilts)
-        z_prime = math.fsum(undo(idx) for idx in np.ndindex(*q.shape)
-                            if cc.predicate(idx) and q.probabilities[idx] > 0)
-        if z_prime <= 0.0:
-            raise InfeasibleConstraintError(
-                "cardinality constraint excludes every world")
-        return z_prime
-    q = count_distribution(phi, cc.psi, d)
-    kept = math.fsum(
-        float(q.probabilities[idx])
-        for idx in np.ndindex(*q.shape) if cc.predicate(idx))
-    if kept <= 0.0:
-        raise InfeasibleConstraintError(
-            "cardinality constraint excludes every world")
-    z = partition_function(phi, d)
+    tilts = _tilt_vector(cc.psi, d, _targets(cc.predicate))
+    tilted, q = _tilted(phi, cc.psi, d, tilts)
     try:
-        return float(z) * kept
+        z = float(partition_function(tilted, d))
     except OverflowError:
         raise NumericOverflowError(
             "constrained partition exceeds the floating-point range") from None
+    z_prime = math.fsum(
+        float(q.probabilities[idx]) * z * _untilt(tilts, idx)
+        for idx in np.ndindex(*q.shape)
+        if cc.predicate(idx) and q.probabilities[idx] > 0)
+    if z_prime <= 0.0:
+        raise InfeasibleConstraintError(
+            "cardinality constraint excludes every world")
+    return z_prime
 
 
 def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
@@ -207,25 +188,17 @@ def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
                          threads: int = 1) -> float:
     """Probability of the sentence ``gamma`` under the constrained
     distribution, read off an extended count grid whose last axis tracks
-    the query's truth.  ``threads`` selects nothing."""
+    the query's truth.  The normalizer cancels from the ratio, so none is
+    computed.  ``threads`` selects nothing."""
     extended = CountSpec.of(tuple(cc.psi.formulas) + (gamma,))
-    targets = _targets(cc.predicate)
-    if targets:
-        tilts = _tilt_vector(cc.psi, d, targets) + [0.0]
-        q, _, undo = _tilted_masses(phi, extended, d, tilts)
-        masses = undo
-    else:
-        q = count_distribution(phi, extended, d)
-
-        def masses(idx):
-            return float(q.probabilities[idx])
-
+    tilts = _tilt_vector(cc.psi, d, _targets(cc.predicate)) + [0.0]
+    _, q = _tilted(phi, extended, d, tilts)
     num = 0.0
     den = 0.0
     for idx in np.ndindex(*q.shape):
-        if not cc.predicate(idx[:-1]):
+        if not cc.predicate(idx[:-1]) or q.probabilities[idx] == 0:
             continue
-        mass = masses(idx)
+        mass = float(q.probabilities[idx]) * _untilt(tilts, idx)
         den += mass
         if idx[-1] == 1:
             num += mass

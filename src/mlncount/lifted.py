@@ -3,16 +3,20 @@
 The pipeline turns an arbitrary theory of two-variable sentences into a sum
 that is polynomial in the domain size:
 
-1. *Normalization* rewrites every sentence into one of the prenex shapes
-   ``forall x m``, ``forall x forall y m``, ``forall x exists y m``,
-   ``exists x m`` or a quantifier-free combination of nullary atoms, using
-   fresh definition predicates for nested quantifiers, after ``logic.fold``
-   has folded TRUE/FALSE leaves and dropped vacuous quantifiers.
+1. *Normalization* rewrites every sentence into plain prenex formulas of
+   the shapes ``forall x m``, ``forall x forall y m``, ``forall x exists y
+   m``, ``exists x m`` or ``m``, the matrix m quantifier-free (nullary
+   atoms only in ``m`` alone), using fresh definition predicates for
+   nested quantifiers and for what follows a leading ``exists``, after
+   ``logic.fold`` has folded TRUE/FALSE leaves and dropped vacuous
+   quantifiers.  Each emitted sentence has its prefix variables renamed to
+   x and y at once, so later steps bind the atoms over x and y directly.
    Definitions are equivalences, so each original world extends uniquely
    and the weighted count is unchanged.
 2. *Skolemization* removes existentials: ``forall x exists y m`` becomes
-   ``forall x forall y (m -> s(x))`` with a fresh unary ``s`` weighted
-   ``(1, -1)``, so worlds without a witness cancel out of the sum.
+   ``forall x forall y (m -> s(x))`` and ``exists x m`` becomes ``forall x
+   forall y (m -> s(y))``, with a fresh unary ``s`` weighted ``(1, -1)``,
+   so worlds without a witness cancel out of the sum.
 3. *Conditioning* branches on the truth of nullary atoms, leaving pure
    universally quantified matrices per branch (``logic.fold`` with the
    branch's nullary values).
@@ -55,6 +59,8 @@ _MAGNITUDE_LIMIT = 1e300
 # evaluates at once, so its memory does not grow with the cells squared.
 _CHUNK = 1 << 16
 _TRUTH_LEAVES = {TRUE: np.True_, FALSE: np.False_}
+# The two variables of every normalized sentence.
+_XY = (Var("x"), Var("y"))
 
 
 def cpow(base, exponent: int):
@@ -91,38 +97,7 @@ class Fo2Theory:
         return Fo2Theory(tuple(sentences), tuple(vocabulary))
 
 
-# --- normalized sentence shapes ------------------------------------------
-
-@dataclass(frozen=True)
-class _Forall1:
-    var: Var
-    matrix: Formula
-
-
-@dataclass(frozen=True)
-class _Forall2:
-    var1: Var
-    var2: Var
-    matrix: Formula
-
-
-@dataclass(frozen=True)
-class _ForallExists:
-    var1: Var
-    var2: Var
-    matrix: Formula
-
-
-@dataclass(frozen=True)
-class _Exists1:
-    var: Var
-    matrix: Formula
-
-
-@dataclass(frozen=True)
-class _Prop:
-    matrix: Formula
-
+# --- normalization ----------------------------------------------------------
 
 class _Vocabulary:
     """Tracks predicates and hands out fresh names."""
@@ -152,6 +127,16 @@ def _check_fragment(s: Formula) -> None:
             f"sentence uses {len(names)} distinct variables: {s}")
 
 
+def _emit(out: list, quantifiers, variables, matrix: Formula) -> None:
+    """Append ``Q1 x Q2 y matrix``: the prefix variables are renamed to x
+    and y at once, so a prefix binding y before x swaps them."""
+    canonical = _XY[:len(variables)]
+    f = substitute(matrix, dict(zip(variables, canonical)))
+    for q, v in reversed(list(zip(quantifiers, canonical))):
+        f = q(v, f)
+    out.append(f)
+
+
 def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
     """Replace quantified subformulas by fresh definition predicates,
     emitting the defining sentences into ``out``.  Returns a
@@ -165,141 +150,89 @@ def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
                        _eliminate_inner(f.right, vocab, out))
     if isinstance(f, (ForAll, Exists)):
         inner = _eliminate_inner(f.body, vocab, out)
-        v = f.var
-        fv = sorted(free_variables(inner) - {v}, key=lambda u: u.name)
+        fv = sorted(free_variables(inner) - {f.var})
         if len(fv) > 1:
             raise UnsupportedSentenceError(
                 f"quantified subformula with two free variables: {f}")
-        exist = isinstance(f, Exists)
-        if fv:
-            u = fv[0]
-            d = vocab.fresh("def", 1)
-            datom = Atom(d, (u,))
-            if exist:
-                out.append(_Forall2(u, v, Implies(inner, datom)))
-                out.append(_ForallExists(u, v, Implies(datom, inner)))
-            else:
-                out.append(_Forall2(u, v, Implies(datom, inner)))
-                out.append(_ForallExists(u, v, Or(datom, Not(inner))))
+        # d(fv) <-> Q v inner, as a universal and an existential half.
+        datom = Atom(vocab.fresh("def", len(fv)), tuple(fv))
+        if isinstance(f, Exists):
+            every, some = Implies(inner, datom), Implies(datom, inner)
         else:
-            d = vocab.fresh("def", 0)
-            datom = Atom(d, ())
-            if exist:
-                out.append(_Forall1(v, Implies(inner, datom)))
-                out.append(_Exists1(v, Implies(datom, inner)))
-            else:
-                out.append(_Forall1(v, Implies(datom, inner)))
-                out.append(_Exists1(v, Or(datom, Not(inner))))
+            every, some = Implies(datom, inner), Or(datom, Not(inner))
+        variables = fv + [f.var]
+        _emit(out, [ForAll] * len(variables), variables, every)
+        _emit(out, [ForAll] * len(fv) + [Exists], variables, some)
         return datom
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _normalize_sentence(s: Formula, vocab: _Vocabulary, out: list) -> None:
+    """Emit ``s`` as ``m``, ``forall x m``, ``forall x forall y m``,
+    ``forall x exists y m`` or ``exists x m``, m quantifier-free; a leading
+    ``exists`` ends the prefix, and definitions name what follows it."""
     _check_fragment(s)
-    s = fold(s)
-    prefix = []
-    body = s
-    while isinstance(body, (ForAll, Exists)) and len(prefix) < 2:
-        prefix.append((isinstance(body, Exists), body.var))
+    body = fold(s)
+    quantifiers, variables = [], []
+    while isinstance(body, (ForAll, Exists)) and len(quantifiers) < 2 \
+            and Exists not in quantifiers:
+        quantifiers.append(type(body))
+        variables.append(body.var)
         body = body.body
-    matrix = fold(_eliminate_inner(body, vocab, out))
-
-    if not prefix:
-        out.append(_Prop(matrix))
-        return
-    if len(prefix) == 1:
-        exist, v = prefix[0]
-        out.append(_Exists1(v, matrix) if exist else _Forall1(v, matrix))
-        return
-    (e1, u), (e2, v) = prefix
-    if not e1 and not e2:
-        out.append(_Forall2(u, v, matrix))
-    elif not e1 and e2:
-        out.append(_ForallExists(u, v, matrix))
-    else:
-        # exists-first prefixes: name the inner quantified formula.
-        d = vocab.fresh("def", 1)
-        datom = Atom(d, (u,))
-        if e2:
-            out.append(_Forall2(u, v, Implies(matrix, datom)))
-            out.append(_ForallExists(u, v, Implies(datom, matrix)))
-        else:
-            out.append(_Forall2(u, v, Implies(datom, matrix)))
-            out.append(_ForallExists(u, v, Or(datom, Not(matrix))))
-        out.append(_Exists1(u, datom))
+    _emit(out, quantifiers, variables,
+          fold(_eliminate_inner(body, vocab, out)))
 
 
-def _other_var(v: Var) -> Var:
-    return Var("y") if v.name != "y" else Var("x")
-
-
-def _skolemize_records(records: list, vocab: _Vocabulary):
-    """Replace existential shapes by universal ones with (1, -1) weighted
-    relaxation predicates.  Returns (records, skolem weight entries)."""
-    out = []
-    weights = {}
-    for rec in records:
-        if isinstance(rec, _ForallExists):
-            s = vocab.fresh("sk", 1)
-            weights[s.name] = (1, -1)
-            out.append(_Forall2(rec.var1, rec.var2,
-                                Implies(rec.matrix, Atom(s, (rec.var1,)))))
-        elif isinstance(rec, _Exists1):
-            # forall x forall y (m(x) -> s(y)): if a witness exists every
-            # s-atom is forced true (factor 1); otherwise s is free and the
-            # assignments sum to (1 - 1)^n = 0.
-            s = vocab.fresh("sk", 1)
-            weights[s.name] = (1, -1)
-            other = _other_var(rec.var)
-            out.append(_Forall2(rec.var, other,
-                                Implies(rec.matrix, Atom(s, (other,)))))
-        else:
-            out.append(rec)
-    return out, weights
-
-
-def _records_to_sentences(records) -> list[Formula]:
-    out = []
-    for rec in records:
-        if isinstance(rec, _Prop):
-            out.append(rec.matrix)
-        elif isinstance(rec, _Forall1):
-            out.append(ForAll(rec.var, rec.matrix))
-        elif isinstance(rec, _Forall2):
-            out.append(ForAll(rec.var1, ForAll(rec.var2, rec.matrix)))
-        elif isinstance(rec, _ForallExists):
-            out.append(ForAll(rec.var1, Exists(rec.var2, rec.matrix)))
-        elif isinstance(rec, _Exists1):
-            out.append(Exists(rec.var, rec.matrix))
-        else:
-            raise TypeError(rec)
-    return out
+def _prefix(s: Formula):
+    """The quantifier types and the quantifier-free matrix of a prenex
+    sentence."""
+    kinds = []
+    while isinstance(s, (ForAll, Exists)):
+        kinds.append(type(s))
+        s = s.body
+    return tuple(kinds), s
 
 
 def _normalize_theory(t: Fo2Theory):
-    """Normalize and Skolemize every sentence of ``t``.  Returns (records,
-    vocabulary, skolem weight entries)."""
+    """Normalize and Skolemize every sentence of ``t``.  Returns (sentences,
+    vocabulary, skolem weight entries); each sentence is ``m``, ``forall x
+    m`` or ``forall x forall y m``.
+
+    ``forall x exists y m`` becomes ``forall x forall y (m -> s(x))`` and
+    ``exists x m`` becomes ``forall x forall y (m -> s(y))``, s a fresh
+    unary predicate weighted (1, -1): where a witness exists every s-atom
+    is forced true (factor 1); otherwise s is free and its assignments sum
+    to (1 - 1)^n = 0."""
     vocab = _Vocabulary(t.vocabulary)
-    records = []
+    normal = []
     for s in t.sentences:
-        _normalize_sentence(s, vocab, records)
-    records, skolem_weights = _skolemize_records(records, vocab)
-    return records, vocab, skolem_weights
+        _normalize_sentence(s, vocab, normal)
+    x, y = _XY
+    sentences, weights = [], {}
+    for s in normal:
+        kinds, m = _prefix(s)
+        if Exists in kinds:
+            sk = vocab.fresh("sk", 1)
+            weights[sk.name] = (1, -1)
+            witness = y if kinds == (Exists,) else x
+            s = ForAll(x, ForAll(y, Implies(m, Atom(sk, (witness,)))))
+        sentences.append(s)
+    return sentences, vocab, weights
 
 
 def skolemize(t: Fo2Theory, w, wbar):
     """Equi-count elimination of existential quantifiers.
 
     Returns the input unchanged when there is nothing to do; otherwise a
-    theory with only universal prefixes plus extended weight functions.
+    theory with only universal prefixes over x and y plus extended weight
+    functions.
     """
-    records, vocab, skolem_weights = _normalize_theory(t)
+    sentences, vocab, skolem_weights = _normalize_theory(t)
     if not skolem_weights:
         return t, w, wbar
     new_w = w.updated({k: v[0] for k, v in skolem_weights.items()})
     new_wbar = wbar.updated({k: v[1] for k, v in skolem_weights.items()})
-    return (Fo2Theory.of(_records_to_sentences(records), vocab.preds),
-            new_w, new_wbar)
+    return Fo2Theory.of(sentences, vocab.preds), new_w, new_wbar
 
 
 # --- cells -----------------------------------------------------------------
@@ -326,16 +259,20 @@ def _assignments(k: int) -> np.ndarray:
 
 def _enumerate_cells(preds, diag_matrices) -> np.ndarray:
     """Bool rows, one column per predicate, of the cell assignments
-    consistent with every matrix at a single element (y = x)."""
+    consistent with every matrix over x and y at a single element (y = x)."""
     bits = _assignments(len(preds))
-    # One atom per predicate: p(0) for unary, r(0, 0) for binary.
-    values = {Atom(p, (0,) * p.arity): bits[:, k]
-              for k, p in enumerate(preds)} | _TRUTH_LEAVES
+    values = {Atom(p, args): bits[:, k] for k, p in enumerate(preds)
+              for args in itertools.product(_XY, repeat=p.arity)}
+    values |= _TRUTH_LEAVES
     ok = np.ones(len(bits), dtype=bool)
     for m in diag_matrices:
-        ok &= evaluate_bitwise(
-            substitute(m, {v: 0 for v in free_variables(m)}), values)
+        ok &= evaluate_bitwise(m, values)
     return bits[ok]
+
+
+def _canonical(matrix: Formula) -> Formula:
+    """``matrix`` with its free variables, in name order, renamed to x, y."""
+    return substitute(matrix, dict(zip(sorted(free_variables(matrix)), _XY)))
 
 
 def enumerate_cells(vocab, matrix: Formula) -> list[Cell]:
@@ -345,7 +282,7 @@ def enumerate_cells(vocab, matrix: Formula) -> list[Cell]:
     """
     preds = [p for p in vocab if p.arity in (1, 2)]
     return [Cell(tuple(zip(preds, row)))
-            for row in _enumerate_cells(preds, [matrix]).tolist()]
+            for row in _enumerate_cells(preds, [_canonical(matrix)]).tolist()]
 
 
 def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
@@ -353,7 +290,7 @@ def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
     with the given cells, under ``matrix`` in both orientations."""
     preds = [p for p, _ in ci.assignment]
     table = np.array([[v for _, v in c.assignment] for c in (ci, cj)], bool)
-    ids, rows = _pair_table([matrix], preds, table)
+    ids, rows = _pair_table([_canonical(matrix)], preds, table)
     # Two classes without members: only the pair entry is evaluated.
     _, r = _weights(preds, ([], []), {(0, 1): rows[ids[0, 1]]}, w, wbar)
     return r[0][1]
@@ -364,17 +301,21 @@ def _pair_table(matrices2, preds, table):
 
     A code's base-3 digit k counts the true cross atoms of the k-th binary
     predicate.  Returns ``(ids, rows)``: ``rows[ids[i, j]]`` is the sorted
-    list of the codes of the assignments satisfying every matrix, in both
-    orientations, between an element of cell i and one of cell j.  ``ids``
-    is symmetric, and equal ids mean equal rows."""
+    list of the codes of the assignments satisfying every matrix over x and
+    y, in both orientations, between an element of cell i and one of cell
+    j.  ``ids`` is symmetric, and equal ids mean equal rows."""
     binary = [p for p in preds if p.arity == 2]
     b = len(binary)
     cross = _assignments(2 * b)
     code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
-    atoms = [Atom(p, (0, 1)) for p in binary] + [Atom(p, (1, 0)) for p in binary]
-    values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
-    inst = [substitute(m, _direction(m, 0, 1)) for m in matrices2] + \
-           [substitute(m, _direction(m, 1, 0)) for m in matrices2]
+    # Per orientation (u, v), u the element of cell i and v that of cell j,
+    # the cross atoms r(u, v) and then r(v, u) take the cross columns.
+    orientations = []
+    for u, v in (_XY, _XY[::-1]):
+        atoms = [Atom(p, (u, v)) for p in binary] + \
+                [Atom(p, (v, u)) for p in binary]
+        values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
+        orientations.append((u, v, values))
     c = len(table)
     ids = np.zeros((c, c), dtype=np.int64)
     rows, index = [], {}
@@ -384,12 +325,13 @@ def _pair_table(matrices2, preds, table):
     step = max(1, _CHUNK // len(cross))
     for lo in range(0, len(first), step):
         left, right = first[lo:lo + step], second[lo:lo + step]
-        for k, p in enumerate(preds):
-            values[Atom(p, (0,) * p.arity)] = table[left, k, None]
-            values[Atom(p, (1,) * p.arity)] = table[right, k, None]
         ok = np.ones((len(left), len(cross)), dtype=bool)
-        for m in inst:
-            ok &= evaluate_bitwise(m, values)
+        for u, v, values in orientations:
+            for k, p in enumerate(preds):
+                values[Atom(p, (u,) * p.arity)] = table[left, k, None]
+                values[Atom(p, (v,) * p.arity)] = table[right, k, None]
+            for m in matrices2:
+                ok &= evaluate_bitwise(m, values)
         pair, assignment = np.nonzero(ok)
         # Row p counts the satisfying assignments of pair p per code.
         counts = np.bincount(pair * 3 ** b + code[assignment],
@@ -401,11 +343,6 @@ def _pair_table(matrices2, preds, table):
                 rows.append(np.repeat(np.arange(3 ** b), multiset).tolist())
             ids[i, j] = ids[j, i] = index[key]
     return ids, rows
-
-
-def _direction(matrix: Formula, first: int, second: int) -> dict:
-    fv = sorted(free_variables(matrix), key=lambda v: v.name)
-    return dict(zip(fv, (first, second)))
 
 
 # --- compiled theories ------------------------------------------------------
@@ -473,24 +410,28 @@ class CompiledTheory:
 def _weights(vocab, cell_counts, pair_counts, w, wbar):
     """Class weights and the symmetric pair-weight matrix of one branch.
 
-    A class's weight sums its cells' products of w(p)^v * wbar(p)^(1-v) over
-    the unary and binary p in ``vocab``, v a row bit.  A pair entry sums in
-    code order its codes' monomials, each built once per call: products of
-    w(p)^t * wbar(p)^(2-t) over the binary p, the first the lowest digit t."""
+    A class's weight sums its cells' products over the unary and binary p
+    in ``vocab`` of w(p) where the row bit is true and wbar(p) where it is
+    false.  A pair entry sums in code order its codes' monomials, each
+    built once per call: products of w(p)^t * wbar(p)^(2-t) over the binary
+    p, the first the lowest digit t."""
+    # (wbar(p), w(p)), indexed by a row bit.
+    pick = [(wbar(p.name), w(p.name)) for p in vocab if p.arity in (1, 2)]
+    cells = [functools.reduce(operator.add,
+                              (math.prod(pair[v] for pair, v in zip(pick, row))
+                               for row in members), 0)
+             for members in cell_counts]
 
-    def product(names, digits, top):
+    def monomial(code):
         term = 1
-        for name, t in zip(names, digits):
-            term = term * cpow(w(name), t) * cpow(wbar(name), top - t)
+        for name, place in zip(binary, places):
+            t = code // place % 3
+            term = term * cpow(w(name), t) * cpow(wbar(name), 2 - t)
         return term
 
-    names = [p.name for p in vocab if p.arity in (1, 2)]
-    cells = [functools.reduce(operator.add,
-                              (product(names, row, 1) for row in members), 0)
-             for members in cell_counts]
     binary = [p.name for p in vocab if p.arity == 2]
-    place = [3 ** k for k in range(len(binary))]
-    monomials = {c: product(binary, [c // v % 3 for v in place], 2)
+    places = [3 ** k for k in range(len(binary))]
+    monomials = {c: monomial(c)
                  for c in sorted(set().union(*pair_counts.values()))}
     r = [[0] * len(cell_counts) for _ in cell_counts]
     for (i, j), codes in pair_counts.items():
@@ -502,7 +443,7 @@ def _weights(vocab, cell_counts, pair_counts, w, wbar):
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
     """Weight-independent compilation: normalize, Skolemize, branch on
     nullary atoms, and tabulate cells and cross-assignment counts."""
-    records, vocab, _skw = _normalize_theory(t)
+    sentences, vocab, _skw = _normalize_theory(t)
     nullary = sorted(p.name for p in vocab.preds if p.arity == 0)
     element_preds = [p for p in vocab.preds if p.arity in (1, 2)]
 
@@ -510,9 +451,10 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
     for bits in itertools.product((False, True), repeat=len(nullary)):
         values = {Atom(Predicate(name, 0), ()): TRUE if bit else FALSE
                   for name, bit in zip(nullary, bits)}
-        # A _Prop matrix has only nullary atoms, so it folds to TRUE or FALSE.
-        folded = [(isinstance(rec, _Forall2), fold(rec.matrix, values))
-                  for rec in records]
+        # A quantifier-free sentence has only nullary atoms, so it folds to
+        # TRUE or FALSE.
+        folded = [(len(kinds) == 2, fold(m, values))
+                  for kinds, m in map(_prefix, sentences)]
         if any(m == FALSE for _, m in folded):
             continue
         matrices1 = [m for two, m in folded if not two and m != TRUE]

@@ -281,8 +281,10 @@ def check_variable_limit(f: Formula, limit: int = 2) -> None:
         )
 
 
-def substitute(f: Formula, binding: dict[Var, int]) -> Formula:
-    """Replace free occurrences of the bound variables by domain elements."""
+def substitute(f: Formula, binding: dict[Var, Term]) -> Formula:
+    """Replace free occurrences of the bound variables by domain elements
+    or by other variables, all at once: {x: y, y: x} swaps x and y.  A
+    quantifier of ``f`` may capture a variable substituted into its body."""
     if isinstance(f, Atom):
         return Atom(f.pred, tuple(binding.get(a, a) if isinstance(a, Var) else a
                                   for a in f.args))

@@ -5,8 +5,8 @@ One directive per line; ``#`` starts a comment.  Directives::
 
     domain <int>
     predicate <name>/<arity>
-    weight <float> : <formula>      # natural-log scale
-    odds <float> : <formula>        # positive; log is taken
+    weight <float> : <formula>      # natural-log scale; finite
+    odds <float> : <formula>        # positive and finite; log is taken
     hard : <formula>
     count <name> : <formula>
     cardinality <name> == <int>
@@ -103,6 +103,10 @@ def parse_model_text(text: str) -> Model:
                 except ValueError:
                     raise FormulaSyntaxError(
                         f"expected a numeric weight, got {value_text!r}")
+                if not math.isfinite(value):
+                    raise FormulaSyntaxError(
+                        f"{head} must be finite, got {value_text!r}; "
+                        f"use 'hard : <formula>' for a hard formula")
                 if head == "odds":
                     if value <= 0:
                         raise FormulaSyntaxError(

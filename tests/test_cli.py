@@ -237,3 +237,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "partition", model_path(text),
                          "--threads", "1")
         assert code == 3
+
+    @pytest.mark.parametrize("value", ["-inf", "inf", "nan"])
+    @pytest.mark.parametrize("head", ["weight", "odds"])
+    def test_non_finite_weight(self, model_path, capsys, head, value):
+        text = f"domain 2\npredicate p/1\n{head} {value} : p(x)\n"
+        code, out, err = run(capsys, "partition", model_path(text))
+        assert code == 2 and out == ""
+        assert err.startswith("error: line 3:") and "finite" in err

@@ -13,6 +13,7 @@ from mlncount import (
     enumerate_cells, evaluate, lifted_wfomc, marginal, pair_weight, skolemize,
 )
 from mlncount import lifted
+from mlncount.logic import all_variables, iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
     Fo2Theory, _config_sum, _enumerate_cells, _exclusions, _pair_table,
@@ -59,6 +60,28 @@ class TestSkolemize:
                 b = lifted_wfomc(out[0], out[1], out[2], Domain(n))
                 assert rel_close(a, b)
 
+    def test_output_is_prenex_over_x_and_y(self):
+        a, b = Var("a"), Var("b")
+        sentences = [
+            ForAll(Y, Exists(X, Atom(F, (Y, X)))),
+            Exists(a, ForAll(b, Or(Atom(F, (a, b)),
+                                   Exists(a, Atom(P, (a,)))))),
+            ForAll(b, Implies(Atom(P, (b,)),
+                              ForAll(a, Exists(b, Atom(F, (a, b)))))),
+            Exists(Y, Exists(X, Atom(F, (X, Y)))),
+        ]
+        out, _, _ = skolemize(Fo2Theory.of(sentences, [P, F]), ONES, ONES)
+        assert len(out.sentences) > len(sentences)
+        for s in out.sentences:
+            assert isinstance(s, ForAll) and s.var == X
+            body = s.body
+            if isinstance(body, ForAll):
+                assert body.var == Y
+                body = body.body
+            assert not any(isinstance(g, (ForAll, Exists))
+                           for g in iter_subformulas(body))
+            assert all_variables(s) <= {X, Y}
+
 
 class TestCells:
     def test_unary_unconstrained(self):
@@ -77,6 +100,23 @@ class TestCells:
         cells = enumerate_cells([P, F], Implies(Atom(P, (X,)), Atom(F, (X, X))))
         assert [(c.value(P), c.value(F)) for c in cells] == \
             [(False, False), (False, True), (True, True)]
+
+    def test_matrix_variables_renamed_to_x_and_y(self):
+        a, b = Var("a"), Var("b")
+
+        def matrix(u, v):
+            return Implies(Atom(F, (u, v)),
+                           And(Atom(P, (u,)), Not(Atom(F, (v, u)))))
+
+        cells = enumerate_cells([P, F], matrix(X, Y))
+        w, wbar = WeightFunction({"f": 2, "p": 3}), WeightFunction({"f": 5})
+        # In name order a, b and a, x become x, y: the latter only when
+        # renamed at once.
+        for u, v in ((a, b), (a, X)):
+            assert enumerate_cells([P, F], matrix(u, v)) == cells
+            for ci, cj in itertools.product(cells, repeat=2):
+                assert pair_weight(ci, cj, matrix(u, v), w, wbar) == \
+                    pair_weight(ci, cj, matrix(X, Y), w, wbar)
 
     def test_no_feasible_cell(self):
         contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))
@@ -219,6 +259,20 @@ class TestLiftedWfomc:
         s = Or(ForAll(X, Atom(P, (X,))), Not(Exists(X, Atom(P, (X,)))))
         t = Fo2Theory.of([s], [P])
         assert lifted_wfomc(t, ONES, ONES, Domain(3)) == 2
+
+    @pytest.mark.parametrize("sentence", [
+        ForAll(Y, ForAll(X, Implies(Atom(F, (Y, X)), Atom(P, (X,))))),
+        Exists(X, ForAll(Y, Atom(F, (X, Y)))),
+        Exists(Y, Exists(X, Atom(F, (X, Y)))),
+    ], ids=str)
+    def test_prefix_order_matches_brute(self, sentence):
+        # Distinct integer weights: swapped variables change the exact count.
+        w = WeightFunction({"f": 2, "p": 3})
+        wbar = WeightFunction({"f": 5, "p": 7})
+        t = Fo2Theory.of([sentence], [P, F])
+        for n in (1, 2, 3):
+            assert lifted_wfomc(t, w, wbar, Domain(n)) == \
+                brute_wfomc([sentence], w, wbar, Domain(n), vocab=[P, F])
 
     def test_exists_exists(self):
         s = Exists(X, Exists(Y, Atom(F, (X, Y))))

@@ -108,3 +108,11 @@ class TestParseErrors:
     def test_formula_error_carries_line(self):
         with pytest.raises(FormulaSyntaxError, match="line 3"):
             parse_model_text("domain 2\npredicate p/1\nhard : p(x) &\n")
+
+    @pytest.mark.parametrize("directive", [
+        "weight inf", "weight -inf", "weight nan", "weight 1e999",
+        "odds inf", "odds nan"])
+    def test_non_finite_weight_rejected(self, directive):
+        with pytest.raises(FormulaSyntaxError,
+                           match="line 3: .*finite.*'hard : <formula>'"):
+            parse_model_text(f"domain 2\npredicate p/1\n{directive} : p(x)\n")
