@@ -29,6 +29,16 @@ that is polynomial in the domain size:
    rows merge, weights summed, which cuts the compositions visited.  An
    empty pair row (from ``exists x`` sentences, for one) zeroes every term
    that fills both its cells, for any weights, so the sum skips them.
+5. *Collapse* of product-structured classes.  Where the cross assignments
+   a class g allows toward every class it meets are every combination of
+   one set S_g of its own outgoing atoms p(u, v) with a set of the other's
+   (as Skolemizing ``forall x exists y`` leaves them), each pair weight
+   factors as h(S_g) h(T), h summing the weights of the assignments.
+   Such classes that offer every other class the same set T form a group,
+   and the group sums into one cell weighted sum_g w_g h(S_g)^(n-1): for
+   ``forall x exists y f(x,y)`` the whole sum becomes one composition,
+   (2^n - 1)^n with unit weights, and the (1, -1) Skolem weights cancel
+   inside that cell's weight instead of across compositions.
 
 Arithmetic is generic: integer weights give exact (bignum) results, any
 other weights run in complex floating point with overflow detection.  A
@@ -290,7 +300,7 @@ def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
     with the given cells, under ``matrix`` in both orientations."""
     preds = [p for p, _ in ci.assignment]
     table = np.array([[v for _, v in c.assignment] for c in (ci, cj)], bool)
-    ids, rows = _pair_table([_canonical(matrix)], preds, table)
+    ids, rows, _ = _pair_table([_canonical(matrix)], preds, table)
     # Two classes without members: only the pair entry is evaluated.
     _, r = _weights(preds, ([], []), {(0, 1): rows[ids[0, 1]]}, w, wbar)
     return r[0][1]
@@ -300,25 +310,34 @@ def _pair_table(matrices2, preds, table):
     """Cross-assignment codes for every pair of the cells in ``table``.
 
     A code's base-3 digit k counts the true cross atoms of the k-th binary
-    predicate.  Returns ``(ids, rows)``: ``rows[ids[i, j]]`` is the sorted
-    list of the codes of the assignments satisfying every matrix over x and
-    y, in both orientations, between an element of cell i and one of cell
-    j.  ``ids`` is symmetric, and equal ids mean equal rows."""
+    predicate.  Returns ``(ids, rows, own)``: ``rows[ids[i, j]]`` is the
+    sorted list of the codes of the assignments satisfying every matrix over
+    x and y, in both orientations, between an element of cell i and one of
+    cell j.  ``ids`` is symmetric, and equal ids mean equal rows.
+    ``own[i, j]`` masks, over ``_assignments(b)``, the assignments to the
+    cross atoms p(u, v) from u in cell i to v in cell j that occur in the
+    pair's satisfying assignments; those are every combination of
+    ``own[i, j]`` with ``own[j, i]`` exactly when their number is the
+    product of the two sizes."""
     binary = [p for p in preds if p.arity == 2]
     b = len(binary)
     cross = _assignments(2 * b)
     code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
+    half = 2 ** b
     # Per orientation (u, v), u the element of cell i and v that of cell j,
     # the cross atoms r(u, v) and then r(v, u) take the cross columns.
+    # Each also lists the atoms of u's own cell and of v's.
     orientations = []
     for u, v in (_XY, _XY[::-1]):
         atoms = [Atom(p, (u, v)) for p in binary] + \
                 [Atom(p, (v, u)) for p in binary]
         values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
-        orientations.append((u, v, values))
+        orientations.append(([Atom(p, (u,) * p.arity) for p in preds],
+                             [Atom(p, (v,) * p.arity) for p in preds], values))
     c = len(table)
     ids = np.zeros((c, c), dtype=np.int64)
     rows, index = [], {}
+    own = np.zeros((c, c, half), dtype=bool)
     # Cell pairs i <= j, a chunk at a time: element 0 in cell i, element 1
     # in cell j, evaluated as (pairs, cross assignments) arrays.
     first, second = np.triu_indices(c)
@@ -326,26 +345,52 @@ def _pair_table(matrices2, preds, table):
     for lo in range(0, len(first), step):
         left, right = first[lo:lo + step], second[lo:lo + step]
         ok = np.ones((len(left), len(cross)), dtype=bool)
-        for u, v, values in orientations:
-            for k, p in enumerate(preds):
-                values[Atom(p, (u,) * p.arity)] = table[left, k, None]
-                values[Atom(p, (v,) * p.arity)] = table[right, k, None]
+        ends = table[left, :, None], table[right, :, None]
+        for u_atoms, v_atoms, values in orientations:
+            for atoms, end in zip((u_atoms, v_atoms), ends):
+                for k, atom in enumerate(atoms):
+                    values[atom] = end[:, k]
             for m in matrices2:
                 ok &= evaluate_bitwise(m, values)
         pair, assignment = np.nonzero(ok)
+        # An assignment's index is its forward half, p(u, v), times 2^b
+        # plus its backward half.
+        own[left, right], own[right, left] = (
+            np.bincount(pair * half + side, minlength=len(left) * half)
+            .reshape(len(left), half) > 0
+            for side in (assignment >> b, assignment & half - 1))
         # Row p counts the satisfying assignments of pair p per code.
         counts = np.bincount(pair * 3 ** b + code[assignment],
                              minlength=len(left) * 3 ** b).reshape(len(left), -1)
-        for i, j, multiset in zip(left.tolist(), right.tolist(), counts):
-            key = multiset.tobytes()
+        raw, width = counts.tobytes(), counts.itemsize * 3 ** b
+        found = []
+        for p in range(len(left)):
+            key = raw[p * width:(p + 1) * width]
             if key not in index:
                 index[key] = len(rows)
-                rows.append(np.repeat(np.arange(3 ** b), multiset).tolist())
-            ids[i, j] = ids[j, i] = index[key]
-    return ids, rows
+                rows.append(np.repeat(np.arange(3 ** b), counts[p]).tolist())
+            found.append(index[key])
+        ids[left, right] = ids[right, left] = found
+    return ids, rows, own
 
 
 # --- compiled theories ------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Collapse:
+    """The table a branch's composition sum runs over: its classes, with
+    each group of product-structured classes replaced by one cell."""
+
+    # The classes kept as cells, in order; the groups' cells follow them.
+    rest: tuple[int, ...]
+    # Per group, (class g, bool rows of S_g over the binary predicates) per
+    # member.
+    groups: tuple[tuple[tuple[int, list], ...], ...]
+    # Per group, the bool rows of T_Gk per class k of ``rest``.
+    toward: tuple[tuple[list, ...], ...]
+    # ``_exclusions`` of the collapsed table's empty entries.
+    exclusions: tuple[list, list]
+
 
 @dataclass(frozen=True)
 class _Branch:
@@ -360,6 +405,8 @@ class _Branch:
     # ``_exclusions`` of the empty pair rows: the cells that cannot both be
     # nonempty, and the cells that hold at most one element.
     exclusions: tuple[list, list]
+    # What the composition sum runs over: ``_find_groups`` of the classes.
+    collapse: _Collapse
 
 
 @dataclass(frozen=True)
@@ -374,6 +421,8 @@ class CompiledTheory:
         if self.skolem_weights:
             w = w.updated({k: v[0] for k, v in self.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})
+        binary = [(wbar(p.name), w(p.name))
+                  for p in self.vocabulary if p.arity == 2]
         total = 0
         # Array overflow shows as inf or NaN and raises below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -381,11 +430,13 @@ class CompiledTheory:
                 factor = 1
                 for name, value in branch.nullary_values:
                     factor = factor * (w(name) if value else wbar(name))
-                cells, pairs = _weights(self.vocabulary, branch.cell_counts,
-                                        branch.pair_counts, w, wbar)
+                cells, pairs = _collapsed_table(
+                    branch.collapse, d.size, binary,
+                    *_weights(self.vocabulary, branch.cell_counts,
+                              branch.pair_counts, w, wbar))
                 try:
                     value, _ = _config_sum(d.size, cells, pairs,
-                                           branch.exclusions)
+                                           branch.collapse.exclusions)
                 except OverflowError as err:
                     # An exact big-int term met a float weight.
                     raise NumericOverflowError(
@@ -401,10 +452,19 @@ class CompiledTheory:
 
     def composition_count(self, d: Domain) -> int:
         """Number of cell compositions the sum visits, over all branches:
-        those that fill no two cells joined by an empty pair row and put at
-        most one element in a cell whose own pair row is empty."""
-        return sum(_pruned_count(d.size, *b.exclusions)
-                   for b in self.branches if b.cells)
+        compositions of the elements into the collapsed table's cells (one
+        per group of product-structured classes, one per other class) that
+        fill no two cells joined by an empty entry and put at most one
+        element in a cell whose own entry is empty."""
+        return sum(_pruned_count(d.size, *b.collapse.exclusions)
+                   for b in self.branches)
+
+
+def _row_sum(pick, rows):
+    """Sum over bool rows of the product of ``pick[k][bit k]``."""
+    return functools.reduce(operator.add,
+                            (math.prod(pair[v] for pair, v in zip(pick, row))
+                             for row in rows), 0)
 
 
 def _weights(vocab, cell_counts, pair_counts, w, wbar):
@@ -417,10 +477,7 @@ def _weights(vocab, cell_counts, pair_counts, w, wbar):
     p, the first the lowest digit t."""
     # (wbar(p), w(p)), indexed by a row bit.
     pick = [(wbar(p.name), w(p.name)) for p in vocab if p.arity in (1, 2)]
-    cells = [functools.reduce(operator.add,
-                              (math.prod(pair[v] for pair, v in zip(pick, row))
-                               for row in members), 0)
-             for members in cell_counts]
+    cells = [_row_sum(pick, members) for members in cell_counts]
 
     def monomial(code):
         term = 1
@@ -438,6 +495,77 @@ def _weights(vocab, cell_counts, pair_counts, w, wbar):
         r[i][j] = r[j][i] = functools.reduce(
             operator.add, (monomials[c] for c in codes), 0)
     return cells, r
+
+
+def _collapsed_table(collapse, n, binary, cells, r):
+    """The cell weights and pair table of ``collapse``, from the class-level
+    ``_weights``.  ``binary`` holds (wbar(p), w(p)) per binary p, and h(A)
+    is ``_row_sum(binary, A)``.
+
+    A group's cell weighs sum_g w_g h(S_g)^(n-1), with 1 to itself and to
+    the groups it meets and h(T_Gk) to each kept class k: each pair weight
+    r_gk factors as h(S_g) h(T_gk), and the n_g (n-1) factors h(S_g) of a
+    composition's term move into the weight, so by the multinomial theorem
+    the group's members sum into one cell, for any weights."""
+    if not collapse.groups:
+        return cells, r
+    rest = collapse.rest
+    weights = [cells[k] for k in rest] + [
+        functools.reduce(operator.add, (
+            cells[g] * cpow(_row_sum(binary, outgoing), n - 1)
+            for g, outgoing in members), 0)
+        for members in collapse.groups]
+    below, _ = collapse.exclusions
+    m = len(weights)
+    # 1 between groups that meet, and 0 between those that do not.
+    out = [[0 if below[max(i, j)] >> min(i, j) & 1 else 1 for j in range(m)]
+           for i in range(m)]
+    for a, k in enumerate(rest):
+        out[a][:len(rest)] = [r[k][l] for l in rest]
+    for g, sets in enumerate(collapse.toward, len(rest)):
+        for a, rows in enumerate(sets):
+            out[a][g] = out[g][a] = _row_sum(binary, rows)
+    return weights, out
+
+
+def _find_groups(own, size, exclusions) -> _Collapse:
+    """Group the product-structured classes of one branch.
+
+    ``own`` holds the classes' ``_pair_table`` masks and ``size`` the
+    lengths of their pair rows, as lists, and ``exclusions`` the rows'
+    masks, which stand when no class groups.  Class g is separable when its
+    row with every class it meets, itself included, is every combination of
+    one set S_g of its outgoing cross assignments with a set of the
+    other's.  Separable classes with equal columns (``own[k][g]`` over all
+    k) offer every other class k one set T_Gk = ``own[k][g]``, and meet
+    each other unless they meet no class at all; two or more such classes
+    form a group."""
+    c = len(own)
+    columns = {}
+    for g, row in enumerate(own):
+        s = row[g]
+        if all(not n or mask == s and n == sum(s) * sum(own[k][g])
+               for k, (mask, n) in enumerate(zip(row, size[g]))):
+            columns.setdefault(tuple(tuple(r[g]) for r in own), []).append(g)
+    groups = [members for members in columns.values() if len(members) > 1]
+    if not groups:
+        return _Collapse(tuple(range(c)), (), (), exclusions)
+    grouped = {g for members in groups for g in members}
+    rest = [k for k in range(c) if k not in grouped]
+    # A mask spans the 2^b assignments of the b binary predicates.
+    bits = _assignments(len(own[0][0]).bit_length() - 1).tolist()
+
+    def assignments(mask):
+        return [a for a, keep in zip(bits, mask) if keep]
+
+    order = rest + [members[0] for members in groups]
+    return _Collapse(
+        tuple(rest),
+        tuple(tuple((g, assignments(own[g][g])) for g in members)
+              for members in groups),
+        tuple(tuple(assignments(own[k][members[0]]) for k in rest)
+              for members in groups),
+        _exclusions([[not size[i][j] for j in order] for i in order]))
 
 
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
@@ -460,7 +588,7 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
         matrices1 = [m for two, m in folded if not two and m != TRUE]
         matrices2 = [m for two, m in folded if two and m != TRUE]
         table = _enumerate_cells(element_preds, matrices1 + matrices2)
-        ids, rows = _pair_table(matrices2, element_preds, table)
+        ids, rows, own = _pair_table(matrices2, element_preds, table)
         # Cells with the same row of pair entries (so r_ii = r_jj = r_ij)
         # are interchangeable: by the multinomial theorem one cell whose
         # weight is the sum of theirs replaces them, for any weights.
@@ -472,12 +600,14 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
                             for members in classes.values())
         pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                        for a in range(len(reps)) for b in range(a, len(reps))}
-        exclusions = _exclusions(
-            [[not rows[ids[i, j]] for j in reps] for i in reps])
+        size = [[len(rows[ids[i, j]]) for j in reps] for i in reps]
+        exclusions = _exclusions([[not n for n in row] for row in size])
         branches.append(_Branch(tuple(zip(nullary, bits)),
                                 tuple(Cell(tuple(zip(element_preds, row)))
                                       for row in table[reps].tolist()),
-                                cell_counts, pair_counts, exclusions))
+                                cell_counts, pair_counts, exclusions,
+                                _find_groups(own[reps][:, reps].tolist(), size,
+                                             exclusions)))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
 
@@ -512,7 +642,7 @@ def _pruned_count(n: int, below: list, solo: list) -> int:
         fill = sub if solo[idx] else list(itertools.accumulate(sub))
         return out[:1] + [a + b for a, b in zip(out[1:], fill)]
 
-    return counts(len(below) - 1, 0)[n]
+    return counts(len(below) - 1, 0)[n] if below else 0
 
 
 def _config_sum(n: int, cell_weights: list, r: list, exclusions=None):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mlncount import (
-    And, Atom, Domain, Eq, Exists, ForAll, Implies, Mln, Not, Or,
+    And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Mln, Not, Or,
     PossibleWorld, Predicate, TRUE, Var, WeightFunction, brute_wfomc,
     enumerate_cells, evaluate, lifted_wfomc, marginal, pair_weight, skolemize,
 )
@@ -20,7 +20,7 @@ from mlncount.lifted import (
     _pruned_count, _weights, compile_theory, cpow,
 )
 
-from helpers import random_matrix, random_theory, rel_close
+from helpers import random_matrix, random_theory, random_weight, rel_close
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
@@ -121,8 +121,8 @@ class TestCells:
     def test_no_feasible_cell(self):
         contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))
         assert enumerate_cells([P, F], contradiction) == []
-        ids, rows = _pair_table([contradiction], [P, F],
-                                _enumerate_cells([P, F], [contradiction]))
+        ids, rows, _ = _pair_table([contradiction], [P, F],
+                                   _enumerate_cells([P, F], [contradiction]))
         assert ids.shape == (0, 0) and rows == []
         compiled = compile_theory(Fo2Theory.of([ForAll(X, contradiction)],
                                                [P, F]))
@@ -145,14 +145,14 @@ class TestPairWeight:
         ci, cj = enumerate_cells([P], TRUE)
         assert pair_weight(ci, cj, TRUE, ONES, ONES) == 1
         # p(x) -> p(y) fails only from a p-cell to a non-p cell.
-        ids, rows = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))], [P],
-                                _enumerate_cells([P], [TRUE]))
+        ids, rows, _ = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))],
+                                   [P], _enumerate_cells([P], [TRUE]))
         assert rows[ids[0, 0]] == rows[ids[1, 1]] == [0]
         assert rows[ids[0, 1]] == rows[ids[1, 0]] == []
 
     def test_true_matrix_keeps_every_cross_assignment(self):
-        ids, rows = _pair_table([TRUE], [P, F],
-                                _enumerate_cells([P, F], [TRUE]))
+        ids, rows, _ = _pair_table([TRUE], [P, F],
+                                   _enumerate_cells([P, F], [TRUE]))
         assert len(set(ids.flat)) == 1
         # One code per cross assignment: its number of true f atoms.
         assert rows[ids[0, 0]] == [0, 1, 1, 2]
@@ -325,9 +325,8 @@ class TestCompositionSum:
         t = Fo2Theory.of([TOTALITY], [F])
         compiled = compile_theory(t)
         d = Domain(6)
-        total = sum(math.comb(d.size + len(b.cells) - 1, len(b.cells) - 1)
-                    for b in compiled.branches)
-        assert compiled.composition_count(d) == total
+        # Both classes form one group: a single composition.
+        assert compiled.composition_count(d) == 1
 
     def test_cpow_matches_builtin(self):
         assert cpow(3, 7) == 3 ** 7
@@ -510,7 +509,7 @@ class TestPrunedCompositionCount:
                 for n in (1, 3, 5):
                     _, leaves = _config_sum(n, cells, pairs,
                                             branch.exclusions)
-                    assert single.composition_count(Domain(n)) == leaves
+                    assert _pruned_count(n, *branch.exclusions) == leaves
                 c = len(branch.cells)
                 pruned += leaves < (math.comb(5 + c - 1, c - 1) if c else 0)
         assert with_exists >= 5
@@ -538,7 +537,7 @@ class TestPrunedCompositionCount:
                 for (i, j), rows in branch.pair_counts.items())
             for n in (2, 4, 6):
                 value, leaves = _config_sum(n, cells, pairs, branch.exclusions)
-                assert single.composition_count(Domain(n)) == leaves
+                assert _pruned_count(n, *branch.exclusions) == leaves
         assert cancelled > 0
 
     def test_wfomc_visits_what_composition_count_reports(self, monkeypatch):
@@ -565,9 +564,164 @@ class TestPrunedCompositionCount:
         loop = Exists(X, Atom(f, (X, X)))
         compiled = compile_theory(Fo2Theory.of(
             [ForAll(X, Exists(Y, Atom(f, (X, Y)))), loop], [f]))
-        # r = 0 on cell pairs (0, 4) and (2, 4): fill cells 0-3, or fill
-        # cell 4 with cells 1 and 3 only.
+        # Classes 0, 2 and 1, 3 form two groups; the first excludes class
+        # 4: fill the two groups, or class 4 (at least one element) with
+        # the second group.
         for n in (28, 2000):
-            want = math.comb(n + 3, 3) + math.comb(n + 2, 2) - (n + 1)
-            assert compiled.composition_count(Domain(n)) == want
-        assert want > 10 ** 9
+            assert compiled.composition_count(Domain(n)) == 2 * n + 1
+        onto = compile_theory(Fo2Theory.of(
+            [ForAll(X, Exists(Y, Atom(f, (X, Y)))),
+             ForAll(Y, Exists(X, Atom(f, (X, Y))))], [f]))
+        # Counted without enumerating them.
+        assert onto.composition_count(Domain(2000)) == \
+            math.comb(2003, 3) > 10 ** 9
+
+
+def _own_side_theory(rng, binary):
+    """A theory whose forall-exists matrices read only x's own atoms and the
+    cross atoms b(x, y), so Skolemization leaves product-structured pair
+    rows.  Half add an ``exists x`` sentence; some add a sentence that also
+    reads y's unary atoms (still a product, but x's set then depends on
+    y's cell) or b(y, x) (not a product)."""
+    vocab = [Predicate(f"u{i}", 1) for i in range(rng.randint(0, 2))]
+    vocab += [Predicate(f"b{i}", 2) for i in range(binary)]
+    own = [Atom(p, (X,) * p.arity) for p in vocab] + \
+        [Atom(p, (X, Y)) for p in vocab if p.arity == 2]
+    partner = own + [Atom(p, (Y,)) for p in vocab if p.arity == 1]
+    sentences = [ForAll(X, Exists(Y, random_matrix(rng, own)))
+                 for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        sentences.append(Exists(X, random_matrix(rng, own[:len(vocab)])))
+    roll = rng.random()
+    if roll < 0.4:
+        atoms = partner + [Atom(p, (Y, X)) for p in vocab if p.arity == 2] \
+            if roll < 0.15 else partner
+        sentences.append(ForAll(X, ForAll(Y, random_matrix(rng, atoms))))
+    return Fo2Theory.of(sentences, vocab)
+
+
+def _class_level_wfomc(compiled, w, wbar, n):
+    """``CompiledTheory.wfomc`` over the uncollapsed class-level tables."""
+    w = w.updated({k: v[0] for k, v in compiled.skolem_weights})
+    wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
+    total = 0
+    for branch in compiled.branches:
+        factor = math.prod(w(k) if v else wbar(k)
+                           for k, v in branch.nullary_values)
+        value, _ = _config_sum(n, *_weights(compiled.vocabulary,
+                                            branch.cell_counts,
+                                            branch.pair_counts, w, wbar),
+                               branch.exclusions)
+        total = total + factor * value
+    return total
+
+
+class TestCollapse:
+    def test_integer_weights_equal_class_level_sum(self):
+        rng = random.Random(808)
+        grouped = 0
+        for _ in range(200):
+            theory = _own_side_theory(rng, rng.randint(1, 2))
+            names = [p.name for p in theory.vocabulary]
+            w = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            wbar = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            compiled = compile_theory(theory)
+            grouped += sum(bool(b.collapse.groups) for b in compiled.branches)
+            for n in (1, 2, 3, 4):
+                got = compiled.wfomc(w, wbar, Domain(n))
+                assert type(got) is int
+                assert got == _class_level_wfomc(compiled, w, wbar, n), \
+                    (theory.sentences, n)
+        assert grouped >= 20
+
+    def test_complex_weights_match_brute(self):
+        rng = random.Random(909)
+        grouped = 0
+        for _ in range(80):
+            theory = _own_side_theory(rng, 1)
+            w = WeightFunction({p.name: random_weight(rng)
+                                for p in theory.vocabulary})
+            wbar = WeightFunction({p.name: random_weight(rng)
+                                   for p in theory.vocabulary})
+            compiled = compile_theory(theory)
+            groups = [bool(b.collapse.groups) for b in compiled.branches]
+            grouped += any(groups)
+            for n in (1, 2, 3):
+                got = compiled.wfomc(w, wbar, Domain(n))
+                want = brute_wfomc(list(theory.sentences), w, wbar, Domain(n),
+                                   vocab=theory.vocabulary)
+                assert rel_close(got, want, 1e-12), (theory.sentences, n)
+                if not any(groups):
+                    # Nothing collapsed: the class-level sum, bit for bit.
+                    assert got == _class_level_wfomc(compiled, w, wbar, n)
+        assert grouped >= 20
+
+    def test_array_weights_match_scalar_results(self):
+        rng = random.Random(10)
+        tested = 0
+        while tested < 10:
+            theory = _own_side_theory(rng, rng.randint(1, 2))
+            compiled = compile_theory(theory)
+            if not any(b.collapse.groups for b in compiled.branches):
+                continue
+            tested += 1
+            names = [p.name for p in theory.vocabulary]
+            w = {k: [random_weight(rng) for _ in range(4)] for k in names}
+            wbar = {k: [random_weight(rng) for _ in range(4)] for k in names}
+            got = compiled.wfomc(
+                WeightFunction({k: np.array(v, complex) for k, v in w.items()}),
+                WeightFunction({k: np.array(v, complex)
+                                for k, v in wbar.items()}), Domain(5))
+            for e in range(4):
+                want = compiled.wfomc(
+                    WeightFunction({k: v[e] for k, v in w.items()}),
+                    WeightFunction({k: v[e] for k, v in wbar.items()}),
+                    Domain(5))
+                assert got[e] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("extra", [
+        # x's allowed f(x, y) depend on y's cell: products, not separable.
+        ForAll(X, ForAll(Y, Implies(Atom(F, (X, Y)), Atom(P, (Y,))))),
+        # f(x, y) and f(y, x) agree: not products.
+        ForAll(X, ForAll(Y, Iff(Atom(F, (X, Y)), Atom(F, (Y, X))))),
+        # Never both f(x, y) and f(y, x): not products, though every
+        # assignment of each side occurs.
+        ForAll(X, ForAll(Y, Not(And(Atom(F, (X, Y)), Atom(F, (Y, X)))))),
+        # Unless p(x) or f(x, x), f(x, y) follows p(y): one assignment
+        # toward each cell, but not the same one.
+        ForAll(X, ForAll(Y, Or(Implies(Not(Atom(P, (X,))),
+                                       Iff(Atom(F, (X, Y)), Atom(P, (Y,)))),
+                               Atom(F, (X, X))))),
+        ForAll(X, Implies(Atom(P, (X,)), Not(Atom(F, (X, X))))),
+        Exists(X, Atom(F, (X, X))),
+        ForAll(Y, Exists(X, Atom(F, (X, Y)))),
+    ], ids=str)
+    def test_totality_with_a_sentence_matches_brute(self, extra):
+        # Distinct integer weights: a wrong factor changes the exact count.
+        w = WeightFunction({"f": 2, "p": 3})
+        wbar = WeightFunction({"f": 5, "p": 7})
+        sentences = [TOTALITY, extra]
+        compiled = compile_theory(Fo2Theory.of(sentences, [P, F]))
+        for n in (1, 2, 3):
+            assert compiled.wfomc(w, wbar, Domain(n)) == \
+                brute_wfomc(sentences, w, wbar, Domain(n), vocab=[P, F])
+        for n in (4, 7):
+            assert compiled.wfomc(w, wbar, Domain(n)) == \
+                _class_level_wfomc(compiled, w, wbar, n)
+
+    @pytest.mark.parametrize("n", [50, 120])
+    def test_totality_count_from_one_composition(self, n):
+        compiled = compile_theory(Fo2Theory.of([TOTALITY], [F]))
+        (branch,) = compiled.branches
+        assert len(branch.cells) == 2 and branch.collapse.rest == ()
+        assert compiled.composition_count(Domain(n)) == 1
+        assert compiled.wfomc(ONES, ONES, Domain(n)) == (2 ** n - 1) ** n
+
+    def test_total_onto_stays_ungrouped(self):
+        onto = ForAll(Y, Exists(X, Atom(F, (X, Y))))
+        compiled = compile_theory(Fo2Theory.of([TOTALITY, onto], [F]))
+        (branch,) = compiled.branches
+        assert branch.collapse.groups == () and len(branch.cells) == 4
+        assert branch.collapse.exclusions == branch.exclusions
+        for n in (5, 26):
+            assert compiled.composition_count(Domain(n)) == math.comb(n + 3, 3)

@@ -1,10 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from mlncount import (
-    Atom, Domain, Exists, ForAll, Iff, Implies, Mln, Not, Predicate, Var,
+    And, Atom, Domain, Exists, ForAll, Iff, Implies, Mln, Not, Predicate, Var,
     brute_mln_marginal, brute_mln_partition, marginal, partition_function,
     translate_mln,
 )
@@ -153,9 +154,12 @@ class TestProbabilityRange:
     @pytest.mark.parametrize("weight,n", [(-6, 8), (-10, 30)])
     def test_skolem_cancellation_raises_instead_of_returning(self, weight, n):
         # Double-precision cancellation between the (1, -1) Skolem weights
-        # drives the loop marginal of total relations to -24.96 (w = -6,
-        # n = 8) and -2.7e8 (w = -10, n = 30).
-        mln = Mln.of([(TOTALITY, math.inf), (Atom(F, (X, Y)), weight)], [F])
+        # drives the loop marginal of total relations to -22.7 (w = -6,
+        # n = 8) and -7.0e8 (w = -10, n = 30).  The reciprocal term ties
+        # f(x,y) to f(y,x), so the pair rows are not products and their
+        # cells do not collapse.
+        mln = Mln.of([(TOTALITY, math.inf), (Atom(F, (X, Y)), weight),
+                      (And(Atom(F, (X, Y)), Atom(F, (Y, X))), 0.1)], [F])
         with pytest.raises(NumericResidueError, match="outside"):
             marginal(mln, Exists(X, Atom(F, (X, X))), Domain(n))
 
@@ -166,6 +170,33 @@ class TestProbabilityRange:
         for bad in (-1e-8, 1 + 1e-8, float("nan")):
             with pytest.raises(NumericResidueError):
                 as_probability(bad, "p")
+
+
+def _soft_total(weight):
+    return Mln.of([(TOTALITY, math.inf), (Atom(F, (X, Y)), weight)], [F])
+
+
+class TestSoftTotality:
+    # Total relations with a soft f(x,y): the collapsed table sums the
+    # (1, -1) Skolem weights inside one cell weight, (1 + e^w)^n - 1, so Z
+    # keeps its digits where the composition sum cancelled to noise.
+    @pytest.mark.parametrize("weight,n", [(w, n) for w in (-10, -6)
+                                          for n in (10, 20, 30)]
+                             + [(0.5, 10), (0.5, 20)])
+    def test_partition_function_matches_closed_form(self, weight, n):
+        a = Fraction(math.exp(weight))
+        want = ((1 + a) ** n - 1) ** n
+        got = partition_function(_soft_total(weight), Domain(n))
+        assert got > 0
+        assert abs(Fraction(got) / want - 1) <= 1e-9
+
+    @pytest.mark.parametrize("weight,n", [(-6, 8), (-10, 10)])
+    def test_loop_marginal_matches_closed_form(self, weight, n):
+        a = Fraction(math.exp(weight))
+        miss = ((1 + a) ** (n - 1) - 1) / ((1 + a) ** n - 1)
+        got = marginal(_soft_total(weight), Exists(X, Atom(F, (X, X))),
+                       Domain(n))
+        assert got == pytest.approx(float(1 - miss ** n), rel=1e-9)
 
 
 class TestSoftClosedFormulas:

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,3 +193,25 @@ class TestCountDistribution:
         q2 = count_distribution(mln, extended, d)
         assert np.allclose(q2.probabilities.sum(axis=-1), q1.probabilities,
                            atol=1e-9)
+
+    @pytest.mark.parametrize("weight,n", [(w, n) for w in (-10, -7)
+                                          for n in (8, 10)])
+    def test_total_relation_size_law_with_soft_edges(self, weight, n):
+        # Count law of |f| over total relations with f(x,y) weighted w:
+        # c_m e^(w m) normalized, c_m the coefficients of ((1+t)^n - 1)^n.
+        # The (1, -1) Skolem weights cancel inside one collapsed cell.
+        tot = ForAll(X, Exists(Y, Atom(F, (X, Y))))
+        mln = Mln.of([(tot, math.inf), (Atom(F, (X, Y)), weight)], [F])
+        dist = count_distribution(mln, CountSpec.of([Atom(F, (X, Y))]),
+                                  Domain(n))
+        row = [0] + [math.comb(n, j) for j in range(1, n + 1)]
+        coefficients = [1]
+        for _ in range(n):
+            coefficients = [sum(coefficients[i] * row[m - i]
+                                for i in range(len(coefficients))
+                                if 0 <= m - i < len(row))
+                            for m in range(len(coefficients) + n)]
+        a = Fraction(math.exp(weight))
+        masses = [c * a ** m for m, c in enumerate(coefficients)]
+        want = [float(q / sum(masses)) for q in masses]
+        assert np.abs(dist.probabilities - want).max() <= 1e-9
