@@ -24,10 +24,7 @@ from .errors import (
     MlncountError, NumericOverflowError, NumericResidueError,
     TooManyVariablesError, UnsupportedSentenceError, VocabularyError,
 )
-from .lifted import (
-    Cell, CompiledTheory, Fo2Theory, compile_theory, enumerate_cells,
-    lifted_wfomc, pair_weight, skolemize,
-)
+from .lifted import CompiledTheory, Fo2Theory, compile_theory, lifted_wfomc
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, PossibleWorld, Predicate, TRUE, Var, WeightFunction,

@@ -261,12 +261,9 @@ def fixed_point_distribution(n: int, threads: int = 1,
     x, y = Var("x"), Var("y")
     if tilt is None:
         tilt = -math.log(n - 1) if n > 2 else 0.0
-    formulas = [(ForAll(x, Exists(y, Atom(f, (x, y)))), math.inf)]
-    if tilt:
-        formulas.append((Atom(f, (x, y)), tilt))
-    phi = Mln.of(formulas, [f])
+    phi = Mln.of([(ForAll(x, Exists(y, Atom(f, (x, y)))), math.inf)], [f])
     psi = CountSpec.of([Atom(f, (x, y)), Atom(f, (x, x))])
-    q = count_distribution(phi, psi, Domain(n))
+    _, q = _tilted(phi, psi, Domain(n), [tilt, 0.0])
     row = q.probabilities[n, : n + 1].astype(float)
     total = math.fsum(row)
     if total <= 0.0:

@@ -230,36 +230,7 @@ def _normalize_theory(t: Fo2Theory):
     return sentences, vocab, weights
 
 
-def skolemize(t: Fo2Theory, w, wbar):
-    """Equi-count elimination of existential quantifiers.
-
-    Returns the input unchanged when there is nothing to do; otherwise a
-    theory with only universal prefixes over x and y plus extended weight
-    functions.
-    """
-    sentences, vocab, skolem_weights = _normalize_theory(t)
-    if not skolem_weights:
-        return t, w, wbar
-    new_w = w.updated({k: v[0] for k, v in skolem_weights.items()})
-    new_wbar = wbar.updated({k: v[1] for k, v in skolem_weights.items()})
-    return Fo2Theory.of(sentences, vocab.preds), new_w, new_wbar
-
-
 # --- cells -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Cell:
-    """Complete truth assignment over the unary and reflexive-binary atoms
-    of one element."""
-
-    assignment: tuple[tuple[Predicate, bool], ...]
-
-    def value(self, pred: Predicate) -> bool:
-        for p, v in self.assignment:
-            if p == pred:
-                return v
-        raise KeyError(pred)
-
 
 def _assignments(k: int) -> np.ndarray:
     """All 2^k truth assignments to k atoms, one per row, in
@@ -278,32 +249,6 @@ def _enumerate_cells(preds, diag_matrices) -> np.ndarray:
     for m in diag_matrices:
         ok &= evaluate_bitwise(m, values)
     return bits[ok]
-
-
-def _canonical(matrix: Formula) -> Formula:
-    """``matrix`` with its free variables, in name order, renamed to x, y."""
-    return substitute(matrix, dict(zip(sorted(free_variables(matrix)), _XY)))
-
-
-def enumerate_cells(vocab, matrix: Formula) -> list[Cell]:
-    """Cells of the vocabulary consistent with ``matrix`` at y = x.
-
-    ``matrix`` is quantifier-free; TRUE means unconstrained.
-    """
-    preds = [p for p in vocab if p.arity in (1, 2)]
-    return [Cell(tuple(zip(preds, row)))
-            for row in _enumerate_cells(preds, [_canonical(matrix)]).tolist()]
-
-
-def pair_weight(ci: Cell, cj: Cell, matrix: Formula, w, wbar):
-    """Summed weight of cross-atom assignments between two distinct elements
-    with the given cells, under ``matrix`` in both orientations."""
-    preds = [p for p, _ in ci.assignment]
-    table = np.array([[v for _, v in c.assignment] for c in (ci, cj)], bool)
-    ids, rows, _ = _pair_table([_canonical(matrix)], preds, table)
-    # Two classes without members: only the pair entry is evaluated.
-    _, r = _weights(preds, ([], []), {(0, 1): rows[ids[0, 1]]}, w, wbar)
-    return r[0][1]
 
 
 def _pair_table(matrices2, preds, table):
@@ -395,16 +340,12 @@ class _Collapse:
 @dataclass(frozen=True)
 class _Branch:
     nullary_values: tuple[tuple[str, bool], ...]
-    # One representative per class of interchangeable cells.
-    cells: tuple[Cell, ...]
-    # Per class, its cells' bool rows over the element predicates.
-    cell_counts: tuple[list, ...]
+    # Per class of interchangeable cells, its cells' bool rows over the
+    # element predicates.
+    cells: tuple[list, ...]
     # (a, b), a <= b -> the sorted ``_pair_table`` codes between classes a
     # and b, whose monomials ``_weights`` builds once per call.
     pair_counts: dict
-    # ``_exclusions`` of the empty pair rows: the cells that cannot both be
-    # nonempty, and the cells that hold at most one element.
-    exclusions: tuple[list, list]
     # What the composition sum runs over: ``_find_groups`` of the classes.
     collapse: _Collapse
 
@@ -432,7 +373,7 @@ class CompiledTheory:
                     factor = factor * (w(name) if value else wbar(name))
                 cells, pairs = _collapsed_table(
                     branch.collapse, d.size, binary,
-                    *_weights(self.vocabulary, branch.cell_counts,
+                    *_weights(self.vocabulary, branch.cells,
                               branch.pair_counts, w, wbar))
                 try:
                     value, _ = _config_sum(d.size, cells, pairs,
@@ -467,7 +408,7 @@ def _row_sum(pick, rows):
                              for row in rows), 0)
 
 
-def _weights(vocab, cell_counts, pair_counts, w, wbar):
+def _weights(vocab, cells, pair_counts, w, wbar):
     """Class weights and the symmetric pair-weight matrix of one branch.
 
     A class's weight sums its cells' products over the unary and binary p
@@ -477,7 +418,7 @@ def _weights(vocab, cell_counts, pair_counts, w, wbar):
     p, the first the lowest digit t."""
     # (wbar(p), w(p)), indexed by a row bit.
     pick = [(wbar(p.name), w(p.name)) for p in vocab if p.arity in (1, 2)]
-    cells = [_row_sum(pick, members) for members in cell_counts]
+    weights = [_row_sum(pick, members) for members in cells]
 
     def monomial(code):
         term = 1
@@ -490,11 +431,11 @@ def _weights(vocab, cell_counts, pair_counts, w, wbar):
     places = [3 ** k for k in range(len(binary))]
     monomials = {c: monomial(c)
                  for c in sorted(set().union(*pair_counts.values()))}
-    r = [[0] * len(cell_counts) for _ in cell_counts]
+    r = [[0] * len(cells) for _ in cells]
     for (i, j), codes in pair_counts.items():
         r[i][j] = r[j][i] = functools.reduce(
             operator.add, (monomials[c] for c in codes), 0)
-    return cells, r
+    return weights, r
 
 
 def _collapsed_table(collapse, n, binary, cells, r):
@@ -596,18 +537,15 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
         for i, row in enumerate(ids):
             classes.setdefault(row.tobytes(), []).append(i)
         reps = [members[0] for members in classes.values()]
-        cell_counts = tuple(table[members].tolist()
-                            for members in classes.values())
         pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                        for a in range(len(reps)) for b in range(a, len(reps))}
         size = [[len(rows[ids[i, j]]) for j in reps] for i in reps]
-        exclusions = _exclusions([[not n for n in row] for row in size])
-        branches.append(_Branch(tuple(zip(nullary, bits)),
-                                tuple(Cell(tuple(zip(element_preds, row)))
-                                      for row in table[reps].tolist()),
-                                cell_counts, pair_counts, exclusions,
-                                _find_groups(own[reps][:, reps].tolist(), size,
-                                             exclusions)))
+        branches.append(_Branch(
+            tuple(zip(nullary, bits)),
+            tuple(table[members].tolist() for members in classes.values()),
+            pair_counts,
+            _find_groups(own[reps][:, reps].tolist(), size,
+                         _exclusions([[not n for n in row] for row in size]))))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
 

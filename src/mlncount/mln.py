@@ -79,6 +79,18 @@ def as_real(value, what: str):
     return value
 
 
+def as_normalizer(value):
+    """Check a weighted count that a probability divides by: real, and
+    positive unless numerically negative (a fault) or zero (no world)."""
+    z = as_real(value, "partition function")
+    if z <= 0:
+        if isinstance(z, float) and z < -IMAG_TOL:
+            raise NumericResidueError(f"partition function is negative: {z!r}")
+        raise InfeasibleConstraintError(
+            "partition function is zero: every world is excluded")
+    return z
+
+
 PROB_TOL = 1e-9
 
 
@@ -94,13 +106,7 @@ def partition_function(phi: Mln, d: Domain):
     """Normalization constant of the model's distribution; exact when all
     effective weights are integers."""
     theory, w, wbar = translate_mln(phi)
-    z = as_real(lifted_wfomc(theory, w, wbar, d), "partition function")
-    if z <= 0:
-        if isinstance(z, float) and z < -IMAG_TOL:
-            raise NumericResidueError(f"partition function is negative: {z!r}")
-        raise InfeasibleConstraintError(
-            "partition function is zero: every world is excluded")
-    return z
+    return as_normalizer(lifted_wfomc(theory, w, wbar, d))
 
 
 def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
@@ -112,10 +118,7 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
         raise UnsupportedSentenceError(
             f"query uses more than two variables: {gamma}")
     theory, w, wbar = translate_mln(phi)
-    den = as_real(lifted_wfomc(theory, w, wbar, d), "partition function")
-    if den <= 0:
-        raise InfeasibleConstraintError(
-            "partition function is zero: every world is excluded")
+    den = as_normalizer(lifted_wfomc(theory, w, wbar, d))
     extended = Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary)
     num = as_real(lifted_wfomc(extended, w, wbar, d), "query count")
     if isinstance(num, int) and isinstance(den, int):

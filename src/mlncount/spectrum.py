@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError, NumericResidueError
+from .errors import NumericResidueError
 from .lifted import Fo2Theory, compile_theory
 from .logic import (
     Atom, Domain, Formula, Iff, Predicate, count_true_groundings,
     fresh_name, free_variables, universal_closure,
 )
-from .mln import Mln, as_real, translate_mln
+from .mln import Mln, as_normalizer, translate_mln
 
 SUM_TOL = 1e-6
 IMAG_TOL = 1e-6
@@ -100,10 +100,7 @@ def _spectrum_values(phi: Mln, psi: CountSpec, d: Domain,
     compiled = compile_theory(Fo2Theory.of(sentences, vocab))
     # With the indicators at their default weight 1 the count is the
     # partition normalizer itself, exact for integer weights.
-    z = as_real(compiled.wfomc(w, wbar, d), "partition function")
-    if z <= 0:
-        raise InfeasibleConstraintError(
-            "partition function is zero: every world is excluded")
+    z = as_normalizer(compiled.wfomc(w, wbar, d))
     raw = compiled.wfomc(w.updated(roots), wbar, d)
     return np.full(ks.shape[1], raw / z, dtype=np.complex128)
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from mlncount.cli import main
+from mlncount.lifted import CompiledTheory
 
 EXAMPLE_1 = """\
 domain 10
@@ -230,6 +231,18 @@ class TestExitCodes:
         code, out, err = run(capsys, "countdist", model_path(text))
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    def test_negative_partition_function(self, model_path, capsys,
+                                         monkeypatch):
+        # A numeric fault (exit 1), not an infeasible model (exit 3).
+        monkeypatch.setattr(CompiledTheory, "wfomc", lambda *args: -1.0)
+        path = model_path("domain 2\npredicate p/1\nweight 0.5 : p(x)\n"
+                          "count np : p(x)\n")
+        for argv in (["partition", path],
+                     ["marginal", path, "--query", "exists x p(x)"],
+                     ["countdist", path]):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and "negative" in err, argv
 
     def test_infeasible_hard_formulas(self, model_path, capsys):
         text = ("domain 2\npredicate p/1\nhard : exists x p(x)\n"

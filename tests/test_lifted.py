@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -10,14 +9,14 @@ import pytest
 from mlncount import (
     And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Mln, Not, Or,
     PossibleWorld, Predicate, TRUE, Var, WeightFunction, brute_wfomc,
-    enumerate_cells, evaluate, lifted_wfomc, marginal, pair_weight, skolemize,
+    evaluate, lifted_wfomc, marginal,
 )
 from mlncount import lifted
 from mlncount.logic import all_variables, iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _config_sum, _enumerate_cells, _exclusions, _pair_table,
-    _pruned_count, _weights, compile_theory, cpow,
+    Fo2Theory, _config_sum, _enumerate_cells, _exclusions, _normalize_theory,
+    _pair_table, _pruned_count, _weights, compile_theory, cpow,
 )
 
 from helpers import random_matrix, random_theory, random_weight, rel_close
@@ -33,32 +32,46 @@ class TestSkolemize:
     def test_no_existentials_is_identity(self):
         t = Fo2Theory.of([ForAll(X, ForAll(Y, Or(Atom(F, (X, Y)),
                                                  Atom(P, (X,)))))], [P, F])
-        out, w, wbar = skolemize(t, ONES, ONES)
-        assert out is t
-        assert w is ONES and wbar is ONES
+        sentences, vocab, weights = _normalize_theory(t)
+        assert sentences == list(t.sentences)
+        assert vocab.preds == [P, F] and weights == {}
+        assert compile_theory(t).skolem_weights == ()
 
     def test_totality_counts_preserved(self):
-        t = Fo2Theory.of([TOTALITY], [F])
-        out, w, wbar = skolemize(t, ONES, ONES)
-        assert out is not t
+        sentences, vocab, weights = _normalize_theory(
+            Fo2Theory.of([TOTALITY], [F]))
+        assert len(vocab.preds) == 2 and len(weights) == 1
+        w = ONES.updated({k: v[0] for k, v in weights.items()})
+        wbar = ONES.updated({k: v[1] for k, v in weights.items()})
         for n, want in [(2, 9), (3, 343)]:
-            assert lifted_wfomc(out, w, wbar, Domain(n)) == want
+            assert brute_wfomc(sentences, w, wbar, Domain(n),
+                               vocab=vocab.preds) == want
 
     def test_skolem_weights_are_one_and_minus_one(self):
         t = Fo2Theory.of([TOTALITY], [F])
-        _, w, wbar = skolemize(t, ONES, ONES)
-        (name, plus), = list(w.items())
-        assert plus == 1 and wbar(name) == -1
+        _, vocab, weights = _normalize_theory(t)
+        (name, pair), = weights.items()
+        assert pair == (1, -1) and name == vocab.preds[-1].name
+        assert compile_theory(t).skolem_weights == ((name, (1, -1)),)
 
     def test_invariance_under_skolemization(self):
+        # The Skolemized sentences with their (1, -1) weights count what
+        # the theory counts: by the oracle at n <= 2, lifted up to n = 3.
         rng = random.Random(55)
         for _ in range(20):
             theory, w, wbar = random_theory(rng)
-            out = skolemize(theory, w, wbar)
+            sentences, vocab, weights = _normalize_theory(theory)
+            sw = w.updated({k: v[0] for k, v in weights.items()})
+            swbar = wbar.updated({k: v[1] for k, v in weights.items()})
+            skolemized = Fo2Theory.of(sentences, vocab.preds)
             for n in (1, 2, 3):
                 a = lifted_wfomc(theory, w, wbar, Domain(n))
-                b = lifted_wfomc(out[0], out[1], out[2], Domain(n))
-                assert rel_close(a, b)
+                assert rel_close(a, lifted_wfomc(skolemized, sw, swbar,
+                                                 Domain(n)))
+                if n < 3:
+                    assert rel_close(a, brute_wfomc(sentences, sw, swbar,
+                                                    Domain(n),
+                                                    vocab=vocab.preds))
 
     def test_output_is_prenex_over_x_and_y(self):
         a, b = Var("a"), Var("b")
@@ -70,9 +83,9 @@ class TestSkolemize:
                               ForAll(a, Exists(b, Atom(F, (a, b)))))),
             Exists(Y, Exists(X, Atom(F, (X, Y)))),
         ]
-        out, _, _ = skolemize(Fo2Theory.of(sentences, [P, F]), ONES, ONES)
-        assert len(out.sentences) > len(sentences)
-        for s in out.sentences:
+        out, _, _ = _normalize_theory(Fo2Theory.of(sentences, [P, F]))
+        assert len(out) > len(sentences)
+        for s in out:
             assert isinstance(s, ForAll) and s.var == X
             body = s.body
             if isinstance(body, ForAll):
@@ -85,44 +98,40 @@ class TestSkolemize:
 
 class TestCells:
     def test_unary_unconstrained(self):
-        assert len(enumerate_cells([P], TRUE)) == 2
+        assert len(_enumerate_cells([P], [TRUE])) == 2
 
     def test_binary_reflexive_axis(self):
-        assert len(enumerate_cells([F], TRUE)) == 2
+        assert len(_enumerate_cells([F], [TRUE])) == 2
 
     def test_forced_by_matrix(self):
-        cells = enumerate_cells([P], Atom(P, (X,)))
-        assert len(cells) == 1
-        assert cells[0].value(P) is True
+        assert _enumerate_cells([P], [Atom(P, (X,))]).tolist() == [[True]]
 
     def test_hand_counted_cells_in_assignment_order(self):
         # p(x) -> f(x,x) rules out only (p, f) = (True, False).
-        cells = enumerate_cells([P, F], Implies(Atom(P, (X,)), Atom(F, (X, X))))
-        assert [(c.value(P), c.value(F)) for c in cells] == \
-            [(False, False), (False, True), (True, True)]
+        cells = _enumerate_cells([P, F], [Implies(Atom(P, (X,)),
+                                                  Atom(F, (X, X)))])
+        assert cells.tolist() == [[False, False], [False, True], [True, True]]
 
     def test_matrix_variables_renamed_to_x_and_y(self):
         a, b = Var("a"), Var("b")
 
-        def matrix(u, v):
-            return Implies(Atom(F, (u, v)),
-                           And(Atom(P, (u,)), Not(Atom(F, (v, u)))))
+        def compiled(u, v):
+            matrix = Implies(Atom(F, (u, v)),
+                             And(Atom(P, (u,)), Not(Atom(F, (v, u)))))
+            t = compile_theory(Fo2Theory.of([ForAll(u, ForAll(v, matrix))],
+                                            [P, F]))
+            return [(b.cells, b.pair_counts) for b in t.branches]
 
-        cells = enumerate_cells([P, F], matrix(X, Y))
-        w, wbar = WeightFunction({"f": 2, "p": 3}), WeightFunction({"f": 5})
-        # In name order a, b and a, x become x, y: the latter only when
+        # Prefixes binding a, b and a, x become x, y: the latter only when
         # renamed at once.
         for u, v in ((a, b), (a, X)):
-            assert enumerate_cells([P, F], matrix(u, v)) == cells
-            for ci, cj in itertools.product(cells, repeat=2):
-                assert pair_weight(ci, cj, matrix(u, v), w, wbar) == \
-                    pair_weight(ci, cj, matrix(X, Y), w, wbar)
+            assert compiled(u, v) == compiled(X, Y)
 
     def test_no_feasible_cell(self):
         contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))
-        assert enumerate_cells([P, F], contradiction) == []
-        ids, rows, _ = _pair_table([contradiction], [P, F],
-                                   _enumerate_cells([P, F], [contradiction]))
+        table = _enumerate_cells([P, F], [contradiction])
+        assert table.shape == (0, 2)
+        ids, rows, _ = _pair_table([contradiction], [P, F], table)
         assert ids.shape == (0, 0) and rows == []
         compiled = compile_theory(Fo2Theory.of([ForAll(X, contradiction)],
                                                [P, F]))
@@ -131,19 +140,27 @@ class TestCells:
         assert compiled.wfomc(ONES, ONES, Domain(3)) == 0
 
 
+def _pair_weights(matrix, preds, w, wbar, table=None):
+    """``_weights``' pair-weight matrix under ``matrix`` between the cells
+    in ``table`` (default: every cell of ``preds``)."""
+    if table is None:
+        table = _enumerate_cells(preds, [TRUE])
+    ids, rows, _ = _pair_table([matrix], preds, table)
+    c = len(table)
+    pairs = {(i, j): rows[ids[i, j]] for i in range(c) for j in range(i, c)}
+    return _weights(preds, [[]] * c, pairs, w, wbar)[1]
+
+
 class TestPairWeight:
     def test_free_cross_atoms(self):
-        ci, cj = enumerate_cells([F], TRUE)
-        assert pair_weight(ci, cj, TRUE, ONES, ONES) == 4
+        assert _pair_weights(TRUE, [F], ONES, ONES)[0][1] == 4
 
     def test_forbidden_cross_atoms(self):
-        ci, cj = enumerate_cells([F], TRUE)
         matrix = Not(Atom(F, (X, Y)))
-        assert pair_weight(ci, cj, matrix, ONES, ONES) == 1
+        assert _pair_weights(matrix, [F], ONES, ONES)[0][1] == 1
 
     def test_no_binary_predicates(self):
-        ci, cj = enumerate_cells([P], TRUE)
-        assert pair_weight(ci, cj, TRUE, ONES, ONES) == 1
+        assert _pair_weights(TRUE, [P], ONES, ONES)[0][1] == 1
         # p(x) -> p(y) fails only from a p-cell to a non-p cell.
         ids, rows, _ = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))],
                                    [P], _enumerate_cells([P], [TRUE]))
@@ -159,17 +176,16 @@ class TestPairWeight:
 
     def test_hand_counted_weights(self):
         w, wbar = WeightFunction({"f": 2}), WeightFunction({"f": 3})
-        ci, cj = enumerate_cells([F], TRUE)
         # f(x,y) | f(y,x) in both orientations: TT, TF, FT -> 4 + 6 + 6.
         either = Or(Atom(F, (X, Y)), Atom(F, (Y, X)))
-        assert pair_weight(ci, cj, either, w, wbar) == 16
-        # f(x,y) -> p(x): from a p-cell to a non-p cell, f(1,0) must be
-        # false and f(0,1) is free -> 2*3 + 3*3.
-        pi, pj = (c for c in enumerate_cells([P, F], TRUE) if not c.value(F))
+        assert _pair_weights(either, [F], w, wbar)[0][1] == 16
+        # f(x,y) -> p(x): from a p-cell (row 2: p, not f) to a non-p cell
+        # (row 0: neither), f(1,0) must be false and f(0,1) is free ->
+        # 2*3 + 3*3.
         implies = Implies(Atom(F, (X, Y)), Atom(P, (X,)))
-        assert pair_weight(pj, pi, implies, w, wbar) == 15
-        assert pair_weight(pi, pj, implies, w, wbar) == 15
-        assert pair_weight(pj, pj, implies, w, wbar) == 25
+        r = _pair_weights(implies, [P, F], w, wbar)
+        assert r[2][0] == r[0][2] == 15
+        assert r[2][2] == 25
 
     def test_two_binary_predicates_match_world_evaluation(self):
         # Distinct integer weights per predicate and polarity: a swapped
@@ -180,15 +196,17 @@ class TestPairWeight:
         cross = [Atom(q, args) for q in (F, g) for args in ((0, 1), (1, 0))]
         atoms = [Atom(q, args) for q in (F, g)
                  for args in ((X, Y), (Y, X), (X, X), (Y, Y))]
-        cells = enumerate_cells([F, g], TRUE)
+        cells = _enumerate_cells([F, g], [TRUE]).tolist()
         rng = random.Random(11)
         for _ in range(20):
             matrix = random_matrix(rng, atoms)
+            r = _pair_weights(matrix, [F, g], w, wbar)
             # The matrix between elements 0 and 1, in both orientations.
             sentence = ForAll(X, ForAll(Y, Or(Eq(X, Y), matrix)))
-            for ci, cj in itertools.product(cells, repeat=2):
-                own = {Atom(q, (e, e)) for e, c in ((0, ci), (1, cj))
-                       for q in (F, g) if c.value(q)}
+            for i, j in itertools.product(range(len(cells)), repeat=2):
+                own = {Atom(q, (e, e)) for e, c in ((0, cells[i]),
+                                                    (1, cells[j]))
+                       for q, bit in zip((F, g), c) if bit}
                 want = 0
                 for bits in itertools.product((False, True), repeat=4):
                     world = PossibleWorld(frozenset(
@@ -196,16 +214,19 @@ class TestPairWeight:
                     if evaluate(sentence, world, Domain(2)):
                         want += math.prod(w(a.pred) if b else wbar(a.pred)
                                           for a, b in zip(cross, bits))
-                assert pair_weight(ci, cj, matrix, w, wbar) == want
+                assert r[i][j] == want
 
     def test_symmetry(self):
-        cells = enumerate_cells([P, F], TRUE)
+        # The cells in reverse order swap which end of each pair is the
+        # first element: the weights do not move.
+        table = _enumerate_cells([P, F], [TRUE])
         matrix = Implies(Atom(F, (X, Y)), Atom(P, (X,)))
         w = WeightFunction({"f": 0.5 + 0.25j, "p": 1.5})
-        for ci in cells:
-            for cj in cells:
-                assert pair_weight(ci, cj, matrix, w, ONES) == \
-                    pair_weight(cj, ci, matrix, w, ONES)
+        r = _pair_weights(matrix, [P, F], w, ONES, table)
+        back = _pair_weights(matrix, [P, F], w, ONES, table[::-1])
+        c = len(table)
+        for i, j in itertools.product(range(c), repeat=2):
+            assert r[i][j] == back[c - 1 - i][c - 1 - j] == r[j][i]
 
 
 class TestLiftedWfomc:
@@ -486,6 +507,14 @@ class TestPrunedSum:
         assert got == float(Fraction(total - (2 ** (n - 1) - 1) ** n, total))
 
 
+def _class_exclusions(branch):
+    """``_exclusions`` of a branch's class-level pair rows, before the
+    collapse."""
+    c = len(branch.cells)
+    return _exclusions([[not branch.pair_counts[min(a, b), max(a, b)]
+                         for b in range(c)] for a in range(c)])
+
+
 class TestPrunedCompositionCount:
     def test_equals_visited_compositions_on_every_branch(self):
         rng = random.Random(404)
@@ -502,14 +531,12 @@ class TestPrunedCompositionCount:
             w = w.updated({k: v[0] for k, v in compiled.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
             for branch in compiled.branches:
-                single = dataclasses.replace(compiled, branches=(branch,))
-                cells, pairs = _weights(compiled.vocabulary,
-                                        branch.cell_counts,
+                exclusions = _class_exclusions(branch)
+                cells, pairs = _weights(compiled.vocabulary, branch.cells,
                                         branch.pair_counts, w, wbar)
                 for n in (1, 3, 5):
-                    _, leaves = _config_sum(n, cells, pairs,
-                                            branch.exclusions)
-                    assert _pruned_count(n, *branch.exclusions) == leaves
+                    _, leaves = _config_sum(n, cells, pairs, exclusions)
+                    assert _pruned_count(n, *exclusions) == leaves
                 c = len(branch.cells)
                 pruned += leaves < (math.comb(5 + c - 1, c - 1) if c else 0)
         assert with_exists >= 5
@@ -529,15 +556,15 @@ class TestPrunedCompositionCount:
             {k: v[1] for k, v in compiled.skolem_weights})
         cancelled = 0
         for branch in compiled.branches:
-            single = dataclasses.replace(compiled, branches=(branch,))
-            cells, pairs = _weights(compiled.vocabulary, branch.cell_counts,
+            exclusions = _class_exclusions(branch)
+            cells, pairs = _weights(compiled.vocabulary, branch.cells,
                                     branch.pair_counts, w, wbar)
             cancelled += sum(
                 _is_zero(pairs[i][j]) and bool(rows)
                 for (i, j), rows in branch.pair_counts.items())
             for n in (2, 4, 6):
-                value, leaves = _config_sum(n, cells, pairs, branch.exclusions)
-                assert _pruned_count(n, *branch.exclusions) == leaves
+                value, leaves = _config_sum(n, cells, pairs, exclusions)
+                assert _pruned_count(n, *exclusions) == leaves
         assert cancelled > 0
 
     def test_wfomc_visits_what_composition_count_reports(self, monkeypatch):
@@ -609,9 +636,9 @@ def _class_level_wfomc(compiled, w, wbar, n):
         factor = math.prod(w(k) if v else wbar(k)
                            for k, v in branch.nullary_values)
         value, _ = _config_sum(n, *_weights(compiled.vocabulary,
-                                            branch.cell_counts,
+                                            branch.cells,
                                             branch.pair_counts, w, wbar),
-                               branch.exclusions)
+                               _class_exclusions(branch))
         total = total + factor * value
     return total
 
@@ -722,6 +749,6 @@ class TestCollapse:
         compiled = compile_theory(Fo2Theory.of([TOTALITY, onto], [F]))
         (branch,) = compiled.branches
         assert branch.collapse.groups == () and len(branch.cells) == 4
-        assert branch.collapse.exclusions == branch.exclusions
+        assert branch.collapse.exclusions == _class_exclusions(branch)
         for n in (5, 26):
             assert compiled.composition_count(Domain(n)) == math.comb(n + 3, 3)

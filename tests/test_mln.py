@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from mlncount import (
-    And, Atom, Domain, Exists, ForAll, Iff, Implies, Mln, Not, Predicate, Var,
-    brute_mln_marginal, brute_mln_partition, marginal, partition_function,
+    And, Atom, CompiledTheory, CountSpec, Domain, Exists, ForAll, Iff,
+    Implies, Mln, Not, Predicate, Var, brute_mln_marginal,
+    brute_mln_partition, count_distribution, marginal, partition_function,
     translate_mln,
 )
 from mlncount.errors import (
@@ -68,6 +69,20 @@ class TestPartition:
                       (contradiction, math.inf)], [P])
         with pytest.raises(InfeasibleConstraintError):
             partition_function(mln, Domain(3))
+
+    @pytest.mark.parametrize("query", [
+        lambda mln, d: partition_function(mln, d),
+        lambda mln, d: marginal(mln, Exists(X, Atom(P, (X,))), d),
+        lambda mln, d: count_distribution(mln, CountSpec.of([Atom(P, (X,))]),
+                                          d),
+    ], ids=["partition_function", "marginal", "count_distribution"])
+    def test_negative_partition_is_a_residue_error(self, query, monkeypatch):
+        # A negative float count is a numeric fault, not an empty model,
+        # whichever query divides by it.
+        monkeypatch.setattr(CompiledTheory, "wfomc", lambda *args: -1.0)
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        with pytest.raises(NumericResidueError, match="negative"):
+            query(mln, Domain(3))
 
     def test_invariant_under_predicate_renaming(self):
         q = Predicate("zz", 1)
