@@ -3,7 +3,8 @@
 A cardinality constraint pairs count formulas with a 0/1 predicate over
 their count vectors; worlds whose counts fail the predicate get probability
 zero.  Inference routes through the full count distribution, so one grid
-computation serves both the constrained normalizer and every marginal.
+computation, tilted toward the kept region and carrying its normalizer,
+serves both the constrained normalizer and every marginal.
 
 A function constraint on a binary relation (every element maps to exactly
 one successor) is equivalent to totality plus the relation having exactly
@@ -19,9 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError, NumericOverflowError
+from .errors import InfeasibleConstraintError
 from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
-from .mln import Mln, as_probability, partition_function
+from .mln import Mln, as_probability
+# Unused here; kept so that ``constraints.partition_function`` resolves.
+from .mln import partition_function  # noqa: F401
 from .spectrum import CountSpec, count_distribution, shape_vector
 
 
@@ -139,48 +142,36 @@ def _tilt_vector(psi: CountSpec, d: Domain,
     return tilts
 
 
-def _tilted(phi: Mln, psi: CountSpec, d: Domain, tilts: Sequence[float]):
-    """The model with each count formula tilted by its log-weight, and its
-    count distribution over ``psi``.
+def _kept_masses(phi: Mln, cc: CardinalityConstraint, d: Domain, extra=()):
+    """The tilted normalizer, the total kept mass, and the mass of each
+    nonzero grid point whose first ``len(cc.psi)`` counts the predicate
+    keeps, on the grid of ``cc.psi`` and then the formulas ``extra``.
 
-    Tilting multiplies the mass of bin n by exp(<t, n>) exactly, so
-    ``_untilt`` recovers the original masses with full relative precision
-    near the tilt's center; a zero tilt leaves the model as it is."""
-    extra = [(beta, t) for beta, t in zip(psi.formulas, tilts) if t != 0.0]
-    tilted = Mln.of(tuple(phi.weighted_formulas) + tuple(extra),
-                    phi.vocabulary)
-    return tilted, count_distribution(tilted, psi, d)
-
-
-def _untilt(tilts: Sequence[float], idx) -> float:
-    """exp(-<t, n>), the factor that undoes the tilt at grid point n."""
-    return math.exp(-sum(t * i for t, i in zip(tilts, idx)))
+    The masses are shares of the normalizer, evaluated through a tilt
+    exp(<t, n>) centered on the kept region and undone per grid point, so
+    they keep full relative precision where a far-off-center region's mass
+    would otherwise be lost to transform round-off."""
+    psi = CountSpec.of(cc.psi.formulas + tuple(extra))
+    tilts = _tilt_vector(psi, d, _targets(cc.predicate))
+    q = count_distribution(phi, psi, d, tilts=tilts)
+    masses = {idx: float(q.probabilities[idx])
+              * math.exp(-sum(t * i for t, i in zip(tilts, idx)))
+              for idx in np.ndindex(*q.shape)
+              if cc.predicate(idx[:len(cc.psi)]) and q.probabilities[idx] != 0}
+    total = math.fsum(masses.values())
+    if total <= 0.0:
+        raise InfeasibleConstraintError(
+            "cardinality constraint excludes every world")
+    return q.normalizer, total, masses
 
 
 def constrained_partition(phi: Mln, cc: CardinalityConstraint, d: Domain,
                           threads: int = 1) -> float:
     """Normalizer of the constrained distribution: the total unnormalized
-    count mass on the grid points the predicate keeps.
-
-    The masses are evaluated through an exactly-invertible tilt centered on
-    the kept region, since a far-off-center region's mass is otherwise lost
-    to transform round-off.  ``threads`` selects nothing.
-    """
-    tilts = _tilt_vector(cc.psi, d, _targets(cc.predicate))
-    tilted, q = _tilted(phi, cc.psi, d, tilts)
-    try:
-        z = float(partition_function(tilted, d))
-    except OverflowError:
-        raise NumericOverflowError(
-            "constrained partition exceeds the floating-point range") from None
-    z_prime = math.fsum(
-        float(q.probabilities[idx]) * z * _untilt(tilts, idx)
-        for idx in np.ndindex(*q.shape)
-        if cc.predicate(idx) and q.probabilities[idx] > 0)
-    if z_prime <= 0.0:
-        raise InfeasibleConstraintError(
-            "cardinality constraint excludes every world")
-    return z_prime
+    count mass on the grid points the predicate keeps.  ``threads`` selects
+    nothing."""
+    z, _, masses = _kept_masses(phi, cc, d)
+    return math.fsum(mass * z for mass in masses.values())
 
 
 def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
@@ -188,24 +179,11 @@ def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
                          threads: int = 1) -> float:
     """Probability of the sentence ``gamma`` under the constrained
     distribution, read off an extended count grid whose last axis tracks
-    the query's truth.  The normalizer cancels from the ratio, so none is
-    computed.  ``threads`` selects nothing."""
-    extended = CountSpec.of(tuple(cc.psi.formulas) + (gamma,))
-    tilts = _tilt_vector(cc.psi, d, _targets(cc.predicate)) + [0.0]
-    _, q = _tilted(phi, extended, d, tilts)
-    num = 0.0
-    den = 0.0
-    for idx in np.ndindex(*q.shape):
-        if not cc.predicate(idx[:-1]) or q.probabilities[idx] == 0:
-            continue
-        mass = float(q.probabilities[idx]) * _untilt(tilts, idx)
-        den += mass
-        if idx[-1] == 1:
-            num += mass
-    if den <= 0.0:
-        raise InfeasibleConstraintError(
-            "cardinality constraint excludes every world")
-    return as_probability(num / den, "constrained marginal")
+    the query's truth.  The normalizer cancels from the ratio.  ``threads``
+    selects nothing."""
+    _, total, masses = _kept_masses(phi, cc, d, [gamma])
+    num = math.fsum(mass for idx, mass in masses.items() if idx[-1] == 1)
+    return as_probability(num / total, "constrained marginal")
 
 
 def rewrite_function_constraints(fcs: Sequence[FunctionConstraint],
@@ -248,9 +226,10 @@ def fixed_point_distribution(n: int, threads: int = 1,
     the relation's size and its diagonal count, the worlds with size exactly
     n are the functions and the diagonal count is the number of fixed points.
 
-    ``tilt`` is a soft log-weight on the relation's atoms.  It scales the
-    whole size-m row by exp(tilt*m), so the conditional distribution along
-    the row is unchanged; the default ln(1/(n-1)) centers the row mass near
+    ``tilt`` is a log-weight on the indicator of the relation's count
+    formula, so each true atom weighs exp(tilt).  It scales the whole size-m
+    row by exp(tilt*m), so the conditional distribution along the row is
+    unchanged; the default ln(1/(n-1)) centers the row mass near
     size n, without which the target row drowns in transform round-off for
     n beyond ~6 (its relative mass decays like n^n / (2^n - 1)^n).
     ``threads`` selects nothing.
@@ -263,7 +242,7 @@ def fixed_point_distribution(n: int, threads: int = 1,
         tilt = -math.log(n - 1) if n > 2 else 0.0
     phi = Mln.of([(ForAll(x, Exists(y, Atom(f, (x, y)))), math.inf)], [f])
     psi = CountSpec.of([Atom(f, (x, y)), Atom(f, (x, x))])
-    _, q = _tilted(phi, psi, Domain(n), [tilt, 0.0])
+    q = count_distribution(phi, psi, Domain(n), tilts=[tilt, 0.0])
     row = q.probabilities[n, : n + 1].astype(float)
     total = math.fsum(row)
     if total <= 0.0:

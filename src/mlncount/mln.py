@@ -38,6 +38,14 @@ class Mln:
                    tuple(vocabulary))
 
 
+def _indicator(base: str, formula: Formula, used: set[str]):
+    """A fresh predicate xi and the sentence ``forall vars: xi(vars) <->
+    formula`` over the formula's free variables."""
+    fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
+    xi = Predicate(fresh_name(base, used), len(fv))
+    return xi, universal_closure(Iff(Atom(xi, fv), formula))
+
+
 def translate_mln(phi: Mln):
     """Reduce the model to a weighted counting problem.
 
@@ -59,10 +67,9 @@ def translate_mln(phi: Mln):
                                  "formula and use +inf")
             sentences.append(universal_closure(formula))
             continue
-        fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
-        xi = Predicate(fresh_name("xi", used), len(fv))
+        xi, sentence = _indicator("xi", formula, used)
         vocab.append(xi)
-        sentences.append(universal_closure(Iff(Atom(xi, fv), formula)))
+        sentences.append(sentence)
         weights[xi.name] = math.exp(weight)
     return (Fo2Theory.of(sentences, vocab),
             WeightFunction(weights), WeightFunction())

@@ -5,23 +5,24 @@ vector of true-grounding counts under the model's distribution.  Its DFT
 value at frequency k is a weighted model count in which each count formula's
 indicator predicate carries the root of unity ``exp(-2*pi*i*k_j/M_j)``.  All
 frequencies are evaluated in one weighted count whose indicator weights are
-arrays over the grid, so the composition sum is walked once.  Inverting the
-transform on the full grid (by FFT) recovers the distribution.
+arrays over the grid, so the composition sum is walked once.  At frequency
+zero every root is 1 and the count is the normalizer Z itself.  A tilt t_j
+multiplies indicator j's weight by exp(t_j), and so the mass of count vector
+n by exp(<t, n>).  Inverting the transform on the full grid (by FFT)
+recovers the distribution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericResidueError
 from .lifted import Fo2Theory, compile_theory
-from .logic import (
-    Atom, Domain, Formula, Iff, Predicate, count_true_groundings,
-    fresh_name, free_variables, universal_closure,
-)
-from .mln import Mln, as_normalizer, translate_mln
+from .logic import Domain, Formula, count_true_groundings, free_variables
+from .mln import Mln, _indicator, as_normalizer, translate_mln
 
 SUM_TOL = 1e-6
 IMAG_TOL = 1e-6
@@ -61,6 +62,7 @@ class Spectrum:
     """Complex transform values on the full frequency grid."""
 
     values: np.ndarray  # complex128, shape = shape_vector(psi, d)
+    normalizer: float = 1.0  # Z, the count at frequency zero
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -72,6 +74,7 @@ class CountDistribution:
     """Probabilities on the count grid; indices are count vectors."""
 
     probabilities: np.ndarray  # float64, shape = shape_vector(psi, d)
+    normalizer: float = 1.0  # Z of the spectrum the grid was read from
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,28 +84,24 @@ class CountDistribution:
         return self.probabilities[index]
 
 
-def _spectrum_values(phi: Mln, psi: CountSpec, d: Domain,
-                     ks: np.ndarray) -> np.ndarray:
+def _spectrum_values(phi: Mln, psi: CountSpec, d: Domain, ks: np.ndarray,
+                     tilts=None):
     """Normalized transform values at the frequency vectors in the columns
-    of ``ks`` (one row per count formula), from one weighted count whose
-    indicator weights are arrays over the columns."""
+    of ``ks`` (one row per count formula, the first column zero) and the
+    normalizer, from one weighted count whose indicator weights are arrays
+    over the columns, scaled by exp(tilt) per count formula."""
     theory, w, wbar = translate_mln(phi)
     used = {p.name for p in theory.vocabulary}
-    sentences = list(theory.sentences)
-    vocab = list(theory.vocabulary)
-    roots = {}
-    for beta, kj, mj in zip(psi.formulas, ks, shape_vector(psi, d)):
-        fv = tuple(sorted(free_variables(beta), key=lambda v: v.name))
-        xi = Predicate(fresh_name("xb", used), len(fv))
-        vocab.append(xi)
-        sentences.append(universal_closure(Iff(Atom(xi, fv), beta)))
-        roots[xi.name] = np.exp(-2j * np.pi * kj / mj)
-    compiled = compile_theory(Fo2Theory.of(sentences, vocab))
-    # With the indicators at their default weight 1 the count is the
-    # partition normalizer itself, exact for integer weights.
-    z = as_normalizer(compiled.wfomc(w, wbar, d))
-    raw = compiled.wfomc(w.updated(roots), wbar, d)
-    return np.full(ks.shape[1], raw / z, dtype=np.complex128)
+    xis, ties = zip(*(_indicator("xb", beta, used) for beta in psi.formulas))
+    compiled = compile_theory(Fo2Theory.of(theory.sentences + ties,
+                                           theory.vocabulary + xis))
+    weights = {xi.name: math.exp(tj) * np.exp(-2j * np.pi * kj / mj)
+               for xi, tj, kj, mj in zip(xis, tilts or [0.0] * len(psi), ks,
+                                         shape_vector(psi, d))}
+    raw = np.full(ks.shape[1], compiled.wfomc(w.updated(weights), wbar, d),
+                  dtype=np.complex128)
+    z = as_normalizer(complex(raw[0]))
+    return raw / z, z
 
 
 def spectrum_point(phi: Mln, psi: CountSpec, k, d: Domain) -> complex:
@@ -113,20 +112,22 @@ def spectrum_point(phi: Mln, psi: CountSpec, k, d: Domain) -> complex:
     if len(k) != len(shape) or not all(
             0 <= kj < mj for kj, mj in zip(k, shape)):
         raise ValueError(f"frequency {k} outside grid {shape}")
-    ks = np.array(k).reshape(-1, 1)
-    return complex(_spectrum_values(phi, psi, d, ks)[0])
+    ks = np.array([(0,) * len(k), k]).T
+    return complex(_spectrum_values(phi, psi, d, ks)[0][1])
 
 
-def full_spectrum(phi: Mln, psi: CountSpec, d: Domain,
-                  threads: int = 1) -> Spectrum:
-    """Transform values at every grid frequency, in C index order.
+def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, threads: int = 1,
+                  tilts=None) -> Spectrum:
+    """Transform values at every grid frequency, in C index order, under
+    the log-weights ``tilts`` on the count formulas (none by default).
 
     ``threads`` is accepted for compatibility and selects nothing: the grid
     is evaluated in one vectorized pass.
     """
     shape = shape_vector(psi, d)
     ks = np.indices(shape).reshape(len(shape), -1)
-    return Spectrum(_spectrum_values(phi, psi, d, ks).reshape(shape))
+    values, z = _spectrum_values(phi, psi, d, ks, tilts)
+    return Spectrum(values.reshape(shape), z)
 
 
 def forward_dft(values: np.ndarray) -> np.ndarray:
@@ -155,14 +156,15 @@ def inverse_dft(g: Spectrum) -> CountDistribution:
         raise NumericResidueError(
             f"inverse transform has negative mass {float(q.min()):g}")
     np.clip(q, 0.0, None, out=q)
-    return CountDistribution(q)
+    return CountDistribution(q, g.normalizer)
 
 
 def count_distribution(phi: Mln, psi: CountSpec, d: Domain,
-                       threads: int = 1) -> CountDistribution:
-    """Distribution of the count vector under the model, via the spectrum
-    on the full grid and an inverse FFT.  ``threads`` selects nothing."""
-    dist = inverse_dft(full_spectrum(phi, psi, d))
+                       threads: int = 1, tilts=None) -> CountDistribution:
+    """Distribution of the count vector under the model tilted by
+    ``tilts``, via the spectrum on the full grid and an inverse FFT.
+    ``threads`` selects nothing."""
+    dist = inverse_dft(full_spectrum(phi, psi, d, tilts=tilts))
     total = float(dist.probabilities.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise NumericResidueError(

@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from mlncount import (
     And, Atom, Domain, Eq, Equals, Exists, ForAll, FunctionConstraint, Iff,
     Implies, Mln, Predicate, TautologyTrue, Var, analytic_fixed_points,
-    constrained_marginal, constrained_partition, count_true_groundings,
-    enumerate_worlds, evaluate, fixed_point_distribution,
-    rewrite_function_constraints,
+    constrained_marginal, constrained_partition, count_distribution,
+    count_true_groundings, enumerate_worlds, evaluate,
+    fixed_point_distribution, full_spectrum, lifted, parse_model,
+    rewrite_function_constraints, spectrum, spectrum_point,
 )
 from mlncount.brute import (
     brute_constrained_marginal, brute_constrained_partition, _GroundMln,
@@ -256,12 +258,13 @@ class TestFixedPoints:
         for k in range(4):
             assert analytic_fixed_points(3, k) == pytest.approx(counts[k] / 27)
 
-    @pytest.mark.parametrize("n", list(range(1, 11)))
+    @pytest.mark.parametrize("n", list(range(1, 17)))
     def test_engine_matches_analytic(self, n):
         probs = fixed_point_distribution(n)
+        tol = 1e-14 if n <= 10 else 1e-12
         for k in range(n + 1):
             assert probs[k] == pytest.approx(analytic_fixed_points(n, k),
-                                             abs=1e-6)
+                                             abs=tol)
 
     def test_distribution_sums_to_one(self):
         for n in (1, 4, 10):
@@ -273,3 +276,43 @@ class TestFixedPoints:
             tilted = fixed_point_distribution(n)
             literal = fixed_point_distribution(n, tilt=0.0)
             assert np.allclose(tilted, literal, atol=1e-9)
+
+
+FUNCTIONS3 = parse_model(
+    str(Path(__file__).resolve().parents[1] / "models" / "functions3.mln"))
+HAS_FIX = dict(FUNCTIONS3.queries)["has_fix"]
+
+
+class TestOneCountPerQuery:
+    """Each count query compiles one theory and makes one weighted count:
+    the normalizer is the count at frequency zero, and the tilt rides on
+    the count formulas' indicator weights."""
+
+    @pytest.mark.parametrize("query", [
+        lambda m: count_distribution(m.mln, m.count_spec, m.domain),
+        lambda m: full_spectrum(m.mln, m.count_spec, m.domain),
+        lambda m: spectrum_point(m.mln, m.count_spec,
+                                 (1,) * len(m.count_spec), m.domain),
+        lambda m: constrained_partition(m.mln, m.cardinality, m.domain),
+        lambda m: constrained_marginal(m.mln, m.cardinality, HAS_FIX,
+                                       m.domain),
+        lambda m: fixed_point_distribution(7),
+    ], ids=["count_distribution", "full_spectrum", "spectrum_point",
+            "constrained_partition", "constrained_marginal",
+            "fixed_point_distribution"])
+    def test_one_compile_and_one_count(self, monkeypatch, query):
+        calls = {"compile": 0, "wfomc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner in (spectrum, lifted):
+            monkeypatch.setattr(owner, "compile_theory",
+                                counted("compile", owner.compile_theory))
+        monkeypatch.setattr(lifted.CompiledTheory, "wfomc",
+                            counted("wfomc", lifted.CompiledTheory.wfomc))
+        query(FUNCTIONS3)
+        assert calls == {"compile": 1, "wfomc": 1}

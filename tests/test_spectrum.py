@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from mlncount import (
     Atom, Domain, Exists, ForAll, Mln, PossibleWorld, Predicate, Var,
     brute_count_distribution, count_distribution, count_statistics,
-    forward_dft, full_spectrum, inverse_dft, inverse_dft_raw, shape_vector,
-    spectrum_point,
+    forward_dft, full_spectrum, inverse_dft, inverse_dft_raw,
+    partition_function, shape_vector, spectrum_point,
 )
 from mlncount.errors import NumericOverflowError
 from mlncount.modelfile import parse_model_text
@@ -168,6 +168,22 @@ class TestCountDistribution:
             for idx in np.ndindex(*dist.shape):
                 assert dist.probabilities[idx] == \
                     pytest.approx(ref.get(idx, 0.0), abs=1e-6)
+
+    def test_tilt_equals_appended_soft_formulas(self):
+        # Tilting count formula j by t_j weights the same worlds as adding
+        # the soft formula (beta_j, t_j) to the model.
+        rng = random.Random(77)
+        for _ in range(12):
+            mln, psi, d = random_feasible_mln(rng)
+            tilts = [rng.uniform(-1.0, 1.0) for _ in psi]
+            ref = Mln.of(mln.weighted_formulas + tuple(zip(psi, tilts)),
+                         mln.vocabulary)
+            dist = count_distribution(mln, CountSpec.of(psi), d, tilts=tilts)
+            want = count_distribution(ref, CountSpec.of(psi), d)
+            assert np.max(np.abs(dist.probabilities - want.probabilities)) \
+                <= 1e-12
+            assert dist.normalizer == pytest.approx(
+                float(partition_function(ref, d)), rel=1e-12, abs=0)
 
     def test_sums_to_one(self):
         rng = random.Random(404)
