@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError
+from .errors import InfeasibleConstraintError, NumericOverflowError
 from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
 from .mln import Mln, as_probability
 # Unused here; kept so that ``constraints.partition_function`` resolves.
@@ -154,10 +154,15 @@ def _kept_masses(phi: Mln, cc: CardinalityConstraint, d: Domain, extra=()):
     psi = CountSpec.of(cc.psi.formulas + tuple(extra))
     tilts = _tilt_vector(psi, d, _targets(cc.predicate))
     q = count_distribution(phi, psi, d, tilts=tilts)
-    masses = {idx: float(q.probabilities[idx])
-              * math.exp(-sum(t * i for t, i in zip(tilts, idx)))
-              for idx in np.ndindex(*q.shape)
-              if cc.predicate(idx[:len(cc.psi)]) and q.probabilities[idx] != 0}
+    try:
+        masses = {idx: float(q.probabilities[idx])
+                  * math.exp(-sum(t * i for t, i in zip(tilts, idx)))
+                  for idx in np.ndindex(*q.shape)
+                  if cc.predicate(idx[:len(cc.psi)])
+                  and q.probabilities[idx] != 0}
+    except OverflowError as err:
+        raise NumericOverflowError(
+            f"undoing the constraint tilt overflowed: {err}") from err
     total = math.fsum(masses.values())
     if total <= 0.0:
         raise InfeasibleConstraintError(

@@ -13,22 +13,22 @@ that is polynomial in the domain size:
    x and y at once, so later steps bind the atoms over x and y directly.
    Definitions are equivalences, so each original world extends uniquely
    and the weighted count is unchanged.
-2. *Skolemization* removes existentials: ``forall x exists y m`` becomes
-   ``forall x forall y (m -> s(x))`` and ``exists x m`` becomes ``forall x
-   forall y (m -> s(y))``, with a fresh unary ``s`` weighted ``(1, -1)``,
-   so worlds without a witness cancel out of the sum.
+2. *Skolemization* removes ``forall x exists y m``: it becomes ``forall x
+   forall y (m -> s(x))``, with a fresh unary ``s`` weighted ``(1, -1)``, so
+   worlds without a witness cancel out of the sum.
 3. *Conditioning* branches on the truth of nullary atoms, leaving pure
    universally quantified matrices per branch (``logic.fold`` with the
-   branch's nullary values).
+   branch's nullary values).  Each ``exists x m`` is counted by its
+   complement, Z(T and exists x m) = Z(T) - Z(T and forall x not m), m
+   over x alone: each subset S of a branch's ``exists x`` sentences is a
+   branch of sign (-1)^|S| over the cells where every ``not m`` in S holds.
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
    per-cell-pair cross weights.  Compilation keeps each cell's bool row
    and, per cell pair, the base-3 codes of the allowed cross assignments;
    each call builds a code's weight monomial once.  Cells with equal pair
-   rows merge, weights summed, which cuts the compositions visited.  An
-   empty pair row (from ``exists x`` sentences, for one) zeroes every term
-   that fills both its cells, for any weights, so the sum skips them.
+   rows merge, weights summed, which cuts the compositions visited.
 5. *Collapse* of product-structured classes.  Where the cross assignments
    a class g allows toward every class it meets are every combination of
    one set S_g of its own outgoing atoms p(u, v) with a set of the other's
@@ -40,10 +40,10 @@ that is polynomial in the domain size:
    (2^n - 1)^n with unit weights, and the (1, -1) Skolem weights cancel
    inside that cell's weight instead of across compositions.
 
-Arithmetic is generic: integer weights give exact (bignum) results, any
-other weights run in complex floating point with overflow detection.  A
-weight may also be a numpy array, which evaluates the sum for every element
-in one pass over the compositions.
+Arithmetic is generic: integer and ``Fraction`` weights give exact
+results, float and complex weights run in floating point with overflow
+detection.  A weight may also be a numpy array, which evaluates the sum for
+every element in one pass over the compositions.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ from .logic import (
 )
 
 _MAGNITUDE_LIMIT = 1e300
+_FLOATING = (float, complex, np.ndarray)  # the types checked against it
 # Bound on the (cell pair, cross assignment) entries the pair table
 # evaluates at once, so its memory does not grow with the cells squared.
 _CHUNK = 1 << 16
@@ -74,8 +75,9 @@ _XY = (Var("x"), Var("y"))
 
 
 def cpow(base, exponent: int):
-    """base**exponent by repeated squaring; exact for ints, checked for
-    magnitude otherwise (every element, for numpy arrays)."""
+    """base**exponent by repeated squaring; exact for ints and
+    ``Fraction``s, checked for magnitude for floats, complex numbers and
+    numpy arrays (every element)."""
     if isinstance(base, int):
         return base ** exponent
     result = 1
@@ -87,11 +89,12 @@ def cpow(base, exponent: int):
         e >>= 1
         if e:
             b = b * b
-    # False for NaN; elementwise for arrays.
-    within = abs(result) <= _MAGNITUDE_LIMIT
-    if within is not True and not np.all(within):
-        raise NumericOverflowError(
-            f"|{base!r}**{exponent}| exceeds {_MAGNITUDE_LIMIT:g}")
+    if isinstance(result, _FLOATING):
+        # False for NaN; elementwise for arrays.
+        within = abs(result) <= _MAGNITUDE_LIMIT
+        if within is not True and not np.all(within):
+            raise NumericOverflowError(
+                f"|{base!r}**{exponent}| exceeds {_MAGNITUDE_LIMIT:g}")
     return result
 
 
@@ -204,15 +207,14 @@ def _prefix(s: Formula):
 
 
 def _normalize_theory(t: Fo2Theory):
-    """Normalize and Skolemize every sentence of ``t``.  Returns (sentences,
-    vocabulary, skolem weight entries); each sentence is ``m``, ``forall x
-    m`` or ``forall x forall y m``.
+    """Normalize every sentence of ``t`` and Skolemize ``forall x exists
+    y``.  Returns (sentences, vocabulary, skolem weight entries); each
+    sentence is ``m``, ``forall x m``, ``forall x forall y m`` or ``exists x
+    m``, which ``compile_theory`` counts by its complement.
 
-    ``forall x exists y m`` becomes ``forall x forall y (m -> s(x))`` and
-    ``exists x m`` becomes ``forall x forall y (m -> s(y))``, s a fresh
-    unary predicate weighted (1, -1): where a witness exists every s-atom
-    is forced true (factor 1); otherwise s is free and its assignments sum
-    to (1 - 1)^n = 0."""
+    ``forall x exists y m`` becomes ``forall x forall y (m -> s(x))``, s a
+    fresh unary predicate weighted (1, -1): where x has a witness s(x) is
+    forced true (factor 1); otherwise its two values sum to 1 - 1 = 0."""
     vocab = _Vocabulary(t.vocabulary)
     normal = []
     for s in t.sentences:
@@ -221,11 +223,10 @@ def _normalize_theory(t: Fo2Theory):
     sentences, weights = [], {}
     for s in normal:
         kinds, m = _prefix(s)
-        if Exists in kinds:
+        if kinds == (ForAll, Exists):
             sk = vocab.fresh("sk", 1)
             weights[sk.name] = (1, -1)
-            witness = y if kinds == (Exists,) else x
-            s = ForAll(x, ForAll(y, Implies(m, Atom(sk, (witness,)))))
+            s = ForAll(x, ForAll(y, Implies(m, Atom(sk, (x,)))))
         sentences.append(s)
     return sentences, vocab, weights
 
@@ -238,17 +239,23 @@ def _assignments(k: int) -> np.ndarray:
     return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
 
 
+def _holds(preds, rows: np.ndarray, matrices) -> np.ndarray:
+    """Per bool row of ``rows`` (one column per predicate), whether every
+    matrix over x and y holds at a single element (y = x) of that cell."""
+    values = {Atom(p, args): rows[:, k] for k, p in enumerate(preds)
+              for args in itertools.product(_XY, repeat=p.arity)}
+    values |= _TRUTH_LEAVES
+    ok = np.ones(len(rows), dtype=bool)
+    for m in matrices:
+        ok &= evaluate_bitwise(m, values)
+    return ok
+
+
 def _enumerate_cells(preds, diag_matrices) -> np.ndarray:
     """Bool rows, one column per predicate, of the cell assignments
     consistent with every matrix over x and y at a single element (y = x)."""
     bits = _assignments(len(preds))
-    values = {Atom(p, args): bits[:, k] for k, p in enumerate(preds)
-              for args in itertools.product(_XY, repeat=p.arity)}
-    values |= _TRUTH_LEAVES
-    ok = np.ones(len(bits), dtype=bool)
-    for m in diag_matrices:
-        ok &= evaluate_bitwise(m, values)
-    return bits[ok]
+    return bits[_holds(preds, bits, diag_matrices)]
 
 
 def _pair_table(matrices2, preds, table):
@@ -333,13 +340,13 @@ class _Collapse:
     groups: tuple[tuple[tuple[int, list], ...], ...]
     # Per group, the bool rows of T_Gk per class k of ``rest``.
     toward: tuple[tuple[list, ...], ...]
-    # ``_exclusions`` of the collapsed table's empty entries.
-    exclusions: tuple[list, list]
 
 
 @dataclass(frozen=True)
 class _Branch:
     nullary_values: tuple[tuple[str, bool], ...]
+    # (-1)^|S|, S the ``exists x`` sentences whose complements it counts.
+    sign: int
     # Per class of interchangeable cells, its cells' bool rows over the
     # element predicates.
     cells: tuple[list, ...]
@@ -359,46 +366,50 @@ class CompiledTheory:
     skolem_weights: tuple[tuple[str, tuple[int, int]], ...] = ()
 
     def wfomc(self, w, wbar, d: Domain):
+        return self._wfomc(w, wbar, d)[0]
+
+    def _wfomc(self, w, wbar, d: Domain):
+        """``wfomc`` and the sum of its terms' magnitudes over every branch,
+        which is 0 unless the terms are float or complex scalars."""
         if self.skolem_weights:
             w = w.updated({k: v[0] for k, v in self.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})
         binary = [(wbar(p.name), w(p.name))
                   for p in self.vocabulary if p.arity == 2]
-        total = 0
+        total = magnitude = 0
         # Array overflow shows as inf or NaN and raises below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for branch in self.branches:
-                factor = 1
+                factor = branch.sign
                 for name, value in branch.nullary_values:
                     factor = factor * (w(name) if value else wbar(name))
                 cells, pairs = _collapsed_table(
-                    branch.collapse, d.size, binary,
+                    branch, d.size, binary,
                     *_weights(self.vocabulary, branch.cells,
                               branch.pair_counts, w, wbar))
                 try:
-                    value, _ = _config_sum(d.size, cells, pairs,
-                                           branch.collapse.exclusions)
+                    value, _, size = _config_sum(d.size, cells, pairs)
                 except OverflowError as err:
                     # An exact big-int term met a float weight.
                     raise NumericOverflowError(
                         f"weighted count left the floating-point range: {err}"
                     ) from err
                 total = total + factor * value
-        if not isinstance(total, int):
+                magnitude = magnitude + abs(factor) * size
+        if isinstance(total, _FLOATING):
             within = abs(total) <= _MAGNITUDE_LIMIT
             if within is not True and not np.all(within):
                 raise NumericOverflowError(
                     "weighted count left the floating-point range")
-        return total
+        return total, magnitude
 
     def composition_count(self, d: Domain) -> int:
         """Number of cell compositions the sum visits, over all branches:
-        compositions of the elements into the collapsed table's cells (one
-        per group of product-structured classes, one per other class) that
-        fill no two cells joined by an empty entry and put at most one
-        element in a cell whose own entry is empty."""
-        return sum(_pruned_count(d.size, *b.collapse.exclusions)
-                   for b in self.branches)
+        compositions of the elements into the collapsed table's cells, one
+        per group of product-structured classes and one per other class."""
+        sizes = (len(b.collapse.rest) + len(b.collapse.groups)
+                 for b in self.branches)
+        return sum(math.comb(d.size + c - 1, c - 1) for c in sizes if c)
 
 
 def _row_sum(pick, rows):
@@ -438,16 +449,17 @@ def _weights(vocab, cells, pair_counts, w, wbar):
     return weights, r
 
 
-def _collapsed_table(collapse, n, binary, cells, r):
-    """The cell weights and pair table of ``collapse``, from the class-level
-    ``_weights``.  ``binary`` holds (wbar(p), w(p)) per binary p, and h(A)
-    is ``_row_sum(binary, A)``.
+def _collapsed_table(branch, n, binary, cells, r):
+    """The cell weights and pair table of ``branch.collapse``, from the
+    class-level ``_weights``.  ``binary`` holds (wbar(p), w(p)) per binary
+    p, and h(A) is ``_row_sum(binary, A)``.
 
     A group's cell weighs sum_g w_g h(S_g)^(n-1), with 1 to itself and to
     the groups it meets and h(T_Gk) to each kept class k: each pair weight
     r_gk factors as h(S_g) h(T_gk), and the n_g (n-1) factors h(S_g) of a
     composition's term move into the weight, so by the multinomial theorem
     the group's members sum into one cell, for any weights."""
+    collapse = branch.collapse
     if not collapse.groups:
         return cells, r
     rest = collapse.rest
@@ -456,11 +468,12 @@ def _collapsed_table(collapse, n, binary, cells, r):
             cells[g] * cpow(_row_sum(binary, outgoing), n - 1)
             for g, outgoing in members), 0)
         for members in collapse.groups]
-    below, _ = collapse.exclusions
-    m = len(weights)
+    out = [[0] * len(weights) for _ in weights]
     # 1 between groups that meet, and 0 between those that do not.
-    out = [[0 if below[max(i, j)] >> min(i, j) & 1 else 1 for j in range(m)]
-           for i in range(m)]
+    firsts = [members[0][0] for members in collapse.groups]
+    for a, g in enumerate(firsts, len(rest)):
+        out[a][len(rest):] = [1 if branch.pair_counts[min(g, h), max(g, h)]
+                              else 0 for h in firsts]
     for a, k in enumerate(rest):
         out[a][:len(rest)] = [r[k][l] for l in rest]
     for g, sets in enumerate(collapse.toward, len(rest)):
@@ -469,12 +482,11 @@ def _collapsed_table(collapse, n, binary, cells, r):
     return weights, out
 
 
-def _find_groups(own, size, exclusions) -> _Collapse:
+def _find_groups(own, size) -> _Collapse:
     """Group the product-structured classes of one branch.
 
     ``own`` holds the classes' ``_pair_table`` masks and ``size`` the
-    lengths of their pair rows, as lists, and ``exclusions`` the rows'
-    masks, which stand when no class groups.  Class g is separable when its
+    lengths of their pair rows, as lists.  Class g is separable when its
     row with every class it meets, itself included, is every combination of
     one set S_g of its outgoing cross assignments with a set of the
     other's.  Separable classes with equal columns (``own[k][g]`` over all
@@ -490,7 +502,7 @@ def _find_groups(own, size, exclusions) -> _Collapse:
             columns.setdefault(tuple(tuple(r[g]) for r in own), []).append(g)
     groups = [members for members in columns.values() if len(members) > 1]
     if not groups:
-        return _Collapse(tuple(range(c)), (), (), exclusions)
+        return _Collapse(tuple(range(c)), (), ())
     grouped = {g for members in groups for g in members}
     rest = [k for k in range(c) if k not in grouped]
     # A mask spans the 2^b assignments of the b binary predicates.
@@ -499,19 +511,37 @@ def _find_groups(own, size, exclusions) -> _Collapse:
     def assignments(mask):
         return [a for a, keep in zip(bits, mask) if keep]
 
-    order = rest + [members[0] for members in groups]
     return _Collapse(
         tuple(rest),
         tuple(tuple((g, assignments(own[g][g])) for g in members)
               for members in groups),
         tuple(tuple(assignments(own[k][members[0]]) for k in rest)
-              for members in groups),
-        _exclusions([[not size[i][j] for j in order] for i in order]))
+              for members in groups))
+
+
+def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
+    """The branch over the cells in ``table``, whose ``_pair_table`` entries
+    are ``ids``, ``rows`` and ``own``."""
+    # Cells with the same row of pair entries (so r_ii = r_jj = r_ij) are
+    # interchangeable: by the multinomial theorem one cell whose weight is
+    # the sum of theirs replaces them, for any weights.
+    classes = {}
+    for i, row in enumerate(ids):
+        classes.setdefault(row.tobytes(), []).append(i)
+    reps = [members[0] for members in classes.values()]
+    pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
+                   for a in range(len(reps)) for b in range(a, len(reps))}
+    size = [[len(rows[ids[i, j]]) for j in reps] for i in reps]
+    return _Branch(
+        nullary_values, sign,
+        tuple(table[members].tolist() for members in classes.values()),
+        pair_counts, _find_groups(own[reps][:, reps].tolist(), size))
 
 
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
     """Weight-independent compilation: normalize, Skolemize, branch on
-    nullary atoms, and tabulate cells and cross-assignment counts."""
+    nullary atoms and on the complements of ``exists x`` sentences, and
+    tabulate cells and cross-assignment counts."""
     sentences, vocab, _skw = _normalize_theory(t)
     nullary = sorted(p.name for p in vocab.preds if p.arity == 0)
     element_preds = [p for p in vocab.preds if p.arity in (1, 2)]
@@ -522,81 +552,43 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
                   for name, bit in zip(nullary, bits)}
         # A quantifier-free sentence has only nullary atoms, so it folds to
         # TRUE or FALSE.
-        folded = [(len(kinds) == 2, fold(m, values))
+        folded = [(kinds, fold(m, values))
                   for kinds, m in map(_prefix, sentences)]
         if any(m == FALSE for _, m in folded):
             continue
-        matrices1 = [m for two, m in folded if not two and m != TRUE]
-        matrices2 = [m for two, m in folded if two and m != TRUE]
-        table = _enumerate_cells(element_preds, matrices1 + matrices2)
+        universal = [m for kinds, m in folded if kinds != (Exists,)]
+        matrices2 = [m for kinds, m in folded if len(kinds) == 2]
+        table = _enumerate_cells(element_preds, universal)
+        # Per ``exists x m``, the cells where m fails.  One failing
+        # everywhere falsifies the branch (for n >= 1); one failing nowhere
+        # is true, as every subset with it keeps no cell.
+        misses = [~_holds(element_preds, table, [m]) for kinds, m in folded
+                  if kinds == (Exists,)]
+        if any(miss.all() for miss in misses):
+            continue
         ids, rows, own = _pair_table(matrices2, element_preds, table)
-        # Cells with the same row of pair entries (so r_ii = r_jj = r_ij)
-        # are interchangeable: by the multinomial theorem one cell whose
-        # weight is the sum of theirs replaces them, for any weights.
-        classes = {}
-        for i, row in enumerate(ids):
-            classes.setdefault(row.tobytes(), []).append(i)
-        reps = [members[0] for members in classes.values()]
-        pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
-                       for a in range(len(reps)) for b in range(a, len(reps))}
-        size = [[len(rows[ids[i, j]]) for j in reps] for i in reps]
-        branches.append(_Branch(
-            tuple(zip(nullary, bits)),
-            tuple(table[members].tolist() for members in classes.values()),
-            pair_counts,
-            _find_groups(own[reps][:, reps].tolist(), size,
-                         _exclusions([[not n for n in row] for row in size]))))
+        for subset in itertools.product((False, True), repeat=len(misses)):
+            keep = functools.reduce(operator.and_,
+                                    itertools.compress(misses, subset),
+                                    np.ones(len(table), dtype=bool))
+            if any(subset) and not keep.any():
+                continue
+            kept = np.ix_(keep, keep)
+            branches.append(_branch(
+                tuple(zip(nullary, bits)), (-1) ** sum(subset), table[keep],
+                ids[kept], rows, own[kept]))
     return CompiledTheory(tuple(vocab.preds), tuple(branches),
                           tuple(sorted(_skw.items())))
 
 
-def _exclusions(zero):
-    """Zero-partner masks of a symmetric table of exact zeros: bit j of
-    ``below[i]`` is set for each cell j < i with ``zero[i][j]`` (j must stay
-    empty once i is nonempty), and ``solo[i]`` is ``zero[i][i]`` (i holds at
-    most one element)."""
-    below = [sum(1 << j for j in range(i) if row[j])
-             for i, row in enumerate(zero)]
-    solo = [row[i] for i, row in enumerate(zero)]
-    return below, solo
-
-
-def _pruned_count(n: int, below: list, solo: list) -> int:
-    """Compositions of n elements that ``_config_sum`` visits under the
-    given exclusions, memoized on (cell, mask of excluded cells)."""
-
-    @functools.cache
-    def counts(idx: int, blocked: int) -> list:
-        # Visited compositions of m = 0..n elements into cells 0..idx.
-        if idx == 0:
-            return [int(not m or not (blocked & 1 or solo[0] and m > 1))
-                    for m in range(n + 1)]
-        low = (1 << idx) - 1
-        out = counts(idx - 1, blocked & low)
-        if blocked >> idx & 1:
-            return out
-        # k >= 1 elements in cell idx leave m - k to the cells below.
-        sub = counts(idx - 1, (blocked | below[idx]) & low)
-        fill = sub if solo[idx] else list(itertools.accumulate(sub))
-        return out[:1] + [a + b for a, b in zip(out[1:], fill)]
-
-    return counts(len(below) - 1, 0)[n] if below else 0
-
-
-def _config_sum(n: int, cell_weights: list, r: list, exclusions=None):
+def _config_sum(n: int, cell_weights: list, r: list):
     """Sum over compositions of n elements into cells, in colexicographic
     order, of multinomial(n; counts) * prod w_i^{n_i} * prod r_ii^{C(n_i,2)}
-    * prod_{i<j} r_ij^{n_i n_j}.  Returns (value, compositions_visited).
-
-    Mutually exclusive cells are pruned, exactly and for any weights:
-    ``exclusions`` are the ``_exclusions`` masks of the empty pair rows,
-    whose entry ``_weights`` leaves as int 0, so every term that fills
-    both cells of such a row, or puts two elements in a cell whose own row
-    is empty, is an exact zero and its composition is skipped; the others
-    are added in the same order as without pruning.  None prunes nothing."""
+    * prod_{i<j} r_ij^{n_i n_j}.  Returns (value, compositions_visited,
+    sum of |term| over the float and complex scalar terms)."""
     c = len(cell_weights)
     if c == 0:
-        return (1 if n == 0 else 0), 0
+        return (1 if n == 0 else 0), 0, 0
     pow_cache: dict = {}
 
     def rpow(i: int, j: int, e: int):
@@ -607,45 +599,40 @@ def _config_sum(n: int, cell_weights: list, r: list, exclusions=None):
             pow_cache[key] = got
         return got
 
-    below, solo = exclusions or ([0] * c, [False] * c)
-    total = 0
+    total = magnitude = 0
     leaves = 0
     # Assign the last cell's count in the outermost loop so completed
-    # compositions appear in colexicographic order.  ``blocked`` marks the
-    # lower cells that a nonempty cell excludes.
+    # compositions appear in colexicographic order.
     assigned: list[tuple[int, int]] = []
 
-    def rec(idx: int, remaining: int, acc, blocked: int):
-        nonlocal total, leaves
+    def rec(idx: int, remaining: int, acc):
+        nonlocal total, leaves, magnitude
         if idx == 0:
             k = remaining
             term = acc
             if k:
-                if blocked & 1 or solo[0] and k > 1:
-                    return
                 term = term * cpow(cell_weights[0], k)
                 term = term * rpow(0, 0, k * (k - 1) // 2)
                 for j, nj in assigned:
                     term = term * rpow(0, j, k * nj)
             total += term
+            if isinstance(term, (float, complex)):
+                magnitude += abs(term)
             leaves += 1
             return
-        rec(idx - 1, remaining, acc, blocked)
-        if blocked >> idx & 1:
-            return
-        child = blocked | below[idx]
-        for k in range(1, (min(remaining, 1) if solo[idx] else remaining) + 1):
+        rec(idx - 1, remaining, acc)
+        for k in range(1, remaining + 1):
             term = acc * math.comb(remaining, k)
             term = term * cpow(cell_weights[idx], k)
             term = term * rpow(idx, idx, k * (k - 1) // 2)
             for j, nj in assigned:
                 term = term * rpow(idx, j, k * nj)
             assigned.append((idx, k))
-            rec(idx - 1, remaining - k, term, child)
+            rec(idx - 1, remaining - k, term)
             assigned.pop()
 
-    rec(c - 1, n, 1, 0)
-    return total, leaves
+    rec(c - 1, n, 1)
+    return total, leaves, magnitude
 
 
 def lifted_wfomc(t: Fo2Theory, w, wbar, d: Domain):

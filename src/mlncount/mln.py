@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import (
     InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
 )
+from . import lifted
 from .lifted import Fo2Theory, lifted_wfomc
 from .logic import (
     Atom, Domain, Formula, Iff, Predicate, WeightFunction, all_variables,
@@ -23,6 +24,7 @@ from .logic import (
 )
 
 IMAG_TOL = 1e-9
+CANCEL_LIMIT = 1e12  # beyond it, under 4 of a double's digits are left
 
 
 @dataclass(frozen=True)
@@ -86,10 +88,15 @@ def as_real(value, what: str):
     return value
 
 
-def as_normalizer(value):
-    """Check a weighted count that a probability divides by: real, and
-    positive unless numerically negative (a fault) or zero (no world)."""
+def as_normalizer(value, magnitude=0):
+    """Check a weighted count that a probability divides by: real, at least
+    1/``CANCEL_LIMIT`` of its terms' summed ``magnitude``, and positive
+    unless numerically negative (a fault) or zero (no world)."""
     z = as_real(value, "partition function")
+    if magnitude and z and magnitude > CANCEL_LIMIT * abs(z):
+        raise NumericResidueError(
+            f"partition function {z!r} cancels {magnitude / abs(z):.2g}-fold,"
+            f" outside what double precision resolves")
     if z <= 0:
         if isinstance(z, float) and z < -IMAG_TOL:
             raise NumericResidueError(f"partition function is negative: {z!r}")
@@ -113,7 +120,7 @@ def partition_function(phi: Mln, d: Domain):
     """Normalization constant of the model's distribution; exact when all
     effective weights are integers."""
     theory, w, wbar = translate_mln(phi)
-    return as_normalizer(lifted_wfomc(theory, w, wbar, d))
+    return as_normalizer(*lifted.compile_theory(theory)._wfomc(w, wbar, d))
 
 
 def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
@@ -125,7 +132,7 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
         raise UnsupportedSentenceError(
             f"query uses more than two variables: {gamma}")
     theory, w, wbar = translate_mln(phi)
-    den = as_normalizer(lifted_wfomc(theory, w, wbar, d))
+    den = as_normalizer(*lifted.compile_theory(theory)._wfomc(w, wbar, d))
     extended = Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary)
     num = as_real(lifted_wfomc(extended, w, wbar, d), "query count")
     if isinstance(num, int) and isinstance(den, int):

@@ -232,10 +232,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err.startswith("error:")
 
+    def test_tilt_undo_beyond_float_range(self, model_path, capsys):
+        # The function constraint's tilt, about -ln 150 per atom, is undone
+        # by a factor past the float range.
+        text = "domain 150\npredicate f/2\nfunction f\n"
+        code, out, err = run(capsys, "partition", model_path(text))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_negative_partition_function(self, model_path, capsys,
                                          monkeypatch):
         # A numeric fault (exit 1), not an infeasible model (exit 3).
-        monkeypatch.setattr(CompiledTheory, "wfomc", lambda *args: -1.0)
+        monkeypatch.setattr(CompiledTheory, "_wfomc",
+                            lambda *args: (-1.0, 1.0))
         path = model_path("domain 2\npredicate p/1\nweight 0.5 : p(x)\n"
                           "count np : p(x)\n")
         for argv in (["partition", path],

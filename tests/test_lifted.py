@@ -15,8 +15,8 @@ from mlncount import lifted
 from mlncount.logic import all_variables, iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _config_sum, _enumerate_cells, _exclusions, _normalize_theory,
-    _pair_table, _pruned_count, _weights, compile_theory, cpow,
+    Fo2Theory, _config_sum, _enumerate_cells, _normalize_theory, _pair_table,
+    _weights, compile_theory, cpow,
 )
 
 from helpers import random_matrix, random_theory, random_weight, rel_close
@@ -86,9 +86,9 @@ class TestSkolemize:
         out, _, _ = _normalize_theory(Fo2Theory.of(sentences, [P, F]))
         assert len(out) > len(sentences)
         for s in out:
-            assert isinstance(s, ForAll) and s.var == X
+            assert isinstance(s, (ForAll, Exists)) and s.var == X
             body = s.body
-            if isinstance(body, ForAll):
+            if isinstance(s, ForAll) and isinstance(body, ForAll):
                 assert body.var == Y
                 body = body.body
             assert not any(isinstance(g, (ForAll, Exists))
@@ -275,6 +275,14 @@ class TestLiftedWfomc:
         with pytest.raises(NumericOverflowError):
             lifted_wfomc(t, w, ONES, Domain(10))
 
+    def test_fraction_weights_have_no_magnitude_limit(self):
+        # 900 atoms of weight 1 + 5/2: far beyond the float range, exact.
+        tautology = ForAll(X, ForAll(Y, Or(Atom(F, (X, Y)),
+                                           Not(Atom(F, (X, Y))))))
+        t = Fo2Theory.of([tautology], [F])
+        w = WeightFunction({"f": Fraction(5, 2)})
+        assert lifted_wfomc(t, w, ONES, Domain(30)) == Fraction(7, 2) ** 900
+
     def test_nested_quantifiers_normalize(self):
         # propositional combination of sentences
         s = Or(ForAll(X, Atom(P, (X,))), Not(Exists(X, Atom(P, (X,)))))
@@ -333,12 +341,53 @@ class TestCellMerge:
         assert with_exists >= 5
 
 
+class TestComplement:
+    def test_exists_becomes_signed_branches(self):
+        # exists x p(x): all cells (one merged class), minus the cells
+        # without p.
+        compiled = compile_theory(Fo2Theory.of([Exists(X, Atom(P, (X,)))],
+                                               [P]))
+        assert [(b.sign, b.cells) for b in compiled.branches] == \
+            [(1, ([[False], [True]],)), (-1, ([[False]],))]
+        assert compiled.composition_count(Domain(5)) == 2
+        assert compiled.wfomc(ONES, ONES, Domain(5)) == 2 ** 5 - 1
+
+    def test_exists_true_or_false_on_every_cell_adds_no_branch(self):
+        p = Atom(P, (X,))
+        never = compile_theory(Fo2Theory.of(
+            [ForAll(X, Not(p)), Exists(X, p)], [P]))
+        assert never.branches == ()
+        assert never.wfomc(ONES, ONES, Domain(3)) == 0
+        always = compile_theory(Fo2Theory.of(
+            [ForAll(X, p), Exists(X, p)], [P]))
+        assert [b.sign for b in always.branches] == [1]
+        assert always.wfomc(ONES, ONES, Domain(3)) == 1
+
+    def test_integer_weights_with_an_exists_sentence_match_brute(self):
+        rng = random.Random(1104)
+        for _ in range(30):
+            theory, _, _ = random_theory(rng)
+            atoms = [Atom(p, (X,) * p.arity) for p in theory.vocabulary]
+            theory = Fo2Theory.of(
+                theory.sentences + (Exists(X, random_matrix(rng, atoms)),),
+                theory.vocabulary)
+            names = [p.name for p in theory.vocabulary]
+            w = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            wbar = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            for n in (1, 2, 3):
+                got = lifted_wfomc(theory, w, wbar, Domain(n))
+                want = brute_wfomc(list(theory.sentences), w, wbar, Domain(n),
+                                   vocab=theory.vocabulary)
+                assert isinstance(got, int)
+                assert got == want, (theory.sentences, n)
+
+
 class TestCompositionSum:
     def test_composition_count_formula(self):
         for c, n in [(1, 5), (2, 4), (3, 4), (4, 6), (5, 3)]:
             ws = [1] * c
             r = [[1] * c for _ in range(c)]
-            value, leaves = _config_sum(n, ws, r)
+            value, leaves, _ = _config_sum(n, ws, r)
             assert leaves == math.comb(n + c - 1, c - 1)
             assert value == c ** n  # all-ones weights count cell labelings
 
@@ -381,11 +430,12 @@ class TestCompositionSum:
         for i in range(c):
             for j in range(i, c):
                 r[i][j] = r[j][i] = draw()
-        value, leaves = _config_sum(n, ws, r)
+        value, leaves, _ = _config_sum(n, ws, r)
         assert leaves == math.comb(n + c - 1, c - 1)
         for e in range(size):
-            want, _ = _config_sum(n, [complex(w[e]) for w in ws],
-                                  [[complex(x[e]) for x in row] for row in r])
+            want, _, _ = _config_sum(
+                n, [complex(w[e]) for w in ws],
+                [[complex(x[e]) for x in row] for row in r])
             assert value[e] == pytest.approx(want, rel=1e-12)
 
 
@@ -405,22 +455,6 @@ def _reference_sum(n, ws, r):
     return total
 
 
-def _is_zero(x):
-    return type(x) is int and x == 0
-
-
-def _structurally_nonzero(n, r):
-    """Compositions with no exact-zero pair factor."""
-    c = len(r)
-    out = 0
-    for bars in itertools.combinations(range(n + c - 1), c - 1):
-        ks = [b - a - 1 for a, b in zip((-1,) + bars, bars + (n + c - 1,))]
-        out += all(not _is_zero(r[i][j]) or (ks[i] * ks[j] if i != j else
-                                    ks[i] * (ks[i] - 1)) == 0
-                   for i in range(c) for j in range(i, c))
-    return out
-
-
 def _zero_pattern(value):
     """A 5-cell pair table with int 0 at: (3, 3) (a cell holding at most one
     element), (0, 4) (the leaf cell against an outer cell) and every pair of
@@ -438,17 +472,13 @@ class TestPrunedSum:
     N = 6
 
     def _check(self, ws, r, exact):
-        exclusions = _exclusions([[_is_zero(x) for x in row] for row in r])
-        value, leaves = _config_sum(self.N, ws, r, exclusions)
+        value, leaves, _ = _config_sum(self.N, ws, r)
         want = _reference_sum(self.N, ws, r)
         if exact:
             assert value == want and type(value) is type(want)
         else:
             assert np.allclose(value, want, rtol=1e-12, atol=0)
-        assert leaves == _structurally_nonzero(self.N, r) < \
-            math.comb(self.N + len(ws) - 1, len(ws) - 1)
-        assert _pruned_count(self.N, *exclusions) == leaves
-        return value
+        assert leaves == math.comb(self.N + len(ws) - 1, len(ws) - 1)
 
     def test_int_weights(self):
         rng = random.Random(3)
@@ -464,21 +494,6 @@ class TestPrunedSum:
         self._check([frac() for _ in range(5)],
                     _zero_pattern(lambda i, j: frac()), True)
 
-    def test_complex_weights_match_unpruned_walk_bit_for_bit(self):
-        rng = random.Random(5)
-
-        def draw():
-            return complex(rng.uniform(-1.5, 1.5), rng.uniform(-1, 1))
-
-        ws = [draw() for _ in range(5)]
-        r = _zero_pattern(lambda i, j: draw())
-        value = self._check(ws, r, False)
-        # Without exclusions the walk visits every composition; the skipped
-        # terms were exact zeros.
-        value_all, leaves_all = _config_sum(self.N, ws, r)
-        assert leaves_all == math.comb(self.N + 4, 4)
-        assert value == value_all
-
     def test_array_weights(self):
         rng = np.random.default_rng(6)
 
@@ -486,17 +501,7 @@ class TestPrunedSum:
             return rng.uniform(-1.5, 1.5, 4) + 1j * rng.uniform(-1, 1, 4)
 
         ws = [draw() for _ in range(5)]
-        r = _zero_pattern(lambda i, j: draw())
-        value = self._check(ws, r, False)
-        assert np.array_equal(value, _config_sum(self.N, ws, r)[0])
-
-    def test_all_compositions_pruned(self):
-        # Two cells that exclude each other and themselves: n >= 3 leaves
-        # no nonzero term.
-        zero = [[0, 0], [0, 0]]
-        exclusions = _exclusions([[True, True], [True, True]])
-        assert _config_sum(3, [2, 3], zero, exclusions) == (0, 0)
-        assert _config_sum(1, [2, 3], zero, exclusions) == (5, 2)
+        self._check(ws, _zero_pattern(lambda i, j: draw()), False)
 
     def test_exact_loop_marginal_on_total_relations(self):
         f = Predicate("f", 2)
@@ -507,73 +512,14 @@ class TestPrunedSum:
         assert got == float(Fraction(total - (2 ** (n - 1) - 1) ** n, total))
 
 
-def _class_exclusions(branch):
-    """``_exclusions`` of a branch's class-level pair rows, before the
-    collapse."""
-    c = len(branch.cells)
-    return _exclusions([[not branch.pair_counts[min(a, b), max(a, b)]
-                         for b in range(c)] for a in range(c)])
-
-
 class TestPrunedCompositionCount:
-    def test_equals_visited_compositions_on_every_branch(self):
-        rng = random.Random(404)
-        with_exists = pruned = 0
-        for trial in range(40):
-            theory, w, wbar = random_theory(rng)
-            if trial % 2 == 0:
-                atoms = [Atom(p, (X,) * p.arity) for p in theory.vocabulary]
-                theory = Fo2Theory.of(
-                    theory.sentences + (Exists(X, random_matrix(rng, atoms)),),
-                    theory.vocabulary)
-                with_exists += 1
-            compiled = compile_theory(theory)
-            w = w.updated({k: v[0] for k, v in compiled.skolem_weights})
-            wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
-            for branch in compiled.branches:
-                exclusions = _class_exclusions(branch)
-                cells, pairs = _weights(compiled.vocabulary, branch.cells,
-                                        branch.pair_counts, w, wbar)
-                for n in (1, 3, 5):
-                    _, leaves = _config_sum(n, cells, pairs, exclusions)
-                    assert _pruned_count(n, *exclusions) == leaves
-                c = len(branch.cells)
-                pruned += leaves < (math.comb(5 + c - 1, c - 1) if c else 0)
-        assert with_exists >= 5
-        assert pruned >= 5
-
-    def test_cancelling_int_row_is_not_pruned(self):
-        # w(f) = 1, wbar(f) = -1: a pair row that leaves f(x,y) and f(y,x)
-        # free sums to (1 - 1)^2 = int 0 but is not empty, so the sum still
-        # visits its compositions, and composition_count agrees.
-        f = Predicate("f", 2)
-        compiled = compile_theory(Fo2Theory.of(
-            [ForAll(X, Exists(Y, Atom(f, (X, Y)))),
-             Exists(X, Atom(f, (X, X)))], [f]))
-        w = WeightFunction({"f": 1}).updated(
-            {k: v[0] for k, v in compiled.skolem_weights})
-        wbar = WeightFunction({"f": -1}).updated(
-            {k: v[1] for k, v in compiled.skolem_weights})
-        cancelled = 0
-        for branch in compiled.branches:
-            exclusions = _class_exclusions(branch)
-            cells, pairs = _weights(compiled.vocabulary, branch.cells,
-                                    branch.pair_counts, w, wbar)
-            cancelled += sum(
-                _is_zero(pairs[i][j]) and bool(rows)
-                for (i, j), rows in branch.pair_counts.items())
-            for n in (2, 4, 6):
-                value, leaves = _config_sum(n, cells, pairs, exclusions)
-                assert _pruned_count(n, *exclusions) == leaves
-        assert cancelled > 0
-
     def test_wfomc_visits_what_composition_count_reports(self, monkeypatch):
         visited = []
 
         def counting(*args):
-            value, leaves = _config_sum(*args)
-            visited.append(leaves)
-            return value, leaves
+            result = _config_sum(*args)
+            visited.append(result[1])
+            return result
 
         monkeypatch.setattr(lifted, "_config_sum", counting)
         f = Predicate("f", 2)
@@ -591,11 +537,10 @@ class TestPrunedCompositionCount:
         loop = Exists(X, Atom(f, (X, X)))
         compiled = compile_theory(Fo2Theory.of(
             [ForAll(X, Exists(Y, Atom(f, (X, Y)))), loop], [f]))
-        # Classes 0, 2 and 1, 3 form two groups; the first excludes class
-        # 4: fill the two groups, or class 4 (at least one element) with
-        # the second group.
+        # The totality's two classes form one group, on all cells and on
+        # those without a loop: one composition per branch.
         for n in (28, 2000):
-            assert compiled.composition_count(Domain(n)) == 2 * n + 1
+            assert compiled.composition_count(Domain(n)) == 2
         onto = compile_theory(Fo2Theory.of(
             [ForAll(X, Exists(Y, Atom(f, (X, Y)))),
              ForAll(Y, Exists(X, Atom(f, (X, Y))))], [f]))
@@ -633,12 +578,11 @@ def _class_level_wfomc(compiled, w, wbar, n):
     wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
     total = 0
     for branch in compiled.branches:
-        factor = math.prod(w(k) if v else wbar(k)
-                           for k, v in branch.nullary_values)
-        value, _ = _config_sum(n, *_weights(compiled.vocabulary,
-                                            branch.cells,
-                                            branch.pair_counts, w, wbar),
-                               _class_exclusions(branch))
+        factor = branch.sign * math.prod(w(k) if v else wbar(k)
+                                         for k, v in branch.nullary_values)
+        value, _, _ = _config_sum(n, *_weights(compiled.vocabulary,
+                                               branch.cells,
+                                               branch.pair_counts, w, wbar))
         total = total + factor * value
     return total
 
@@ -749,6 +693,5 @@ class TestCollapse:
         compiled = compile_theory(Fo2Theory.of([TOTALITY, onto], [F]))
         (branch,) = compiled.branches
         assert branch.collapse.groups == () and len(branch.cells) == 4
-        assert branch.collapse.exclusions == _class_exclusions(branch)
         for n in (5, 26):
             assert compiled.composition_count(Domain(n)) == math.comb(n + 3, 3)

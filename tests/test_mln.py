@@ -79,7 +79,8 @@ class TestPartition:
     def test_negative_partition_is_a_residue_error(self, query, monkeypatch):
         # A negative float count is a numeric fault, not an empty model,
         # whichever query divides by it.
-        monkeypatch.setattr(CompiledTheory, "wfomc", lambda *args: -1.0)
+        monkeypatch.setattr(CompiledTheory, "_wfomc",
+                            lambda *args: (-1.0, 1.0))
         mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
         with pytest.raises(NumericResidueError, match="negative"):
             query(mln, Domain(3))
@@ -178,6 +179,14 @@ class TestProbabilityRange:
         with pytest.raises(NumericResidueError, match="outside"):
             marginal(mln, Exists(X, Atom(F, (X, X))), Domain(n))
 
+    def test_cancelled_partition_function_raises(self):
+        # The same model's Z is a sum of terms 9e15 times its size, so
+        # double precision has no digit of it left.
+        mln = Mln.of([(TOTALITY, math.inf), (Atom(F, (X, Y)), -6),
+                      (And(Atom(F, (X, Y)), Atom(F, (Y, X))), 0.1)], [F])
+        with pytest.raises(NumericResidueError, match="outside"):
+            partition_function(mln, Domain(8))
+
     def test_round_off_excursions_are_clamped(self):
         assert as_probability(-1e-12, "p") == 0.0
         assert as_probability(1 + 1e-12, "p") == 1.0
@@ -205,13 +214,16 @@ class TestSoftTotality:
         assert got > 0
         assert abs(Fraction(got) / want - 1) <= 1e-9
 
-    @pytest.mark.parametrize("weight,n", [(-6, 8), (-10, 10)])
+    # The loop's existential is counted by its complement, so its count
+    # keeps its digits at every n.
+    @pytest.mark.parametrize("weight,n", [(-6, 8), (-10, 10), (-6, 30),
+                                          (-10, 30), (-6, 60), (-10, 60)])
     def test_loop_marginal_matches_closed_form(self, weight, n):
         a = Fraction(math.exp(weight))
         miss = ((1 + a) ** (n - 1) - 1) / ((1 + a) ** n - 1)
         got = marginal(_soft_total(weight), Exists(X, Atom(F, (X, X))),
                        Domain(n))
-        assert got == pytest.approx(float(1 - miss ** n), rel=1e-9)
+        assert abs(Fraction(got) / (1 - miss ** n) - 1) <= 1e-11
 
 
 class TestSoftClosedFormulas:
