@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BruteForceCapError
+from .errors import BruteForceCapError, InfeasibleConstraintError
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, PossibleWorld, Predicate, TRUE, Truth, WeightFunction, conjoin,
@@ -256,6 +256,13 @@ class _GroundMln:
         return math.exp(exponent)
 
 
+def _ratio(num: float, den: float) -> float:
+    """A query's share of the mass of the worlds that are not excluded."""
+    if den == 0.0:
+        raise InfeasibleConstraintError("every world is excluded")
+    return num / den
+
+
 def brute_mln_partition(mln, d: Domain, cap: int = DEFAULT_ATOM_CAP) -> float:
     """Partition normalizer by direct world enumeration."""
     grounded = _GroundMln(mln, d)
@@ -273,7 +280,7 @@ def brute_mln_marginal(mln, gamma: Formula, d: Domain,
         den += mass
         if mass and evaluate(gamma, world, d):
             num += mass
-    return num / den
+    return _ratio(num, den)
 
 
 def brute_count_distribution(mln, psi, d: Domain,
@@ -331,4 +338,4 @@ def brute_constrained_marginal(mln, psi, predicate, gamma: Formula, d: Domain,
         den += mass
         if evaluate(gamma, world, d):
             num += mass
-    return num / den
+    return _ratio(num, den)

@@ -2,9 +2,10 @@
 
 A cardinality constraint pairs count formulas with a 0/1 predicate over
 their count vectors; worlds whose counts fail the predicate get probability
-zero.  Inference routes through the full count distribution, so one grid
-computation, tilted toward the kept region and carrying its normalizer,
-serves both the constrained normalizer and every marginal.
+zero.  One reader takes the kept masses off one count grid, tilted toward
+the kept region and carrying its normalizer: the constrained normalizer,
+every marginal (an extra axis for the query's truth) and the fixed-point
+law of a random function (an extra axis for ``f(x, x)``) are read off it.
 
 A function constraint on a binary relation (every element maps to exactly
 one successor) is equivalent to totality plus the relation having exactly
@@ -20,12 +21,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleConstraintError, NumericOverflowError
+from .errors import (
+    InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
+)
 from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
 from .mln import Mln, as_probability
 # Unused here; kept so that ``constraints.partition_function`` resolves.
 from .mln import partition_function  # noqa: F401
 from .spectrum import CountSpec, count_distribution, shape_vector
+
+# Kept mass within this factor of the transform residue summed over its
+# bins has under 4 right digits left.
+RESOLVE_LIMIT = 1e4
 
 
 class CardinalityPredicate:
@@ -143,52 +150,58 @@ def _tilt_vector(psi: CountSpec, d: Domain,
 
 
 def _kept_masses(phi: Mln, cc: CardinalityConstraint, d: Domain, extra=()):
-    """The tilted normalizer, the total kept mass, and the mass of each
-    nonzero grid point whose first ``len(cc.psi)`` counts the predicate
-    keeps, on the grid of ``cc.psi`` and then the formulas ``extra``.
+    """The tilted normalizer z, a shift s, and, per count vector of
+    ``cc.psi`` that the predicate keeps, the masses over the grid of the
+    formulas ``extra``: untilted, they are z * exp(s) * masses.
 
-    The masses are shares of the normalizer, evaluated through a tilt
-    exp(<t, n>) centered on the kept region and undone per grid point, so
-    they keep full relative precision where a far-off-center region's mass
-    would otherwise be lost to transform round-off."""
+    The tilt exp(<t, n>) centers the grid on the kept region, so its masses
+    keep full relative precision there; undoing it is shifted by its
+    largest exponent s, so no factor overflows.  Kept mass within
+    ``RESOLVE_LIMIT`` times the grid's residue is round-off and raises."""
     psi = CountSpec.of(cc.psi.formulas + tuple(extra))
     tilts = _tilt_vector(psi, d, _targets(cc.predicate))
     q = count_distribution(phi, psi, d, tilts=tilts)
-    try:
-        masses = {idx: float(q.probabilities[idx])
-                  * math.exp(-sum(t * i for t, i in zip(tilts, idx)))
-                  for idx in np.ndindex(*q.shape)
-                  if cc.predicate(idx[:len(cc.psi)])
-                  and q.probabilities[idx] != 0}
-    except OverflowError as err:
-        raise NumericOverflowError(
-            f"undoing the constraint tilt overflowed: {err}") from err
-    total = math.fsum(masses.values())
-    if total <= 0.0:
+    kept = np.array([idx for idx in np.ndindex(*q.shape[:len(cc.psi)])
+                     if cc.predicate(idx)])
+    if not kept.size:
         raise InfeasibleConstraintError(
             "cardinality constraint excludes every world")
-    return q.normalizer, total, masses
+    exponents = -kept @ tilts[:len(cc.psi)]
+    shift = float(exponents.max())
+    factors = np.exp(exponents - shift).reshape((-1,) + (1,) * len(extra))
+    masses = q.probabilities[tuple(kept.T)] * factors
+    total = float(masses.sum())
+    noise = q.residue * float(factors.sum()) * masses[0].size
+    if total <= RESOLVE_LIMIT * noise:
+        raise NumericResidueError(
+            f"kept mass {total:.3g} is not above {RESOLVE_LIMIT:g} times the "
+            f"transform residue {noise:.3g}: it is not told from round-off")
+    return q.normalizer, shift, masses
 
 
-def constrained_partition(phi: Mln, cc: CardinalityConstraint, d: Domain,
-                          threads: int = 1) -> float:
+def constrained_partition(phi: Mln, cc: CardinalityConstraint,
+                          d: Domain) -> float:
     """Normalizer of the constrained distribution: the total unnormalized
-    count mass on the grid points the predicate keeps.  ``threads`` selects
-    nothing."""
-    z, _, masses = _kept_masses(phi, cc, d)
-    return math.fsum(mass * z for mass in masses.values())
+    count mass on the grid points the predicate keeps."""
+    z, shift, masses = _kept_masses(phi, cc, d)
+    try:
+        value = z * math.exp(shift) * float(masses.sum())
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise NumericOverflowError(
+            "constrained partition function exceeds the float range")
+    return value
 
 
 def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
-                         gamma: Formula, d: Domain,
-                         threads: int = 1) -> float:
+                         gamma: Formula, d: Domain) -> float:
     """Probability of the sentence ``gamma`` under the constrained
     distribution, read off an extended count grid whose last axis tracks
-    the query's truth.  The normalizer cancels from the ratio.  ``threads``
-    selects nothing."""
-    _, total, masses = _kept_masses(phi, cc, d, [gamma])
-    num = math.fsum(mass for idx, mass in masses.items() if idx[-1] == 1)
-    return as_probability(num / total, "constrained marginal")
+    the query's truth.  The normalizer cancels from the ratio."""
+    _, _, masses = _kept_masses(phi, cc, d, [gamma])
+    return as_probability(float(masses[:, 1].sum() / masses.sum()),
+                          "constrained marginal")
 
 
 def rewrite_function_constraints(fcs: Sequence[FunctionConstraint],
@@ -199,19 +212,14 @@ def rewrite_function_constraints(fcs: Sequence[FunctionConstraint],
     Returns (hard sentences, CardinalityConstraint); the constraint's count
     spec lists one ``r(x, y)`` formula per relation, in input order.
     """
-    x, y = Var("x"), Var("y")
-    sentences = []
-    betas = []
-    clauses = []
-    for i, fc in enumerate(fcs):
-        r = fc.relation
-        sentences.append(ForAll(x, Exists(y, Atom(r, (x, y)))))
-        betas.append(Atom(r, (x, y)))
-        clauses.append(Equals(i, d.size))
     if not fcs:
         return [], None
-    predicate = clauses[0] if len(clauses) == 1 else Conjunction(tuple(clauses))
-    return sentences, CardinalityConstraint(CountSpec.of(betas), predicate)
+    x, y = Var("x"), Var("y")
+    atoms = [Atom(fc.relation, (x, y)) for fc in fcs]
+    clauses = tuple(Equals(i, d.size) for i in range(len(fcs)))
+    predicate = clauses[0] if len(clauses) == 1 else Conjunction(clauses)
+    return ([ForAll(x, Exists(y, a)) for a in atoms],
+            CardinalityConstraint(CountSpec.of(atoms), predicate))
 
 
 def analytic_fixed_points(n: int, k: int) -> float:
@@ -222,34 +230,16 @@ def analytic_fixed_points(n: int, k: int) -> float:
     return math.comb(n, k) * (n - 1) ** (n - k) / n ** n
 
 
-def fixed_point_distribution(n: int, threads: int = 1,
-                             tilt: float | None = None) -> np.ndarray:
+def fixed_point_distribution(n: int, threads: int = 1) -> np.ndarray:
     """Distribution of the number of fixed points of a uniform random
-    function on n elements, computed through the count-distribution engine.
-
-    The model is the hard totality sentence on a binary relation; tracking
-    the relation's size and its diagonal count, the worlds with size exactly
-    n are the functions and the diagonal count is the number of fixed points.
-
-    ``tilt`` is a log-weight on the indicator of the relation's count
-    formula, so each true atom weighs exp(tilt).  It scales the whole size-m
-    row by exp(tilt*m), so the conditional distribution along the row is
-    unchanged; the default ln(1/(n-1)) centers the row mass near
-    size n, without which the target row drowns in transform round-off for
-    n beyond ~6 (its relative mass decays like n^n / (2^n - 1)^n).
-    ``threads`` selects nothing.
-    """
+    function on n elements: the law of the diagonal count ``f(x, x)``
+    under the function constraint on f.  ``threads`` selects nothing."""
     if n < 1:
         raise ValueError("n must be >= 1")
     f = Predicate("f", 2)
-    x, y = Var("x"), Var("y")
-    if tilt is None:
-        tilt = -math.log(n - 1) if n > 2 else 0.0
-    phi = Mln.of([(ForAll(x, Exists(y, Atom(f, (x, y)))), math.inf)], [f])
-    psi = CountSpec.of([Atom(f, (x, y)), Atom(f, (x, x))])
-    q = count_distribution(phi, psi, Domain(n), tilts=[tilt, 0.0])
-    row = q.probabilities[n, : n + 1].astype(float)
-    total = math.fsum(row)
-    if total <= 0.0:
-        raise InfeasibleConstraintError("no worlds with the exact relation size")
-    return row / total
+    sentences, cc = rewrite_function_constraints([FunctionConstraint(f)],
+                                                 Domain(n))
+    phi = Mln.of([(s, math.inf) for s in sentences], [f])
+    _, _, masses = _kept_masses(phi, cc, Domain(n), [Atom(f, (Var("x"),) * 2)])
+    row = masses.sum(axis=0)
+    return row / row.sum()

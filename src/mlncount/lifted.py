@@ -58,10 +58,9 @@ import numpy as np
 
 from .errors import NumericOverflowError, UnsupportedSentenceError
 from .logic import (
-    And, Atom, Domain, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
-    Predicate, TRUE, Truth, Var, all_variables, contains_constants,
-    contains_equality, evaluate_bitwise, fold, free_variables, fresh_name,
-    substitute,
+    And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
+    Or, Predicate, TRUE, Truth, Var, evaluate_bitwise, fold, free_variables,
+    fresh_name, iter_subformulas, substitute,
 )
 
 _MAGNITUDE_LIMIT = 1e300
@@ -126,15 +125,22 @@ class _Vocabulary:
 
 
 def _check_fragment(s: Formula) -> None:
+    """Reject what the lifted fragment cannot count: free variables,
+    equality atoms, constants, and more than two variable names, bound
+    ones included."""
     if free_variables(s):
         raise UnsupportedSentenceError(f"sentence has free variables: {s}")
-    if contains_equality(s):
-        raise UnsupportedSentenceError(
-            "equality atoms are outside the lifted fragment")
-    if contains_constants(s):
-        raise UnsupportedSentenceError(
-            "constants (domain elements) are outside the lifted fragment")
-    names = {v.name for v in all_variables(s)}
+    names = set()
+    for g in iter_subformulas(s):
+        if isinstance(g, Eq):
+            raise UnsupportedSentenceError(
+                "equality atoms are outside the lifted fragment")
+        terms = (g.args if isinstance(g, Atom) else
+                 (g.var,) if isinstance(g, (ForAll, Exists)) else ())
+        if any(isinstance(t, int) for t in terms):
+            raise UnsupportedSentenceError(
+                "constants (domain elements) are outside the lifted fragment")
+        names.update(t.name for t in terms)
     if len(names) > 2:
         raise UnsupportedSentenceError(
             f"sentence uses {len(names)} distinct variables: {s}")

@@ -262,16 +262,6 @@ def predicates_of(f: Formula) -> frozenset[Predicate]:
                      if isinstance(g, Atom))
 
 
-def contains_equality(f: Formula) -> bool:
-    return any(isinstance(g, Eq) for g in iter_subformulas(f))
-
-
-def contains_constants(f: Formula) -> bool:
-    """True if any atom argument is a concrete domain element."""
-    return any(isinstance(t, int) for g in iter_subformulas(f)
-               for t in _terms(g))
-
-
 def check_variable_limit(f: Formula, limit: int = 2) -> None:
     names = {v.name for v in all_variables(f)}
     if len(names) > limit:

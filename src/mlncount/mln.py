@@ -13,14 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
-)
+from .errors import InfeasibleConstraintError, NumericResidueError
 from . import lifted
 from .lifted import Fo2Theory, lifted_wfomc
 from .logic import (
-    Atom, Domain, Formula, Iff, Predicate, WeightFunction, all_variables,
-    fresh_name, free_variables, universal_closure,
+    Atom, Domain, Formula, Iff, Predicate, WeightFunction, fresh_name,
+    free_variables, universal_closure,
 )
 
 IMAG_TOL = 1e-9
@@ -60,9 +58,6 @@ def translate_mln(phi: Mln):
     vocab = list(phi.vocabulary)
     weights = {}
     for formula, weight in phi.weighted_formulas:
-        if len({v.name for v in all_variables(formula)}) > 2:
-            raise UnsupportedSentenceError(
-                f"formula uses more than two variables: {formula}")
         if math.isinf(weight):
             if weight < 0:
                 raise ValueError("weight -inf is not meaningful; negate the "
@@ -125,12 +120,6 @@ def partition_function(phi: Mln, d: Domain):
 
 def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
     """Probability that a sampled world satisfies the sentence ``gamma``."""
-    if free_variables(gamma):
-        raise UnsupportedSentenceError(
-            f"query must be a sentence (no free variables): {gamma}")
-    if len({v.name for v in all_variables(gamma)}) > 2:
-        raise UnsupportedSentenceError(
-            f"query uses more than two variables: {gamma}")
     theory, w, wbar = translate_mln(phi)
     den = as_normalizer(*lifted.compile_theory(theory)._wfomc(w, wbar, d))
     extended = Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary)

@@ -75,6 +75,7 @@ class CountDistribution:
 
     probabilities: np.ndarray  # float64, shape = shape_vector(psi, d)
     normalizer: float = 1.0  # Z of the spectrum the grid was read from
+    residue: float = 0.0  # worst |imaginary part| or negative mass inverted
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,14 +117,10 @@ def spectrum_point(phi: Mln, psi: CountSpec, k, d: Domain) -> complex:
     return complex(_spectrum_values(phi, psi, d, ks)[0][1])
 
 
-def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, threads: int = 1,
-                  tilts=None) -> Spectrum:
+def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, tilts=None) -> Spectrum:
     """Transform values at every grid frequency, in C index order, under
-    the log-weights ``tilts`` on the count formulas (none by default).
-
-    ``threads`` is accepted for compatibility and selects nothing: the grid
-    is evaluated in one vectorized pass.
-    """
+    the log-weights ``tilts`` on the count formulas (none by default),
+    evaluated in one vectorized pass."""
     shape = shape_vector(psi, d)
     ks = np.indices(shape).reshape(len(shape), -1)
     values, z = _spectrum_values(phi, psi, d, ks, tilts)
@@ -144,7 +141,9 @@ def inverse_dft(g: Spectrum) -> CountDistribution:
     """Invert a spectrum into a probability grid, checking residues.
 
     Imaginary parts above tolerance or negatives below ``-1e-9`` signal an
-    upstream numeric fault; small negatives are clamped to zero.
+    upstream numeric fault; small negatives are clamped to zero.  The worst
+    of both is kept as the grid's ``residue``, a floor under which a bin's
+    mass is round-off.
     """
     raw = inverse_dft_raw(g.values)
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
@@ -152,11 +151,12 @@ def inverse_dft(g: Spectrum) -> CountDistribution:
         raise NumericResidueError(
             f"inverse transform has imaginary residue {worst_imag:g}")
     q = raw.real.copy()
-    if q.size and float(q.min()) < -NEG_TOL:
+    worst_negative = -float(q.min()) if q.size else 0.0
+    if worst_negative > NEG_TOL:
         raise NumericResidueError(
-            f"inverse transform has negative mass {float(q.min()):g}")
+            f"inverse transform has negative mass {-worst_negative:g}")
     np.clip(q, 0.0, None, out=q)
-    return CountDistribution(q, g.normalizer)
+    return CountDistribution(q, g.normalizer, max(worst_imag, worst_negative))
 
 
 def count_distribution(phi: Mln, psi: CountSpec, d: Domain,

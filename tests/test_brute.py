@@ -8,8 +8,12 @@ from mlncount import (
     WeightFunction, brute_mln_marginal, brute_mln_partition, brute_wfomc,
     enumerate_worlds,
 )
-from mlncount.brute import atom_count, brute_count_distribution, world_weight
-from mlncount.errors import BruteForceCapError
+from mlncount.brute import (
+    atom_count, brute_constrained_marginal, brute_count_distribution,
+    world_weight,
+)
+from mlncount.constraints import Equals
+from mlncount.errors import BruteForceCapError, InfeasibleConstraintError
 
 from helpers import naive_wfomc, random_theory, rel_close
 
@@ -148,3 +152,17 @@ class TestMlnReferences:
         assert dist[(0,)] == pytest.approx(0.25)
         assert dist[(1,)] == pytest.approx(0.5)
         assert dist[(2,)] == pytest.approx(0.25)
+
+
+class TestInfeasibleQueries:
+    def test_contradictory_hard_formulas(self):
+        mln = Mln.of([(Exists(X, Atom(P, (X,))), math.inf),
+                      (ForAll(X, Not(Atom(P, (X,)))), math.inf)], [P])
+        with pytest.raises(InfeasibleConstraintError):
+            brute_mln_marginal(mln, Exists(X, Atom(P, (X,))), Domain(2))
+
+    def test_constraint_keeps_nothing(self):
+        mln = Mln.of([(Atom(P, (X,)), math.inf)], [P])
+        with pytest.raises(InfeasibleConstraintError):
+            brute_constrained_marginal(mln, [Atom(P, (X,))], Equals(0, 0),
+                                       Exists(X, Atom(P, (X,))), Domain(2))

@@ -234,11 +234,35 @@ class TestExitCodes:
 
     def test_tilt_undo_beyond_float_range(self, model_path, capsys):
         # The function constraint's tilt, about -ln 150 per atom, is undone
-        # by a factor past the float range.
+        # by a factor past the float range, so the undo is shifted; the kept
+        # row is then at the transform's round-off floor, a typed error.
         text = "domain 150\npredicate f/2\nfunction f\n"
         code, out, err = run(capsys, "partition", model_path(text))
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_constrained_partition_beyond_float_range(self, model_path,
+                                                      capsys):
+        # log Z' is about 797, past the float range; the marginal is a ratio
+        # and stays finite.
+        path = model_path("domain 40\npredicate r/2\ncount nr : r(x,y)\n"
+                          "cardinality nr == 320\n")
+        code, out, err = run(capsys, "partition", path)
+        assert code == 1 and out == "" and "float range" in err
+        code, out, _ = run(capsys, "marginal", path, "--query",
+                           "exists x r(x,x)")
+        assert code == 0 and out == "query 9.99882599797e-01\n"
+
+    @pytest.mark.parametrize("command", ["partition", "marginal", "check"])
+    def test_round_off_mass_is_not_a_result(self, model_path, capsys,
+                                            command):
+        # Every world has np = 3, so np == 0 keeps no mass but round-off.
+        path = model_path("domain 3\npredicate p/1\nhard : p(x)\n"
+                          "count np : p(x)\ncardinality np == 0\n"
+                          "query some : exists x p(x)\n")
+        code, out, err = run(capsys, command, path)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
     def test_negative_partition_function(self, model_path, capsys,
                                          monkeypatch):

@@ -272,10 +272,44 @@ class TestFixedPoints:
                 pytest.approx(1.0, abs=1e-9)
 
     def test_literal_untilted_construction_agrees_at_small_n(self):
+        # The untilted count grid of totality, read at the row |f| = n.
+        mln = Mln.of([(TOTALITY, math.inf)], [R])
+        psi = CountSpec.of([Atom(R, (X, Y)), Atom(R, (X, X))])
         for n in (2, 3, 4):
-            tilted = fixed_point_distribution(n)
-            literal = fixed_point_distribution(n, tilt=0.0)
-            assert np.allclose(tilted, literal, atol=1e-9)
+            row = count_distribution(mln, psi, Domain(n))[n]
+            assert np.allclose(fixed_point_distribution(n), row / row.sum(),
+                               atol=1e-9)
+
+
+class TestResidueCertificate:
+    """Kept mass at the transform's round-off floor raises instead of
+    returning round-off."""
+
+    def test_hard_atoms_against_empty_count(self):
+        # Every world has np = 3, so nothing at np == 0 has mass.
+        mln = Mln.of([(Atom(P, (X,)), math.inf)], [P])
+        cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
+                                   Equals(0, 0))
+        gamma = Exists(X, Atom(P, (X,)))
+        with pytest.raises(NumericResidueError):
+            constrained_partition(mln, cc, Domain(3))
+        with pytest.raises(NumericResidueError):
+            constrained_marginal(mln, cc, gamma, Domain(3))
+
+    @pytest.mark.parametrize("n", [60, 65, 140])
+    def test_unresolved_function_count_raises(self, n):
+        sentences, cc = rewrite_function_constraints([FunctionConstraint(R)],
+                                                     Domain(n))
+        mln = Mln.of([(s, math.inf) for s in sentences], [R])
+        with pytest.raises(NumericResidueError):
+            constrained_partition(mln, cc, Domain(n))
+
+    def test_resolved_function_count_is_right(self):
+        sentences, cc = rewrite_function_constraints([FunctionConstraint(R)],
+                                                     Domain(40))
+        mln = Mln.of([(s, math.inf) for s in sentences], [R])
+        assert constrained_partition(mln, cc, Domain(40)) == \
+            pytest.approx(40 ** 40, rel=1e-4)
 
 
 FUNCTIONS3 = parse_model(

@@ -269,6 +269,13 @@ class TestLiftedWfomc:
         with pytest.raises(UnsupportedSentenceError):
             lifted_wfomc(t, ONES, ONES, Domain(2))
 
+    def test_rejects_third_variable_name_even_if_bound(self):
+        z = Var("z")
+        t = Fo2Theory.of([ForAll(X, ForAll(Y, Exists(z, Atom(F, (X, Y)))))],
+                         [F])
+        with pytest.raises(UnsupportedSentenceError, match="3 distinct"):
+            lifted_wfomc(t, ONES, ONES, Domain(2))
+
     def test_overflow_detected(self):
         t = Fo2Theory.of([], [F])
         w = WeightFunction({"f": 1e40})

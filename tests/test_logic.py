@@ -10,9 +10,8 @@ from mlncount import (
     free_variables, groundings, parse_formula, pretty,
 )
 from mlncount.logic import (
-    FALSE, Truth, all_variables, contains_constants, contains_equality,
-    evaluate_bitwise, fold, ground_atoms, iter_subformulas, predicates_of,
-    universal_closure,
+    FALSE, Truth, all_variables, evaluate_bitwise, fold, ground_atoms,
+    iter_subformulas, predicates_of, universal_closure,
 )
 from mlncount.errors import (
     FormulaSyntaxError, TooManyVariablesError, VocabularyError,
@@ -301,11 +300,6 @@ def test_tree_queries_pinned():
             Or(Eq(Y, 1), Implies(Atom(F, (Y, 0)), Atom(Q, ()))))
     assert all_variables(f) == {X, Y, Z}
     assert predicates_of(f) == {P, F, Q}
-    assert contains_equality(f)
-    assert contains_constants(f)
-    assert contains_constants(Eq(X, 1))
     plain = ForAll(X, Exists(Y, Atom(F, (X, Y))))
     assert all_variables(plain) == {X, Y}
     assert predicates_of(plain) == {F}
-    assert not contains_equality(plain)
-    assert not contains_constants(plain)

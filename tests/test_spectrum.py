@@ -133,6 +133,12 @@ class TestInverseDft:
         dist = count_distribution(mln, psi, Domain(2))
         assert np.allclose(dist.probabilities, [0.25, 0.5, 0.25])
 
+    def test_residue_is_worst_imaginary_part_or_negative_mass(self):
+        values = forward_dft(np.random.default_rng(3).random((5, 4)))
+        raw = inverse_dft_raw(values)
+        assert inverse_dft(Spectrum(values)).residue == max(
+            float(np.max(np.abs(raw.imag))), -float(raw.real.min()))
+
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(4,), (2, 3), (5, 2), (3, 3, 2), (7,)]),
            st.integers(0, 2 ** 31 - 1))
