@@ -1,32 +1,42 @@
-"""Exhaustive-enumeration oracle for weighted model counting.
+"""Exhaustive-enumeration oracle for weighted model counting and for the
+log-linear distribution of a model.
 
-The model count is a sum over all ``2^A`` truth assignments to the ground
-atoms of per-atom weight products.  Worlds are identified with bitmasks over
-a fixed atom order, and blocks of 2^6 consecutive worlds are evaluated
-bit-parallel in uint64 words so that domains of up to 30 ground atoms stay
-tractable.  The per-world weight depends only on how many atoms of each
-predicate are true, so the weighted sum is aggregated exactly over integer
-count classes; the only floating-point rounding is one final sum over a few
-hundred classes.
+Worlds are identified with bitmasks over a fixed atom order.  One walk
+visits them in blocks of 2^6 worlds per uint64 word and evaluates ground
+formulas bit-parallel, so that domains of up to 30 ground atoms stay
+tractable.  Its two consumers aggregate the satisfying worlds exactly into
+integer count classes: per-predicate true-atom counts for the weighted
+count, true-grounding counts of the model's formulas for the model
+references.  The only floating-point rounding is one final sum over the
+classes.
 
+The model references count the true groundings of the original formulas,
+not of ``translate_mln``'s indicator theory, so they share no translation
+with the polynomial-time engine.  The code they do share with it,
+``evaluate_bitwise`` and ``fold``, is tested against ``evaluate``.
 Everything here is exponential by design: it exists to cross-validate the
-polynomial-time engine, not to replace it.
+engine, not to replace it.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BruteForceCapError, InfeasibleConstraintError
+from .errors import (
+    BruteForceCapError, InfeasibleConstraintError, VocabularyError,
+)
 from .logic import (
-    And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, PossibleWorld, Predicate, TRUE, Truth, WeightFunction, conjoin,
-    evaluate, evaluate_bitwise, free_variables, ground_atoms, groundings,
-    predicates_of, substitute,
+    And, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
+    PossibleWorld, Predicate, TRUE, WeightFunction, conjoin, evaluate_bitwise,
+    fold, free_variables, ground_atoms, groundings, predicates_of, substitute,
+    universal_closure,
 )
 
 DEFAULT_ATOM_CAP = 30
@@ -62,54 +72,24 @@ def world_weight(world: PossibleWorld, w, wbar, vocab, d: Domain):
     return out
 
 
-def _ground_expand(f: Formula, d: Domain) -> Formula:
-    """Expand quantifiers over the domain and resolve equalities, producing a
-    ground connective tree with light constant folding."""
-    if isinstance(f, Atom):
-        return f
+def _expand(f: Formula, d: Domain) -> Formula:
     if isinstance(f, Eq):
         return TRUE if f.left == f.right else FALSE
-    if isinstance(f, Truth):
-        return f
     if isinstance(f, Not):
-        b = _ground_expand(f.body, d)
-        if isinstance(b, Truth):
-            return FALSE if b.value else TRUE
-        return Not(b)
+        return Not(_expand(f.body, d))
     if isinstance(f, (And, Or, Implies, Iff)):
-        left = _ground_expand(f.left, d)
-        right = _ground_expand(f.right, d)
-        if isinstance(f, And):
-            if isinstance(left, Truth):
-                return right if left.value else FALSE
-            if isinstance(right, Truth):
-                return left if right.value else FALSE
-        if isinstance(f, Or):
-            if isinstance(left, Truth):
-                return TRUE if left.value else right
-            if isinstance(right, Truth):
-                return TRUE if right.value else left
-        if isinstance(f, Implies) and isinstance(left, Truth):
-            return right if left.value else TRUE
-        return type(f)(left, right)
+        return type(f)(_expand(f.left, d), _expand(f.right, d))
     if isinstance(f, (ForAll, Exists)):
-        parts = [_ground_expand(substitute(f.body, {f.var: e}), d)
-                 for e in d.elements]
-        if isinstance(f, ForAll):
-            if any(isinstance(p, Truth) and not p.value for p in parts):
-                return FALSE
-            parts = [p for p in parts if not isinstance(p, Truth)]
-            return conjoin(parts)
-        if any(isinstance(p, Truth) and p.value for p in parts):
-            return TRUE
-        parts = [p for p in parts if not isinstance(p, Truth)]
-        if not parts:
-            return FALSE
-        out = parts[0]
-        for p in parts[1:]:
-            out = Or(out, p)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
+        return reduce(And if isinstance(f, ForAll) else Or,
+                      [_expand(substitute(f.body, {f.var: e}), d)
+                       for e in d.elements])
+    return f
+
+
+def _ground_expand(f: Formula, d: Domain) -> Formula:
+    """Expand the quantifiers of closed ``f`` over the domain and resolve
+    its equalities, then fold: TRUE, FALSE or a ground connective tree."""
+    return fold(_expand(f, d))
 
 
 # Within-word patterns of the six lowest index bits: bit b of word-local
@@ -135,12 +115,45 @@ def _atom_bit_arrays(atom_index: dict, word_lo: int, n_words: int) -> dict:
     return out
 
 
-def _sentence_list(gamma) -> list[Formula]:
-    if gamma is None:
-        return []
-    if isinstance(gamma, Formula):
-        return [gamma]
-    return list(gamma)
+def _walk(sentences, vocab, d: Domain, cap: int):
+    """Walk every world over the vocabulary, a block at a time, once the atom
+    cap is checked.  Per block, yield the indices of the worlds that satisfy
+    every closed sentence and a function giving, at those worlds, the truth
+    of a ground quantifier-free formula as a bool array."""
+    atoms = ground_atoms(vocab, d)
+    if len(atoms) > cap:
+        raise BruteForceCapError(len(atoms), cap)
+    atom_index = {a: j for j, a in enumerate(atoms)}
+    ground = _ground_expand(conjoin(sentences), d)
+    n_worlds = 1 << len(atoms)
+    total_words = max(1, n_worlds >> 6)
+    for word_lo in range(0, total_words, _CHUNK_WORDS):
+        n_words = min(_CHUNK_WORDS, total_words - word_lo)
+        bits = _atom_bit_arrays(atom_index, word_lo, n_words)
+
+        def flags(g, bits=bits):
+            try:
+                packed = evaluate_bitwise(g, bits)
+            except KeyError as err:
+                raise VocabularyError(
+                    f"undeclared predicate {err.args[0].pred}") from None
+            return np.unpackbits(packed.view(np.uint8),
+                                 bitorder="little")[:n_worlds].view(bool)
+
+        sat = flags(ground)
+        idx = np.arange(word_lo << 6, (word_lo << 6) + len(sat),
+                        dtype=np.uint64)[sat]
+        yield idx, lambda g, flags=flags, sat=sat: flags(g)[sat]
+
+
+def _tally(keys) -> Counter:
+    """Worlds per class, over the per-block arrays of mixed-radix class
+    keys."""
+    tally = Counter()
+    for block in keys:
+        values, counts = np.unique(block, return_counts=True)
+        tally.update(dict(zip(values.tolist(), counts.tolist())))
+    return tally
 
 
 def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
@@ -151,7 +164,7 @@ def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
     Returns an exact int when every weight is an integer and a complex
     number otherwise.
     """
-    sentences = _sentence_list(gamma)
+    sentences = [gamma] if isinstance(gamma, Formula) else list(gamma or [])
     for s in sentences:
         if free_variables(s):
             raise ValueError(f"gamma must be a conjunction of closed "
@@ -159,101 +172,64 @@ def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
     if vocab is None:
         vocab = sorted({p for s in sentences for p in predicates_of(s)})
     vocab = list(vocab)
-    atoms = ground_atoms(vocab, d)
-    n_atoms = len(atoms)
-    if n_atoms > cap:
-        raise BruteForceCapError(n_atoms, cap)
-    atom_index = {a: j for j, a in enumerate(atoms)}
 
-    ground = _ground_expand(conjoin(sentences), d)
-    if isinstance(ground, Truth) and not ground.value:
-        return 0
-
-    # Count classes: one bin per vector of per-predicate true-atom counts.
+    # Count classes: the vector of per-predicate true-atom counts, each a
+    # popcount over the predicate's contiguous run of index bits.
     sizes = [d.size ** p.arity for p in vocab]
-    n_bins = 1
-    for s in sizes:
-        n_bins *= s + 1
-    pred_masks = []
-    for p in vocab:
-        mask = 0
-        for a, j in atom_index.items():
-            if a.pred == p:
-                mask |= 1 << j
-        pred_masks.append(np.uint64(mask))
+    runs = [((1 << s) - 1) << offset
+            for s, offset in zip(sizes, accumulate(sizes, initial=0))]
 
-    n_worlds = 1 << n_atoms
-    total_words = max(1, n_worlds >> 6)
-    bin_counts = np.zeros(n_bins, dtype=np.int64)
-
-    for word_lo in range(0, total_words, _CHUNK_WORDS):
-        n_words = min(_CHUNK_WORDS, total_words - word_lo)
-        bits = _atom_bit_arrays(atom_index, word_lo, n_words)
-        sat = evaluate_bitwise(ground, bits)
-        sat_flags = np.unpackbits(sat.view(np.uint8), bitorder="little")
-        idx = np.arange(word_lo << 6, (word_lo + n_words) << 6,
-                        dtype=np.uint64)
-        if n_worlds < 64:
-            sat_flags = sat_flags[:n_worlds]
-            idx = idx[:n_worlds]
-        combined = np.zeros(len(idx), dtype=np.int64)
-        for p_i in range(len(vocab)):
-            counts = np.bitwise_count(idx & pred_masks[p_i]).astype(np.int64)
-            combined = combined * (sizes[p_i] + 1) + counts
-        bin_counts += np.bincount(combined[sat_flags.astype(bool)],
-                                  minlength=n_bins)
-
-    # Weight of a count class: prod_p w(p)^k_p * wbar(p)^(n_p - k_p).
-    pow_w, pow_wbar = [], []
-    for p, s in zip(vocab, sizes):
-        pw, pb = [1], [1]
-        for _ in range(s):
-            pw.append(pw[-1] * w(p))
-            pb.append(pb[-1] * wbar(p))
-        pow_w.append(pw)
-        pow_wbar.append(pb)
+    def keys(idx):
+        key = np.zeros(len(idx), dtype=np.int64)
+        for run, s in zip(runs, sizes):
+            key = key * (s + 1) + np.bitwise_count(idx & np.uint64(run))
+        return key
 
     total = 0
-    for b in range(n_bins):
-        if bin_counts[b] == 0:
-            continue
-        rest, weight = b, 1
-        for p_i in range(len(vocab) - 1, -1, -1):
-            k = rest % (sizes[p_i] + 1)
-            rest //= sizes[p_i] + 1
-            weight = weight * pow_w[p_i][k] * pow_wbar[p_i][sizes[p_i] - k]
-        total = total + int(bin_counts[b]) * weight
+    blocks = _walk(sentences, vocab, d, cap)
+    for key, n in _tally(keys(idx) for idx, _ in blocks).items():
+        counts = np.unravel_index(key, [s + 1 for s in sizes])
+        weight = 1
+        for p, s, k in zip(vocab, sizes, map(int, counts)):
+            weight = weight * w(p) ** k * wbar(p) ** (s - k)
+        total = total + n * weight
     return total
 
 
 # ---------------------------------------------------------------------------
-# Ground-truth references for the log-linear distribution itself.  These go
-# world by world through the original (untranslated) semantics, so they share
-# no code with the polynomial-time pipeline they validate.
+# Ground-truth references for the log-linear distribution itself.  Each reads
+# the classes of one walk; none calls another.
 
-class _GroundMln:
-    """Groundings of a model's formulas, precomputed once per domain."""
+def _masses(mln, extra, d: Domain, cap: int) -> list[tuple[tuple, float]]:
+    """(counts, mass) per class of the worlds that satisfy the hard
+    formulas, the classes keyed by the true-grounding counts of the soft
+    and the ``extra`` formulas; ``counts`` holds those of ``extra``."""
+    hard = [universal_closure(f) for f, w in mln.weighted_formulas
+            if math.isinf(w)]
+    soft = [(f, w) for f, w in mln.weighted_formulas if not math.isinf(w)]
+    counted = [f for f, _ in soft] + list(extra)
+    grounds = [[_ground_expand(g, d) for g in groundings(f, d)]
+               for f in counted]
+    radices = [len(gs) + 1 for gs in grounds]
+    if math.prod(radices) >> 63:
+        raise ValueError("too many count classes for one 64-bit key")
 
-    def __init__(self, mln, d: Domain):
-        self.d = d
-        self.hard = []
-        self.soft = []
-        for formula, weight in mln.weighted_formulas:
-            grounds = groundings(formula, d)
-            if math.isinf(weight):
-                self.hard.extend(grounds)
-            else:
-                self.soft.append((weight, grounds))
+    def keys(idx, truth):
+        key = np.zeros(len(idx), dtype=np.int64)
+        for gs, r in zip(grounds, radices):
+            k = np.zeros(len(idx), dtype=np.int64)
+            for g in gs:
+                k += truth(g)
+            key = key * r + k
+        return key
 
-    def mass(self, world: PossibleWorld) -> float:
-        for g in self.hard:
-            if not evaluate(g, world, self.d):
-                return 0.0
-        exponent = 0.0
-        for weight, grounds in self.soft:
-            exponent += weight * sum(1 for g in grounds
-                                     if evaluate(g, world, self.d))
-        return math.exp(exponent)
+    out = []
+    for key, n in _tally(keys(*block) for block in
+                         _walk(hard, mln.vocabulary, d, cap)).items():
+        counts = [int(k) for k in np.unravel_index(key, radices)]
+        exponent = sum(w * k for (_, w), k in zip(soft, counts))
+        out.append((tuple(counts[len(soft):]), n * math.exp(exponent)))
+    return out
 
 
 def _ratio(num: float, den: float) -> float:
@@ -265,22 +241,14 @@ def _ratio(num: float, den: float) -> float:
 
 def brute_mln_partition(mln, d: Domain, cap: int = DEFAULT_ATOM_CAP) -> float:
     """Partition normalizer by direct world enumeration."""
-    grounded = _GroundMln(mln, d)
-    return math.fsum(grounded.mass(world)
-                     for world in enumerate_worlds(mln.vocabulary, d, cap))
+    return math.fsum(m for _, m in _masses(mln, [], d, cap))
 
 
 def brute_mln_marginal(mln, gamma: Formula, d: Domain,
                        cap: int = DEFAULT_ATOM_CAP) -> float:
-    grounded = _GroundMln(mln, d)
-    num = 0.0
-    den = 0.0
-    for world in enumerate_worlds(mln.vocabulary, d, cap):
-        mass = grounded.mass(world)
-        den += mass
-        if mass and evaluate(gamma, world, d):
-            num += mass
-    return _ratio(num, den)
+    masses = _masses(mln, [gamma], d, cap)
+    return _ratio(math.fsum(m for (k,), m in masses if k),
+                  math.fsum(m for _, m in masses))
 
 
 def brute_count_distribution(mln, psi, d: Domain,
@@ -289,53 +257,23 @@ def brute_count_distribution(mln, psi, d: Domain,
 
     Returns a dict mapping count vectors (tuples) to probabilities.
     """
-    grounded = _GroundMln(mln, d)
-    beta_grounds = [groundings(b, d) for b in psi]
-    masses: dict[tuple, float] = {}
-    z = 0.0
-    for world in enumerate_worlds(mln.vocabulary, d, cap):
-        mass = grounded.mass(world)
-        if mass == 0.0:
-            continue
-        z += mass
-        key = tuple(sum(1 for g in grounds if evaluate(g, world, d))
-                    for grounds in beta_grounds)
-        masses[key] = masses.get(key, 0.0) + mass
-    return {k: v / z for k, v in masses.items()}
+    masses = _masses(mln, psi, d, cap)
+    z = math.fsum(m for _, m in masses)
+    by_counts: dict[tuple, list] = {}
+    for k, m in masses:
+        by_counts.setdefault(k, []).append(m)
+    return {k: math.fsum(ms) / z for k, ms in by_counts.items()}
 
 
 def brute_constrained_partition(mln, psi, predicate, d: Domain,
                                 cap: int = DEFAULT_ATOM_CAP) -> float:
     """Total mass of the worlds whose count vector the predicate keeps."""
-    grounded = _GroundMln(mln, d)
-    beta_grounds = [groundings(b, d) for b in psi]
-    total = 0.0
-    for world in enumerate_worlds(mln.vocabulary, d, cap):
-        mass = grounded.mass(world)
-        if mass == 0.0:
-            continue
-        key = tuple(sum(1 for g in grounds if evaluate(g, world, d))
-                    for grounds in beta_grounds)
-        if predicate(key):
-            total += mass
-    return total
+    return math.fsum(m for k, m in _masses(mln, psi, d, cap) if predicate(k))
 
 
 def brute_constrained_marginal(mln, psi, predicate, gamma: Formula, d: Domain,
                                cap: int = DEFAULT_ATOM_CAP) -> float:
-    grounded = _GroundMln(mln, d)
-    beta_grounds = [groundings(b, d) for b in psi]
-    num = 0.0
-    den = 0.0
-    for world in enumerate_worlds(mln.vocabulary, d, cap):
-        mass = grounded.mass(world)
-        if mass == 0.0:
-            continue
-        key = tuple(sum(1 for g in grounds if evaluate(g, world, d))
-                    for grounds in beta_grounds)
-        if not predicate(key):
-            continue
-        den += mass
-        if evaluate(gamma, world, d):
-            num += mass
-    return _ratio(num, den)
+    kept = [(k[-1], m) for k, m in _masses(mln, [*psi, gamma], d, cap)
+            if predicate(k[:-1])]
+    return _ratio(math.fsum(m for q, m in kept if q),
+                  math.fsum(m for _, m in kept))

@@ -56,7 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, UnsupportedSentenceError
+from .errors import (
+    NumericOverflowError, UnsupportedSentenceError, VocabularyError,
+)
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, Predicate, TRUE, Truth, Var, evaluate_bitwise, fold, free_variables,
@@ -124,14 +126,16 @@ class _Vocabulary:
         return p
 
 
-def _check_fragment(s: Formula) -> None:
-    """Reject what the lifted fragment cannot count: free variables,
-    equality atoms, constants, and more than two variable names, bound
-    ones included."""
+def _check_fragment(s: Formula, vocabulary) -> None:
+    """Reject what the lifted fragment cannot count: predicates outside the
+    vocabulary, free variables, equality atoms, constants, and more than two
+    variable names, bound ones included."""
     if free_variables(s):
         raise UnsupportedSentenceError(f"sentence has free variables: {s}")
     names = set()
     for g in iter_subformulas(s):
+        if isinstance(g, Atom) and g.pred not in vocabulary:
+            raise VocabularyError(f"undeclared predicate {g.pred}")
         if isinstance(g, Eq):
             raise UnsupportedSentenceError(
                 "equality atoms are outside the lifted fragment")
@@ -190,7 +194,6 @@ def _normalize_sentence(s: Formula, vocab: _Vocabulary, out: list) -> None:
     """Emit ``s`` as ``m``, ``forall x m``, ``forall x forall y m``,
     ``forall x exists y m`` or ``exists x m``, m quantifier-free; a leading
     ``exists`` ends the prefix, and definitions name what follows it."""
-    _check_fragment(s)
     body = fold(s)
     quantifiers, variables = [], []
     while isinstance(body, (ForAll, Exists)) and len(quantifiers) < 2 \
@@ -223,7 +226,9 @@ def _normalize_theory(t: Fo2Theory):
     forced true (factor 1); otherwise its two values sum to 1 - 1 = 0."""
     vocab = _Vocabulary(t.vocabulary)
     normal = []
+    declared = set(t.vocabulary)
     for s in t.sentences:
+        _check_fragment(s, declared)
         _normalize_sentence(s, vocab, normal)
     x, y = _XY
     sentences, weights = [], {}

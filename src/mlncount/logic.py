@@ -206,9 +206,6 @@ class WeightFunction:
                 for k, v in self._weights.items()}
         return WeightFunction(conj, self._default)
 
-    def items(self):
-        return self._weights.items()
-
     def __repr__(self):
         return f"WeightFunction({self._weights!r}, default={self._default!r})"
 

@@ -46,10 +46,8 @@ class Model:
     domain: Domain
     vocabulary: tuple[Predicate, ...]
     mln: Mln
-    count_names: tuple[str, ...]
     count_spec: CountSpec | None
     cardinality: CardinalityConstraint | None
-    function_constraints: tuple[FunctionConstraint, ...]
     queries: tuple[tuple[str, Formula], ...]
 
 
@@ -160,18 +158,15 @@ def parse_model_text(text: str) -> Model:
         raise FormulaSyntaxError("missing domain directive")
 
     vocabulary = tuple(preds.values())
-    count_names = [name for name, _ in counts]
     betas = [formula for _, formula in counts]
 
     func_sentences, func_cc = rewrite_function_constraints(functions, domain)
     for sentence in func_sentences:
         weighted.append((sentence, math.inf))
     if func_cc is not None:
-        offset = len(betas)
-        for i, fc in enumerate(functions):
-            count_names.append(f"card({fc.relation.name})")
-            betas.append(func_cc.psi.formulas[i])
-            clauses.append(Equals(offset + i, domain.size))
+        clauses += [Equals(len(betas) + i, domain.size)
+                    for i in range(len(functions))]
+        betas += func_cc.psi.formulas
 
     mln = Mln.of(weighted, vocabulary)
     count_spec = CountSpec.of(betas) if betas else None
@@ -179,8 +174,8 @@ def parse_model_text(text: str) -> Model:
     if clauses:
         predicate = clauses[0] if len(clauses) == 1 else Conjunction(tuple(clauses))
         cardinality = CardinalityConstraint(count_spec, predicate)
-    return Model(domain, vocabulary, mln, tuple(count_names), count_spec,
-                 cardinality, tuple(functions), tuple(queries))
+    return Model(domain, vocabulary, mln, count_spec, cardinality,
+                 tuple(queries))
 
 
 def _split_colon(rest: str) -> tuple[str, str]:

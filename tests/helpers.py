@@ -11,6 +11,7 @@ import random
 from mlncount import (
     And, Atom, Domain, Exists, ForAll, Iff, Implies, Mln, Not, Or, Predicate,
     Var, WeightFunction, enumerate_worlds, evaluate, free_variables,
+    groundings,
 )
 from mlncount.brute import world_weight
 from mlncount.lifted import Fo2Theory
@@ -25,6 +26,21 @@ def naive_wfomc(sentences, w, wbar, d, vocab):
         if all(evaluate(s, world, d) for s in sentences):
             total = total + world_weight(world, w, wbar, vocab, d)
     return total
+
+
+def world_mass(mln, world, d):
+    """A world's unnormalized probability by definition: zero if a grounding
+    of a hard formula is false, else exp(sum of weight times true groundings)
+    over the soft formulas."""
+    exponent = 0.0
+    for formula, weight in mln.weighted_formulas:
+        truths = [evaluate(g, world, d) for g in groundings(formula, d)]
+        if math.isinf(weight):
+            if not all(truths):
+                return 0.0
+        else:
+            exponent += weight * sum(truths)
+    return math.exp(exponent)
 
 
 def random_matrix(rng, atoms, depth=0):

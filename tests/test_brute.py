@@ -1,21 +1,27 @@
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from mlncount import (
     Atom, Domain, Eq, Exists, ForAll, Iff, Mln, Not, Or, Predicate, TRUE, Var,
-    WeightFunction, brute_mln_marginal, brute_mln_partition, brute_wfomc,
-    enumerate_worlds,
+    WeightFunction, brute, brute_mln_marginal, brute_mln_partition,
+    brute_wfomc, count_true_groundings, enumerate_worlds, evaluate,
+    free_variables, marginal, parse_model_text, partition_function,
 )
 from mlncount.brute import (
-    atom_count, brute_constrained_marginal, brute_count_distribution,
-    world_weight,
+    atom_count, brute_constrained_marginal, brute_constrained_partition,
+    brute_count_distribution, world_weight,
 )
-from mlncount.constraints import Equals
-from mlncount.errors import BruteForceCapError, InfeasibleConstraintError
+from mlncount.constraints import Between, CustomPredicate, Equals
+from mlncount.errors import (
+    BruteForceCapError, InfeasibleConstraintError, VocabularyError,
+)
 
-from helpers import naive_wfomc, random_theory, rel_close
+from helpers import (
+    naive_wfomc, random_feasible_mln, random_theory, rel_close, world_mass,
+)
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
@@ -166,3 +172,96 @@ class TestInfeasibleQueries:
         with pytest.raises(InfeasibleConstraintError):
             brute_constrained_marginal(mln, [Atom(P, (X,))], Equals(0, 0),
                                        Exists(X, Atom(P, (X,))), Domain(2))
+
+
+class TestUndeclaredPredicates:
+    def test_mln_partition(self):
+        mln = Mln.of([(Atom(Q, (X,)), 0.5)], [P])
+        with pytest.raises(VocabularyError, match="q/1"):
+            brute_mln_partition(mln, Domain(2))
+
+    def test_wfomc(self):
+        with pytest.raises(VocabularyError, match="q/1"):
+            brute_wfomc(Exists(X, Atom(Q, (X,))), ONES, ONES, Domain(2),
+                        vocab=[P])
+
+
+def _close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12)
+
+
+def _existential_closure(f):
+    for v in sorted(free_variables(f), key=lambda v: v.name):
+        f = Exists(v, f)
+    return f
+
+
+class TestAgainstPerWorldDefinition:
+    def test_every_reference_equals_its_world_sum(self):
+        # Each reference against the model's definition summed world by
+        # world: mass, true-grounding counts and query truth per world.
+        rng = random.Random(1313)
+        for _ in range(30):
+            mln, psi, d = random_feasible_mln(rng, max_atoms=10)
+            query = _existential_closure(psi[0])
+            worlds = list(enumerate_worlds(mln.vocabulary, d))
+            mass = [world_mass(mln, w, d) for w in worlds]
+            counts = [tuple(count_true_groundings(b, w, d) for b in psi)
+                      for w in worlds]
+            holds = [evaluate(query, w, d) for w in worlds]
+            z = math.fsum(mass)
+            assert _close(brute_mln_partition(mln, d), z)
+            assert _close(brute_mln_marginal(mln, query, d),
+                         math.fsum(m for m, h in zip(mass, holds) if h) / z)
+
+            by_counts = {}
+            for c, m in zip(counts, mass):
+                if m:
+                    by_counts.setdefault(c, []).append(m)
+            dist = brute_count_distribution(mln, psi, d)
+            assert dist.keys() == by_counts.keys()
+            for c, ms in by_counts.items():
+                assert _close(dist[c], math.fsum(ms) / z)
+
+            top = max(c[0] for c in counts)
+            lo = rng.randint(0, top)
+            for keep in (Between(0, lo, rng.randint(lo, top)),
+                         CustomPredicate(lambda c: sum(c) % 2 == 0)):
+                kept = [(m, h) for m, c, h in zip(mass, counts, holds)
+                        if keep(c)]
+                den = math.fsum(m for m, _ in kept)
+                assert _close(brute_constrained_partition(mln, psi, keep, d),
+                             den)
+                if den == 0.0:
+                    with pytest.raises(InfeasibleConstraintError):
+                        brute_constrained_marginal(mln, psi, keep, query, d)
+                    continue
+                assert _close(
+                    brute_constrained_marginal(mln, psi, keep, query, d),
+                    math.fsum(m for m, h in kept if h) / den)
+
+
+class TestReach:
+    def test_smokers_at_twenty_atoms_match_the_engine(self):
+        text = (Path(__file__).resolve().parents[1] / "models"
+                / "smokers.mln").read_text()
+        model = parse_model_text(text.replace("domain 3", "domain 4"))
+        mln, d = model.mln, model.domain
+        assert atom_count(mln.vocabulary, d) == 20
+        assert rel_close(brute_mln_partition(mln, d),
+                         partition_function(mln, d))
+        for _, query in model.queries:
+            assert rel_close(brute_mln_marginal(mln, query, d),
+                             marginal(mln, query, d))
+
+    def test_cap_is_checked_before_any_world_is_walked(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("a world was walked")
+
+        monkeypatch.setattr(brute, "_atom_bit_arrays", walked)
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        with pytest.raises(BruteForceCapError) as err:
+            brute_mln_partition(mln, Domain(31))
+        assert err.value.atom_count == 31
+        with pytest.raises(BruteForceCapError):
+            brute_wfomc(TRUE, ONES, ONES, Domain(31), vocab=[P])

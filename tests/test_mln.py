@@ -12,6 +12,7 @@ from mlncount import (
 )
 from mlncount.errors import (
     InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
+    VocabularyError,
 )
 from mlncount.mln import as_probability
 
@@ -19,8 +20,27 @@ from helpers import random_feasible_mln
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
+Q = Predicate("q", 1)
 F = Predicate("f", 2)
 TOTALITY = ForAll(X, Exists(Y, Atom(F, (X, Y))))
+
+
+class TestUndeclaredPredicates:
+    # The fragment gate rejects a predicate missing from the vocabulary in
+    # model formulas, queries and count formulas alike.
+    def test_partition_function(self):
+        with pytest.raises(VocabularyError, match="q/1"):
+            partition_function(Mln.of([(Atom(Q, (X,)), 0.5)], [P]), Domain(2))
+
+    def test_marginal_query(self):
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        with pytest.raises(VocabularyError, match="q/1"):
+            marginal(mln, Exists(X, Atom(Q, (X,))), Domain(2))
+
+    def test_count_distribution_formula(self):
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        with pytest.raises(VocabularyError, match="q/1"):
+            count_distribution(mln, CountSpec.of([Atom(Q, (X,))]), Domain(2))
 
 
 class TestTranslate:

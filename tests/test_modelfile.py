@@ -30,7 +30,6 @@ class TestParseModel:
         assert model.vocabulary == (f,)
         assert model.mln.weighted_formulas == (
             (ForAll(X, Exists(Y, Atom(f, (X, Y)))), math.inf),)
-        assert model.count_names == ("nf", "fix")
         assert model.count_spec.formulas == (Atom(f, (X, Y)), Atom(f, (X, X)))
         assert model.cardinality.predicate == Equals(0, 10)
         assert model.queries[0][0] == "has_fix"
@@ -52,7 +51,7 @@ class TestParseModel:
         assert (ForAll(X, Exists(Y, Atom(f, (X, Y)))), math.inf) in \
             model.mln.weighted_formulas
         # synthetic count axis after the declared ones, pinned to |domain|
-        assert model.count_names == ("fix", "card(f)")
+        assert model.count_spec.formulas == (Atom(f, (X, X)), Atom(f, (X, Y)))
         assert model.cardinality.predicate == Equals(1, 3)
 
     def test_two_function_constraints(self):
