@@ -9,8 +9,9 @@ that is polynomial in the domain size:
    atoms only in ``m`` alone), using fresh definition predicates for
    nested quantifiers and for what follows a leading ``exists``, after
    ``logic.fold`` has folded TRUE/FALSE leaves and dropped vacuous
-   quantifiers.  Each emitted sentence has its prefix variables renamed to
-   x and y at once, so later steps bind the atoms over x and y directly.
+   quantifiers; a negated quantifier in the prefix becomes its dual.
+   Each emitted sentence has its prefix variables renamed to x and y at
+   once, so later steps bind the atoms over x and y directly.
    Definitions are equivalences, so each original world extends uniquely
    and the weighted count is unchanged.
 2. *Skolemization* removes ``forall x exists y m``: it becomes ``forall x
@@ -22,6 +23,9 @@ that is polynomial in the domain size:
    complement, Z(T and exists x m) = Z(T) - Z(T and forall x not m), m
    over x alone: each subset S of a branch's ``exists x`` sentences is a
    branch of sign (-1)^|S| over the cells where every ``not m`` in S holds.
+   The same expansion conditions a compiled theory on a query ``forall x
+   m`` (keep the cells where m holds) or ``exists x m`` (one more subset
+   factor) without rebuilding its tables: ``CompiledTheory._conditioned``.
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
@@ -52,7 +56,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -192,12 +196,18 @@ def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
 
 def _normalize_sentence(s: Formula, vocab: _Vocabulary, out: list) -> None:
     """Emit ``s`` as ``m``, ``forall x m``, ``forall x forall y m``,
-    ``forall x exists y m`` or ``exists x m``, m quantifier-free; a leading
-    ``exists`` ends the prefix, and definitions name what follows it."""
+    ``forall x exists y m`` or ``exists x m``, m quantifier-free; ``not Q x
+    f`` is read as the dual of Q over ``not f``, a leading ``exists`` ends
+    the prefix, and definitions name what follows it."""
     body = fold(s)
     quantifiers, variables = [], []
-    while isinstance(body, (ForAll, Exists)) and len(quantifiers) < 2 \
-            and Exists not in quantifiers:
+    while len(quantifiers) < 2 and Exists not in quantifiers:
+        if isinstance(body, Not) and isinstance(body.body, (ForAll, Exists)):
+            q = body.body
+            inner = q.body.body if isinstance(q.body, Not) else Not(q.body)
+            body = (Exists if isinstance(q, ForAll) else ForAll)(q.var, inner)
+        if not isinstance(body, (ForAll, Exists)):
+            break
         quantifiers.append(type(body))
         variables.append(body.var)
         body = body.body
@@ -303,7 +313,7 @@ def _pair_table(matrices2, preds, table):
     own = np.zeros((c, c, half), dtype=bool)
     # Cell pairs i <= j, a chunk at a time: element 0 in cell i, element 1
     # in cell j, evaluated as (pairs, cross assignments) arrays.
-    first, second = np.triu_indices(c)
+    first, second = np.nonzero(np.arange(c)[:, None] <= np.arange(c))
     step = max(1, _CHUNK // len(cross))
     for lo in range(0, len(first), step):
         left, right = first[lo:lo + step], second[lo:lo + step]
@@ -375,6 +385,32 @@ class CompiledTheory:
     # (1, -1) weight pairs of the relaxation predicates introduced by
     # Skolemization; applied on top of caller weights at evaluation time.
     skolem_weights: tuple[tuple[str, tuple[int, int]], ...] = ()
+    # Per nullary branch, what ``_expand`` builds its branches from.
+    tables: tuple = field(default=(), repr=False, compare=False)
+
+    def _conditioned(self, gamma: Formula) -> "CompiledTheory | None":
+        """This theory and ``gamma`` (checked by ``_check_fragment``) as
+        ``compile_theory`` compiles them, read off this theory's tables, if
+        gamma normalizes to one ``forall x m`` or ``exists x m``; else None."""
+        out = []
+        _normalize_sentence(gamma, _Vocabulary(self.vocabulary), out)
+        kinds, m = _prefix(out[-1])
+        if len(out) > 1 or kinds not in ((ForAll,), (Exists,)):
+            return None
+        preds = [p for p in self.vocabulary if p.arity in (1, 2)]
+        tables = []
+        for values, table, keep, misses, *pairs in self.tables:
+            folded = fold(m, {Atom(Predicate(name, 0), ()): TRUE if bit
+                              else FALSE for name, bit in values})
+            holds = _holds(preds, table, [folded])
+            if kinds == (Exists,):
+                misses += (~holds,)
+            else:
+                keep = keep & holds
+            if folded != FALSE and not any(miss[keep].all() for miss in misses):
+                tables.append((values, table, keep, misses, *pairs))
+        return CompiledTheory(self.vocabulary, _expand(tables),
+                              self.skolem_weights, tuple(tables))
 
     def wfomc(self, w, wbar, d: Domain):
         return self._wfomc(w, wbar, d)[0]
@@ -549,6 +585,23 @@ def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
         pair_counts, _find_groups(own[reps][:, reps].tolist(), size))
 
 
+def _expand(tables) -> tuple[_Branch, ...]:
+    """Per nullary branch and subset S of its ``exists x`` misses, the
+    branch of sign (-1)^|S| over the kept cells where every miss in S holds,
+    unless S is nonempty and keeps no cell."""
+    branches = []
+    for values, table, keep, misses, ids, rows, own in tables:
+        for subset in itertools.product((False, True), repeat=len(misses)):
+            k = functools.reduce(operator.and_,
+                                 itertools.compress(misses, subset), keep)
+            if any(subset) and not k.any():
+                continue
+            kept = np.ix_(k, k)
+            branches.append(_branch(values, (-1) ** sum(subset), table[k],
+                                    ids[kept], rows, own[kept]))
+    return tuple(branches)
+
+
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
     """Weight-independent compilation: normalize, Skolemize, branch on
     nullary atoms and on the complements of ``exists x`` sentences, and
@@ -557,7 +610,7 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
     nullary = sorted(p.name for p in vocab.preds if p.arity == 0)
     element_preds = [p for p in vocab.preds if p.arity in (1, 2)]
 
-    branches = []
+    tables = []
     for bits in itertools.product((False, True), repeat=len(nullary)):
         values = {Atom(Predicate(name, 0), ()): TRUE if bit else FALSE
                   for name, bit in zip(nullary, bits)}
@@ -573,23 +626,15 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
         # Per ``exists x m``, the cells where m fails.  One failing
         # everywhere falsifies the branch (for n >= 1); one failing nowhere
         # is true, as every subset with it keeps no cell.
-        misses = [~_holds(element_preds, table, [m]) for kinds, m in folded
-                  if kinds == (Exists,)]
+        misses = tuple(~_holds(element_preds, table, [m])
+                       for kinds, m in folded if kinds == (Exists,))
         if any(miss.all() for miss in misses):
             continue
-        ids, rows, own = _pair_table(matrices2, element_preds, table)
-        for subset in itertools.product((False, True), repeat=len(misses)):
-            keep = functools.reduce(operator.and_,
-                                    itertools.compress(misses, subset),
-                                    np.ones(len(table), dtype=bool))
-            if any(subset) and not keep.any():
-                continue
-            kept = np.ix_(keep, keep)
-            branches.append(_branch(
-                tuple(zip(nullary, bits)), (-1) ** sum(subset), table[keep],
-                ids[kept], rows, own[kept]))
-    return CompiledTheory(tuple(vocab.preds), tuple(branches),
-                          tuple(sorted(_skw.items())))
+        tables.append((tuple(zip(nullary, bits)), table,
+                       np.ones(len(table), dtype=bool), misses,
+                       *_pair_table(matrices2, element_preds, table)))
+    return CompiledTheory(tuple(vocab.preds), _expand(tables),
+                          tuple(sorted(_skw.items())), tuple(tables))
 
 
 def _config_sum(n: int, cell_weights: list, r: list):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import InfeasibleConstraintError, NumericResidueError
 from . import lifted
-from .lifted import Fo2Theory, lifted_wfomc
+from .lifted import Fo2Theory
 from .logic import (
     Atom, Domain, Formula, Iff, Predicate, WeightFunction, fresh_name,
     free_variables, universal_closure,
@@ -119,11 +119,15 @@ def partition_function(phi: Mln, d: Domain):
 
 
 def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
-    """Probability that a sampled world satisfies the sentence ``gamma``."""
+    """Probability that a sampled world satisfies the sentence ``gamma``.
+    A ``forall x m`` or ``exists x m`` gamma costs no second compile."""
     theory, w, wbar = translate_mln(phi)
-    den = as_normalizer(*lifted.compile_theory(theory)._wfomc(w, wbar, d))
-    extended = Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary)
-    num = as_real(lifted_wfomc(extended, w, wbar, d), "query count")
+    compiled = lifted.compile_theory(theory)
+    den = as_normalizer(*compiled._wfomc(w, wbar, d))
+    lifted._check_fragment(gamma, theory.vocabulary)
+    query = compiled._conditioned(gamma) or lifted.compile_theory(
+        Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary))
+    num = as_real(query.wfomc(w, wbar, d), "query count")
     if isinstance(num, int) and isinstance(den, int):
         p = float(Fraction(num, den))
     else:

@@ -9,7 +9,7 @@ import pytest
 from mlncount import (
     And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Mln, Not, Or,
     PossibleWorld, Predicate, TRUE, Var, WeightFunction, brute_wfomc,
-    evaluate, lifted_wfomc, marginal,
+    evaluate, lifted_wfomc, marginal, translate_mln,
 )
 from mlncount import lifted
 from mlncount.logic import all_variables, iter_subformulas
@@ -19,7 +19,10 @@ from mlncount.lifted import (
     _weights, compile_theory, cpow,
 )
 
-from helpers import random_matrix, random_theory, random_weight, rel_close
+from helpers import (
+    random_feasible_mln, random_matrix, random_theory, random_weight,
+    rel_close,
+)
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
@@ -387,6 +390,137 @@ class TestComplement:
                                    vocab=theory.vocabulary)
                 assert isinstance(got, int)
                 assert got == want, (theory.sentences, n)
+
+
+class TestConditioned:
+    """``CompiledTheory._conditioned`` reads T and a unary query off T's own
+    tables; it must build exactly what compiling T plus the query builds."""
+
+    @staticmethod
+    def _queries(rng, theory):
+        atoms = [Atom(p, (X,) * p.arity) for p in theory.vocabulary
+                 if p.arity]
+        a = atoms[0]
+        # Random ones, one that keeps no cell, one that T implies (a
+        # tautology, or T's own unary sentence) and their negated spellings.
+        queries = [q(X, random_matrix(rng, atoms))
+                   for q in (ForAll, Exists, ForAll, Exists)]
+        queries += [ForAll(X, And(a, Not(a))), Exists(X, And(a, Not(a))),
+                    ForAll(X, Or(a, Not(a))), Exists(X, Or(a, Not(a))),
+                    Not(ForAll(X, Not(a))), Not(Exists(X, a))]
+        queries += [s for s in theory.sentences
+                    if isinstance(s, ForAll) and not isinstance(
+                        s.body, (ForAll, Exists))]
+        return queries
+
+    @staticmethod
+    def _check_same(theory, query, weights, sizes=(1, 2, 3)):
+        conditioned = compile_theory(theory)._conditioned(query)
+        assert conditioned is not None, query
+        fresh = compile_theory(Fo2Theory.of(theory.sentences + (query,),
+                                            theory.vocabulary))
+        assert conditioned.branches == fresh.branches, query
+        assert conditioned.skolem_weights == fresh.skolem_weights
+        for n in sizes:
+            d = Domain(n)
+            assert conditioned.composition_count(d) == \
+                fresh.composition_count(d)
+            for w, wbar in weights:
+                got = conditioned.wfomc(w, wbar, d)
+                want = fresh.wfomc(w, wbar, d)
+                assert type(got) is type(want) and got == want, (query, n)
+
+    def test_random_theories_float_and_exact_weights(self):
+        rng = random.Random(1405)
+        for _ in range(25):
+            theory, w, wbar = random_theory(rng)
+            if rng.random() < 0.5:
+                # An ``exists x`` sentence of T's own gives the expansion
+                # misses to condition.
+                atoms = [Atom(p, (X,) * p.arity) for p in theory.vocabulary]
+                theory = Fo2Theory.of(
+                    theory.sentences + (Exists(X, random_matrix(rng, atoms)),),
+                    theory.vocabulary)
+            names = [p.name for p in theory.vocabulary]
+            exact = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            ratio = WeightFunction({k: Fraction(rng.randint(1, 5),
+                                                rng.randint(1, 3))
+                                    for k in names})
+            for query in self._queries(rng, theory):
+                self._check_same(theory, query,
+                                 [(w, wbar), (exact, ONES), (ratio, exact)])
+
+    def test_random_models(self):
+        rng = random.Random(1406)
+        for _ in range(15):
+            mln, _, d = random_feasible_mln(rng)
+            theory, w, wbar = translate_mln(mln)
+            for query in self._queries(rng, Fo2Theory.of(
+                    (), mln.vocabulary)):
+                self._check_same(theory, query, [(w, wbar)], (d.size,))
+
+    @pytest.mark.parametrize("with_exists", [True, False])
+    def test_nullary_branches(self, with_exists):
+        # Closed sentences nested in a connective give nullary definition
+        # predicates, whose ``exists`` halves add misses; a declared nullary
+        # q alone adds none.  The queries mention q, so each nullary branch
+        # conditions on its own folded matrix, FALSE in some.
+        q = Atom(Predicate("q", 0), ())
+        p, f = Atom(P, (X,)), Atom(F, (X, X))
+        sentences = [Or(Exists(X, p), ForAll(X, ForAll(Y, Atom(F, (X, Y))))),
+                     Iff(q, Exists(X, And(p, f)))] if with_exists else \
+            [ForAll(X, Implies(q, Or(p, f)))]
+        theory = Fo2Theory.of(sentences, [P, F, q.pred])
+        w = WeightFunction({"p": 2, "f": 3, "q": 5})
+        for query in (ForAll(X, Or(p, q)), Exists(X, And(f, q)),
+                      ForAll(X, Implies(q, f)), ForAll(X, And(p, q)),
+                      Exists(X, Not(p))):
+            self._check_same(theory, query, [(w, ONES)])
+            for n in (1, 2, 3):
+                got = compile_theory(theory)._conditioned(query).wfomc(
+                    w, ONES, Domain(n))
+                assert got == brute_wfomc(
+                    list(theory.sentences) + [query], w, ONES, Domain(n),
+                    vocab=theory.vocabulary)
+
+    @pytest.mark.parametrize("query", [
+        TOTALITY,
+        ForAll(X, ForAll(Y, Atom(F, (X, Y)))),
+        ForAll(X, Or(Atom(P, (X,)), Exists(Y, Atom(F, (X, Y))))),
+        Exists(X, Exists(Y, Atom(F, (X, Y)))),
+        Atom(Predicate("q", 0), ()),
+    ], ids=["forall-exists", "binary", "nested", "exists-exists", "nullary"])
+    def test_other_queries_are_not_conditioned(self, query):
+        compiled = compile_theory(Fo2Theory.of(
+            [ForAll(X, Implies(Atom(P, (X,)), Atom(F, (X, X))))],
+            [P, F, Predicate("q", 0)]))
+        assert compiled._conditioned(query) is None
+
+
+class TestNegatedPrefix:
+    @pytest.mark.parametrize("negated, plain", [
+        (Not(ForAll(X, Not(Atom(F, (X, X))))), Exists(X, Atom(F, (X, X)))),
+        (Not(Exists(X, Atom(P, (X,)))), ForAll(X, Not(Atom(P, (X,))))),
+        (ForAll(X, Not(Exists(Y, Atom(F, (X, Y))))),
+         ForAll(X, ForAll(Y, Not(Atom(F, (X, Y)))))),
+    ])
+    def test_negation_moves_inside_the_prefix(self, negated, plain):
+        sentences, vocab, _ = _normalize_theory(Fo2Theory.of([negated],
+                                                             [P, F]))
+        assert sentences == [plain]
+        assert vocab.preds == [P, F]
+
+    def test_both_spellings_count_alike(self):
+        loop = Atom(F, (X, X))
+        w = WeightFunction({"f": 2})
+        spellings = [compile_theory(Fo2Theory.of([TOTALITY, s], [F]))
+                     for s in (Exists(X, loop), Not(ForAll(X, Not(loop))))]
+        assert len(spellings[0].branches) == len(spellings[1].branches)
+        for n in (1, 2, 3):
+            want = brute_wfomc([TOTALITY, Exists(X, loop)], w, ONES,
+                               Domain(n), vocab=[F])
+            for compiled in spellings:
+                assert compiled.wfomc(w, ONES, Domain(n)) == want
 
 
 class TestCompositionSum:

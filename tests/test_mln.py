@@ -6,10 +6,11 @@ import pytest
 
 from mlncount import (
     And, Atom, CompiledTheory, CountSpec, Domain, Exists, ForAll, Iff,
-    Implies, Mln, Not, Predicate, Var, brute_mln_marginal,
+    Implies, Mln, Not, Or, Predicate, Var, brute_mln_marginal,
     brute_mln_partition, count_distribution, marginal, partition_function,
     translate_mln,
 )
+from mlncount import lifted
 from mlncount.errors import (
     InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
     VocabularyError,
@@ -184,6 +185,51 @@ class TestMarginal:
         mln = Mln.of([(TOTALITY, math.inf)], [F])
         assert marginal(mln, TOTALITY, Domain(2)) == pytest.approx(1.0)
         assert marginal(mln, Not(TOTALITY), Domain(2)) == pytest.approx(0.0)
+
+
+class TestOneCompilePerUnaryQuery:
+    """A ``forall x m`` or ``exists x m`` query is counted on the model's
+    own compiled tables; other queries compile the model with the query."""
+
+    @pytest.mark.parametrize("query, compiles", [
+        (Exists(X, Atom(P, (X,))), 1),
+        (ForAll(X, Implies(Atom(P, (X,)), Atom(F, (X, X)))), 1),
+        (Not(ForAll(X, Not(Atom(F, (X, X))))), 1),
+        (TOTALITY, 2),
+        (ForAll(X, ForAll(Y, Atom(F, (X, Y)))), 2),
+    ], ids=["exists", "forall", "negated-forall", "forall-exists", "binary"])
+    def test_compile_calls(self, monkeypatch, query, compiles):
+        calls = {"compile": 0, "wfomc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(lifted, "compile_theory",
+                            counted("compile", lifted.compile_theory))
+        monkeypatch.setattr(lifted.CompiledTheory, "wfomc",
+                            counted("wfomc", lifted.CompiledTheory.wfomc))
+        mln = Mln.of([(Implies(Atom(P, (X,)), Atom(F, (X, Y))), 0.7),
+                      (Atom(F, (X, X)), -0.4)], [P, F])
+        p = marginal(mln, query, Domain(3))
+        assert calls == {"compile": compiles, "wfomc": 1}
+        assert p == pytest.approx(
+            brute_mln_marginal(mln, query, Domain(3)), rel=1e-9)
+
+    @pytest.mark.parametrize("query", [
+        ForAll(X, Atom(F, (X, Y))), Exists(X, Atom(P, (Y,)))])
+    def test_open_unary_shaped_query_rejected(self, query):
+        with pytest.raises(UnsupportedSentenceError):
+            marginal(Mln.of([(Atom(P, (X,)), 0.5)], [P, F]), query,
+                     Domain(2))
+
+    @pytest.mark.parametrize("query", [
+        ForAll(X, Atom(Q, (X,))), Exists(X, Or(Atom(P, (X,)), Atom(Q, (X,))))])
+    def test_undeclared_unary_query_rejected(self, query):
+        with pytest.raises(VocabularyError, match="q/1"):
+            marginal(Mln.of([(Atom(P, (X,)), 0.5)], [P]), query, Domain(2))
 
 
 class TestProbabilityRange:
