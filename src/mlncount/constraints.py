@@ -2,10 +2,12 @@
 
 A cardinality constraint pairs count formulas with a 0/1 predicate over
 their count vectors; worlds whose counts fail the predicate get probability
-zero.  One reader takes the kept masses off one count grid, tilted toward
-the kept region and carrying its normalizer: the constrained normalizer,
-every marginal (an extra axis for the query's truth) and the fixed-point
-law of a random function (an extra axis for ``f(x, x)``) are read off it.
+zero.  One reader lists the kept count vectors, then takes their masses
+off one count grid, tilted toward the middle of the kept counts on each
+axis and carrying its normalizer: the constrained normalizer, every
+marginal (an extra axis for the query's truth) and the fixed-point law of
+a random function (an extra axis for ``f(x, x)``) are read off it.  The
+tilt depends on the kept set alone, not on how the predicate spells it.
 
 A function constraint on a binary relation (every element maps to exactly
 one successor) is equivalent to totality plus the relation having exactly
@@ -121,52 +123,29 @@ class FunctionConstraint:
                 f"{self.relation}")
 
 
-def _targets(predicate: CardinalityPredicate) -> dict[int, float]:
-    """Per-dimension target counts of the structured predicates; none for
-    predicates whose shape gives no center (tautologies, escape-hatch
-    functions), which leaves their dimensions untilted."""
-    if isinstance(predicate, Equals):
-        return {predicate.dim: float(predicate.value)}
-    if isinstance(predicate, Between):
-        return {predicate.dim: (predicate.lo + predicate.hi) / 2.0}
-    if isinstance(predicate, Conjunction):
-        merged: dict[int, float] = {}
-        for part in predicate.parts:
-            merged.update(_targets(part))
-        return merged
-    return {}
-
-
-def _tilt_vector(psi: CountSpec, d: Domain,
-                 targets: dict[int, float]) -> list[float]:
-    """Log-weights that pull the count mass toward the targets; the
-    smoothed odds keep zero and full targets finite."""
-    tilts = [0.0] * len(psi)
-    for dim, target in targets.items():
-        total = shape_vector(psi, d)[dim] - 1
-        target = min(max(target, 0.0), float(total))
-        tilts[dim] = math.log((target + 0.5) / (total - target + 0.5))
-    return tilts
-
-
 def _kept_masses(phi: Mln, cc: CardinalityConstraint, d: Domain, extra=()):
     """The tilted normalizer z, a shift s, and, per count vector of
     ``cc.psi`` that the predicate keeps, the masses over the grid of the
     formulas ``extra``: untilted, they are z * exp(s) * masses.
 
-    The tilt exp(<t, n>) centers the grid on the kept region, so its masses
-    keep full relative precision there; undoing it is shifted by its
-    largest exponent s, so no factor overflows.  Kept mass within
+    The kept vectors are listed before anything is counted.  The tilt
+    exp(<t, n>) aims each axis at the middle of its kept counts through
+    smoothed log-odds, 0 for an axis kept whole, so the grid's masses keep
+    full relative precision there and the same kept set gets the same tilt
+    however the predicate spells it; undoing it is shifted by its largest
+    exponent s, so no factor overflows.  Kept mass within
     ``RESOLVE_LIMIT`` times the grid's residue is round-off and raises."""
-    psi = CountSpec.of(cc.psi.formulas + tuple(extra))
-    tilts = _tilt_vector(psi, d, _targets(cc.predicate))
-    q = count_distribution(phi, psi, d, tilts=tilts)
-    kept = np.array([idx for idx in np.ndindex(*q.shape[:len(cc.psi)])
-                     if cc.predicate(idx)])
+    shape = shape_vector(cc.psi, d)
+    kept = np.array([idx for idx in np.ndindex(*shape) if cc.predicate(idx)])
     if not kept.size:
         raise InfeasibleConstraintError(
             "cardinality constraint excludes every world")
-    exponents = -kept @ tilts[:len(cc.psi)]
+    middles = (kept.min(axis=0) + kept.max(axis=0)) / 2.0
+    tilts = [math.log((t + 0.5) / (m - 1 - t + 0.5))
+             for t, m in zip(middles, shape)]
+    psi = CountSpec.of(cc.psi.formulas + tuple(extra))
+    q = count_distribution(phi, psi, d, tilts=tilts + [0.0] * len(extra))
+    exponents = -kept @ tilts
     shift = float(exponents.max())
     factors = np.exp(exponents - shift).reshape((-1,) + (1,) * len(extra))
     masses = q.probabilities[tuple(kept.T)] * factors

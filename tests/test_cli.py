@@ -96,6 +96,21 @@ class TestMarginal:
         assert float(out.split()[1]) == pytest.approx(want, abs=1e-9)
 
 
+class TestClauseOrder:
+    @pytest.mark.parametrize("command,want", [
+        ("partition", "1.00000000000e+10\n"),
+        ("marginal", "has_fix 6.51321559900e-01\n")])
+    def test_overlapping_clauses_in_either_order(self, model_path, capsys,
+                                                 command, want):
+        # Both orders keep the one row nf == 10.
+        exact, wide = "cardinality nf == 10\n", "cardinality nf in 0..100\n"
+        for clauses in (exact + wide, wide + exact):
+            text = EXAMPLE_1.replace(exact, clauses)
+            code, out, err = run(capsys, command, model_path(text))
+            assert code == 0, err
+            assert out == want
+
+
 class TestCountdist:
     def test_csv_column_order(self, model_path, tmp_path, capsys):
         out_path = tmp_path / "dist.csv"
@@ -224,6 +239,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "partition", model_path(text),
                            "--threads", "1")
         assert code == 3
+
+    def test_infeasible_constraint_compiles_nothing(self, model_path,
+                                                    capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("compiled a theory")
+
+        monkeypatch.setattr("mlncount.spectrum.compile_theory", fail)
+        text = ("domain 3\npredicate p/1\ncount np : p(x)\n"
+                "cardinality np == 5\n")
+        code, out, _ = run(capsys, "partition", model_path(text))
+        assert code == 3 and out == ""
 
     def test_count_beyond_float_range(self, model_path, capsys):
         text = ("domain 32\npredicate p/1\npredicate f/2\n"

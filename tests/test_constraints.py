@@ -136,10 +136,12 @@ class TestConstrainedMarginal:
         ([[-1e-12, 1.0]], 1.0), ([[0.5, -1e-12]], 0.0),
         ([[-0.5, 1.5]], None), ([[1.5, -0.5]], None)])
     def test_probability_range(self, monkeypatch, masses, want):
-        # Grid axes: the count of p, then the query's truth.
+        # Grid axes: the count of p (0 or 1 at one element), then the
+        # query's truth; the count-1 row is empty.
         monkeypatch.setattr(
             "mlncount.constraints.count_distribution",
-            lambda *args, **kwargs: CountDistribution(np.array(masses)))
+            lambda *args, **kwargs: CountDistribution(
+                np.array(masses + [[0.0, 0.0]])))
         mln = Mln.of([], [P])
         cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
                                    CustomPredicate(lambda v: True))
@@ -310,6 +312,77 @@ class TestResidueCertificate:
         mln = Mln.of([(s, math.inf) for s in sentences], [R])
         assert constrained_partition(mln, cc, Domain(40)) == \
             pytest.approx(40 ** 40, rel=1e-4)
+
+
+class TestTiltFromKeptSet:
+    """The tilt is read off the kept grid points, so predicates that keep
+    the same count vectors give the same answer, bit for bit."""
+
+    TOTAL = Mln.of([(TOTALITY, math.inf)], [R])
+    SPELLINGS = [
+        Equals(0, 10),
+        CustomPredicate(lambda v: v[0] == 10),
+        Conjunction((Between(0, 0, 100), Equals(0, 10))),
+        Conjunction((Equals(0, 10), Between(0, 0, 100))),
+    ]
+
+    def test_spellings_of_one_kept_row_agree(self):
+        d = Domain(10)
+        gamma = Exists(X, Atom(R, (X, X)))
+        answers = set()
+        for g in self.SPELLINGS:
+            cc = CardinalityConstraint(CountSpec.of([Atom(R, (X, Y))]), g)
+            answers.add((constrained_partition(self.TOTAL, cc, d),
+                         constrained_marginal(self.TOTAL, cc, gamma, d)))
+        assert len(answers) == 1
+        (z, p), = answers
+        assert z == pytest.approx(10 ** 10, rel=1e-12)
+        assert p == pytest.approx(1 - 0.9 ** 10, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [10, 40, 200])
+    def test_range_past_the_axis_end_is_vacuous(self, n):
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        psi = CountSpec.of([Atom(P, (X,))])
+        gamma = Exists(X, Atom(P, (X,)))
+        got, want = (
+            (constrained_partition(mln, cc, Domain(n)),
+             constrained_marginal(mln, cc, gamma, Domain(n)))
+            for cc in (CardinalityConstraint(psi, Between(0, 0, 10 ** 6)),
+                       CardinalityConstraint(psi, TautologyTrue())))
+        assert got == want
+
+    def test_wide_one_sided_range_is_aimed_off_its_mass(self):
+        # Uniform r at n = 25: the count law peaks at 312, so the kept mass
+        # of 0..150 sits at its top, while the tilt aims at the middle of
+        # the span, 75; the kept rows land at the round-off floor and
+        # raise.  140..150 is aimed near its mass and answers exactly.
+        mln, d = Mln.of([], [R]), Domain(25)
+        psi = CountSpec.of([Atom(R, (X, Y))])
+        gamma = Exists(X, Atom(R, (X, X)))
+        with pytest.raises(NumericResidueError):
+            constrained_partition(
+                mln, CardinalityConstraint(psi, Between(0, 0, 150)), d)
+        cc = CardinalityConstraint(psi, Between(0, 140, 150))
+        z = sum(math.comb(625, k) for k in range(140, 151))
+        none = sum(math.comb(600, k) for k in range(140, 151))
+        assert constrained_partition(mln, cc, d) == pytest.approx(
+            z, rel=1e-9)
+        assert constrained_marginal(mln, cc, gamma, d) == pytest.approx(
+            1 - none / z, rel=1e-9)
+
+    def test_empty_kept_set_is_refused_before_any_count(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("compiled a theory")
+
+        monkeypatch.setattr(spectrum, "compile_theory", fail)
+        mln = Mln.of([], [P])
+        cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
+                                   Equals(0, 5))
+        with pytest.raises(InfeasibleConstraintError):
+            constrained_partition(mln, cc, Domain(3))
+        with pytest.raises(InfeasibleConstraintError):
+            constrained_marginal(mln, cc, Exists(X, Atom(P, (X,))),
+                                 Domain(3))
 
 
 FUNCTIONS3 = parse_model(
