@@ -11,7 +11,7 @@ world-enumeration oracle cross-validates everything at small domain sizes.
 
 from .brute import (
     brute_count_distribution, brute_mln_marginal, brute_mln_partition,
-    brute_wfomc, enumerate_worlds,
+    brute_wfomc,
 )
 from .constraints import (
     Between, CardinalityConstraint, CardinalityPredicate, Conjunction,
@@ -27,17 +27,15 @@ from .errors import (
 from .lifted import CompiledTheory, Fo2Theory, compile_theory, lifted_wfomc
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, PossibleWorld, Predicate, TRUE, Var, WeightFunction,
-    count_true_groundings, evaluate, free_variables, groundings, pretty,
-    universal_closure,
+    Or, Predicate, TRUE, Var, WeightFunction, free_variables, groundings,
+    pretty, universal_closure,
 )
 from .mln import Mln, marginal, partition_function, translate_mln
 from .modelfile import Model, parse_model, parse_model_text
 from .parser import parse_formula
 from .spectrum import (
-    CountDistribution, CountSpec, Spectrum, count_distribution,
-    count_statistics, forward_dft, full_spectrum, inverse_dft,
-    inverse_dft_raw, shape_vector, spectrum_point,
+    CountDistribution, CountSpec, Spectrum, count_distribution, forward_dft,
+    full_spectrum, inverse_dft, inverse_dft_raw, shape_vector, spectrum_point,
 )
 
 __version__ = "0.1.0"

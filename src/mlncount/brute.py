@@ -13,9 +13,9 @@ classes.
 The model references count the true groundings of the original formulas,
 not of ``translate_mln``'s indicator theory, so they share no translation
 with the polynomial-time engine.  The code they do share with it,
-``evaluate_bitwise`` and ``fold``, is tested against ``evaluate``.
-Everything here is exponential by design: it exists to cross-validate the
-engine, not to replace it.
+``evaluate_bitwise`` and ``fold``, is tested against ``evaluate`` in
+``tests/helpers.py``.  Everything here is exponential by design: it
+exists to cross-validate the engine, not to replace it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from collections import Counter
 from functools import reduce
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from .errors import (
 )
 from .logic import (
     And, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
-    PossibleWorld, Predicate, TRUE, WeightFunction, conjoin, evaluate_bitwise,
-    fold, free_variables, ground_atoms, groundings, predicates_of, substitute,
+    Predicate, TRUE, WeightFunction, conjoin, evaluate_bitwise, fold,
+    free_variables, ground_atoms, groundings, predicates_of, substitute,
     universal_closure,
 )
 
@@ -50,26 +50,6 @@ if sys.byteorder != "little":
 
 def atom_count(vocab: Iterable[Predicate], d: Domain) -> int:
     return sum(d.size ** p.arity for p in vocab)
-
-
-def enumerate_worlds(vocab, d: Domain, cap: int = DEFAULT_ATOM_CAP
-                     ) -> Iterator[PossibleWorld]:
-    """Yield all worlds over the vocabulary, atoms as bit positions of an
-    ascending bitmask index."""
-    atoms = ground_atoms(vocab, d)
-    if len(atoms) > cap:
-        raise BruteForceCapError(len(atoms), cap)
-    for index in range(1 << len(atoms)):
-        yield PossibleWorld(frozenset(
-            a for j, a in enumerate(atoms) if index >> j & 1))
-
-
-def world_weight(world: PossibleWorld, w, wbar, vocab, d: Domain):
-    """Product over ground atoms: w(pred) if true in the world, else wbar."""
-    out = 1
-    for a in ground_atoms(vocab, d):
-        out = out * (w(a.pred) if a in world else wbar(a.pred))
-    return out
 
 
 def _expand(f: Formula, d: Domain) -> Formula:

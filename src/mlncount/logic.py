@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import TooManyVariablesError, VocabularyError
+from .errors import VocabularyError
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,6 @@ class Atom(Formula):
                 f"declared arity is {self.pred.arity}"
             )
 
-    def is_ground(self) -> bool:
-        return all(isinstance(a, int) for a in self.args)
-
 
 @dataclass(frozen=True, repr=False)
 class Eq(Formula):
@@ -163,24 +160,6 @@ def conjoin(formulas) -> Formula:
     return TRUE if out is None else out
 
 
-@dataclass(frozen=True)
-class PossibleWorld:
-    """A finite set of true ground atoms."""
-
-    true_atoms: frozenset[Atom]
-
-    def __post_init__(self):
-        for a in self.true_atoms:
-            if not a.is_ground():
-                raise ValueError(f"world contains non-ground atom {a}")
-
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.true_atoms
-
-    def __len__(self):
-        return len(self.true_atoms)
-
-
 class WeightFunction:
     """Mapping from predicate names to complex weights, defaulting to 1.
 
@@ -200,11 +179,6 @@ class WeightFunction:
         merged = dict(self._weights)
         merged.update(extra)
         return WeightFunction(merged, self._default)
-
-    def conjugated(self) -> "WeightFunction":
-        conj = {k: (v.conjugate() if isinstance(v, complex) else v)
-                for k, v in self._weights.items()}
-        return WeightFunction(conj, self._default)
 
     def __repr__(self):
         return f"WeightFunction({self._weights!r}, default={self._default!r})"
@@ -236,36 +210,9 @@ def free_variables(f: Formula) -> frozenset[Var]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _terms(f: Formula) -> tuple:
-    """The terms at the root of ``f``: atom arguments, equality sides or a
-    quantified variable."""
-    if isinstance(f, Atom):
-        return f.args
-    if isinstance(f, Eq):
-        return (f.left, f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return (f.var,)
-    return ()
-
-
-def all_variables(f: Formula) -> frozenset[Var]:
-    """All variable names in the tree, bound or free."""
-    return frozenset(t for g in iter_subformulas(f) for t in _terms(g)
-                     if isinstance(t, Var))
-
-
 def predicates_of(f: Formula) -> frozenset[Predicate]:
     return frozenset(g.pred for g in iter_subformulas(f)
                      if isinstance(g, Atom))
-
-
-def check_variable_limit(f: Formula, limit: int = 2) -> None:
-    names = {v.name for v in all_variables(f)}
-    if len(names) > limit:
-        raise TooManyVariablesError(
-            f"formula uses {len(names)} distinct variables "
-            f"({', '.join(sorted(names))}); at most {limit} allowed"
-        )
 
 
 def substitute(f: Formula, binding: dict[Var, Term]) -> Formula:
@@ -343,37 +290,6 @@ def groundings(f: Formula, d: Domain) -> list[Formula]:
     return out
 
 
-def evaluate(f: Formula, w: PossibleWorld, d: Domain) -> bool:
-    """Truth value of a closed formula in ``w``; quantifiers range over ``d``."""
-    if isinstance(f, Atom):
-        if not f.is_ground():
-            raise ValueError(f"cannot evaluate open atom {f}")
-        return f in w
-    if isinstance(f, Eq):
-        if isinstance(f.left, Var) or isinstance(f.right, Var):
-            raise ValueError(f"cannot evaluate open equality {f}")
-        return f.left == f.right
-    if isinstance(f, Truth):
-        return f.value
-    if isinstance(f, Not):
-        return not evaluate(f.body, w, d)
-    if isinstance(f, And):
-        return evaluate(f.left, w, d) and evaluate(f.right, w, d)
-    if isinstance(f, Or):
-        return evaluate(f.left, w, d) or evaluate(f.right, w, d)
-    if isinstance(f, Implies):
-        return (not evaluate(f.left, w, d)) or evaluate(f.right, w, d)
-    if isinstance(f, Iff):
-        return evaluate(f.left, w, d) == evaluate(f.right, w, d)
-    if isinstance(f, ForAll):
-        return all(evaluate(substitute(f.body, {f.var: e}), w, d)
-                   for e in d.elements)
-    if isinstance(f, Exists):
-        return any(evaluate(substitute(f.body, {f.var: e}), w, d)
-                   for e in d.elements)
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def evaluate_bitwise(f: Formula, leaves: dict):
     """Truth of quantifier-free ``f`` at many assignments at once.
 
@@ -395,11 +311,6 @@ def evaluate_bitwise(f: Formula, leaves: dict):
             return ~a | b
         return ~(a ^ b)
     raise TypeError(f"not a quantifier-free formula: {f!r}")
-
-
-def count_true_groundings(f: Formula, w: PossibleWorld, d: Domain) -> int:
-    """N(f, w): number of groundings of ``f`` true in ``w``."""
-    return sum(1 for g in groundings(f, d) if evaluate(g, w, d))
 
 
 def ground_atoms(vocab, d: Domain) -> list[Atom]:

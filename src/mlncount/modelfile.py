@@ -28,7 +28,7 @@ from .constraints import (
     Between, CardinalityConstraint, Conjunction, Equals, FunctionConstraint,
     rewrite_function_constraints,
 )
-from .errors import FormulaSyntaxError, VocabularyError
+from .errors import FormulaSyntaxError, TooManyVariablesError, VocabularyError
 from .logic import Domain, Formula, Predicate, free_variables
 from .mln import Mln
 from .parser import parse_formula
@@ -151,7 +151,8 @@ def parse_model_text(text: str) -> Model:
                 queries.append((name, formula))
             else:
                 raise FormulaSyntaxError(f"unknown directive {head!r}")
-        except (FormulaSyntaxError, VocabularyError) as err:
+        except (FormulaSyntaxError, VocabularyError,
+                TooManyVariablesError) as err:
             raise type(err)(f"line {lineno}: {err}") from None
 
     if domain is None:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import re
 
-from .errors import FormulaSyntaxError, VocabularyError
+from .errors import FormulaSyntaxError, TooManyVariablesError, VocabularyError
 from .logic import (
     And, Atom, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
-    Predicate, TRUE, Var, check_variable_limit,
+    Predicate, TRUE, Var,
 )
 
 _TOKEN_RE = re.compile(r"""
@@ -66,6 +66,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vocab = {p.name: p for p in vocab}
+        self.names = set()  # every variable name met, bound or free
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -91,6 +92,10 @@ class _Parser:
         if tok is not None:
             raise FormulaSyntaxError(f"unexpected trailing input {tok[1]!r}",
                                      column=tok[2])
+        if len(self.names) > 2:
+            raise TooManyVariablesError(
+                f"formula uses {len(self.names)} distinct variables "
+                f"({', '.join(sorted(self.names))}); at most 2 allowed")
         return f
 
     def iff(self) -> Formula:
@@ -143,6 +148,7 @@ class _Parser:
         # Body runs to the end of the enclosing expression.
         body = self.iff()
         node = ForAll if word[1] == "forall" else Exists
+        self.names.add(var_tok[1])
         return node(Var(var_tok[1]), body)
 
     def primary(self) -> Formula:
@@ -187,6 +193,7 @@ class _Parser:
         if tok[0] == "int":
             return int(tok[1])
         if tok[0] == "name" and tok[1] not in _KEYWORDS:
+            self.names.add(tok[1])
             return Var(tok[1])
         raise FormulaSyntaxError(f"expected a term, found {tok[1]!r}",
                                  column=tok[2])
@@ -198,6 +205,4 @@ def parse_formula(text: str, vocab: list[Predicate]) -> Formula:
     Rejects undeclared predicates, arity mismatches and formulas with more
     than two distinct variables.
     """
-    f = _Parser(text, vocab).parse()
-    check_variable_limit(f, 2)
-    return f
+    return _Parser(text, vocab).parse()

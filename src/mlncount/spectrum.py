@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NumericResidueError
 from .lifted import Fo2Theory, compile_theory
-from .logic import Domain, Formula, count_true_groundings, free_variables
+from .logic import Domain, Formula, free_variables
 from .mln import Mln, _indicator, as_normalizer, translate_mln
 
 SUM_TOL = 1e-6
@@ -50,11 +50,6 @@ class CountSpec:
 def shape_vector(psi: CountSpec, d: Domain) -> tuple[int, ...]:
     """Grid side lengths: |domain|^(free vars) + 1 per formula."""
     return tuple(d.size ** len(free_variables(b)) + 1 for b in psi.formulas)
-
-
-def count_statistics(psi: CountSpec, world, d: Domain) -> tuple[int, ...]:
-    """Componentwise true-grounding counts of the spec's formulas."""
-    return tuple(count_true_groundings(b, world, d) for b in psi.formulas)
 
 
 @dataclass(frozen=True)

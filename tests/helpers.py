@@ -1,22 +1,134 @@
 """Shared generators and independent reference implementations.
 
-The references here recombine only the primitive world-enumeration and
-formula-evaluation operations, so they stay independent of the vectorized
-oracle and of the polynomial-time pipeline they are used to validate.
+The per-world layer lives here, not in the library: a world as a set of
+true ground atoms, one-world evaluation by substitution, worlds one at a
+time, and the true-grounding counts.  The engine never looks at a single
+world, and the oracle walks worlds bit-parallel in blocks.  The references
+here recombine only these primitives, so they stay independent of the
+vectorized oracle and of the polynomial-time pipeline they validate.
 """
 
 import math
 import random
+from dataclasses import dataclass
 
 from mlncount import (
-    And, Atom, Domain, Exists, ForAll, Iff, Implies, Mln, Not, Or, Predicate,
-    Var, WeightFunction, enumerate_worlds, evaluate, free_variables,
-    groundings,
+    And, Atom, Domain, Eq, Exists, ForAll, Formula, Iff, Implies, Mln, Not,
+    Or, Predicate, Var, WeightFunction, groundings,
 )
-from mlncount.brute import world_weight
+from mlncount.brute import DEFAULT_ATOM_CAP
+from mlncount.errors import BruteForceCapError
 from mlncount.lifted import Fo2Theory
+from mlncount.logic import Truth, ground_atoms, iter_subformulas, substitute
 
 X, Y = Var("x"), Var("y")
+
+
+def _is_ground(atom: Atom) -> bool:
+    return all(isinstance(a, int) for a in atom.args)
+
+
+@dataclass(frozen=True)
+class PossibleWorld:
+    """A finite set of true ground atoms."""
+
+    true_atoms: frozenset
+
+    def __post_init__(self):
+        for a in self.true_atoms:
+            if not _is_ground(a):
+                raise ValueError(f"world contains non-ground atom {a}")
+
+    def __contains__(self, atom: Atom) -> bool:
+        return atom in self.true_atoms
+
+    def __len__(self):
+        return len(self.true_atoms)
+
+
+def evaluate(f: Formula, w: PossibleWorld, d: Domain) -> bool:
+    """Truth value of a closed formula in ``w``; quantifiers range over ``d``."""
+    if isinstance(f, Atom):
+        if not _is_ground(f):
+            raise ValueError(f"cannot evaluate open atom {f}")
+        return f in w
+    if isinstance(f, Eq):
+        if isinstance(f.left, Var) or isinstance(f.right, Var):
+            raise ValueError(f"cannot evaluate open equality {f}")
+        return f.left == f.right
+    if isinstance(f, Truth):
+        return f.value
+    if isinstance(f, Not):
+        return not evaluate(f.body, w, d)
+    if isinstance(f, And):
+        return evaluate(f.left, w, d) and evaluate(f.right, w, d)
+    if isinstance(f, Or):
+        return evaluate(f.left, w, d) or evaluate(f.right, w, d)
+    if isinstance(f, Implies):
+        return (not evaluate(f.left, w, d)) or evaluate(f.right, w, d)
+    if isinstance(f, Iff):
+        return evaluate(f.left, w, d) == evaluate(f.right, w, d)
+    if isinstance(f, ForAll):
+        return all(evaluate(substitute(f.body, {f.var: e}), w, d)
+                   for e in d.elements)
+    if isinstance(f, Exists):
+        return any(evaluate(substitute(f.body, {f.var: e}), w, d)
+                   for e in d.elements)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def count_true_groundings(f: Formula, w: PossibleWorld, d: Domain) -> int:
+    """N(f, w): number of groundings of ``f`` true in ``w``."""
+    return sum(1 for g in groundings(f, d) if evaluate(g, w, d))
+
+
+def count_statistics(psi, world, d: Domain) -> tuple:
+    """Componentwise true-grounding counts of a count spec's formulas."""
+    return tuple(count_true_groundings(b, world, d) for b in psi.formulas)
+
+
+def enumerate_worlds(vocab, d: Domain, cap: int = DEFAULT_ATOM_CAP):
+    """Yield all worlds over the vocabulary, atoms as bit positions of an
+    ascending bitmask index."""
+    atoms = ground_atoms(vocab, d)
+    if len(atoms) > cap:
+        raise BruteForceCapError(len(atoms), cap)
+    for index in range(1 << len(atoms)):
+        yield PossibleWorld(frozenset(
+            a for j, a in enumerate(atoms) if index >> j & 1))
+
+
+def world_weight(world: PossibleWorld, w, wbar, vocab, d: Domain):
+    """Product over ground atoms: w(pred) if true in the world, else wbar."""
+    out = 1
+    for a in ground_atoms(vocab, d):
+        out = out * (w(a.pred) if a in world else wbar(a.pred))
+    return out
+
+
+def conjugated(w: WeightFunction) -> WeightFunction:
+    """The weight function with every complex weight conjugated."""
+    conj = {k: (v.conjugate() if isinstance(v, complex) else v)
+            for k, v in w._weights.items()}
+    return WeightFunction(conj, w._default)
+
+
+def _terms(f: Formula) -> tuple:
+    """The terms at the root of ``f``: atom arguments, equality sides or a
+    quantified variable."""
+    if isinstance(f, Atom):
+        return f.args
+    if isinstance(f, Eq):
+        return (f.left, f.right)
+    if isinstance(f, (ForAll, Exists)):
+        return (f.var,)
+    return ()
+
+
+def all_variables(f: Formula) -> frozenset:
+    """All variable names in the tree, bound or free."""
+    return frozenset(t for g in iter_subformulas(f) for t in _terms(g)
+                     if isinstance(t, Var))
 
 
 def naive_wfomc(sentences, w, wbar, d, vocab):

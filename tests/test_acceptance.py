@@ -16,14 +16,17 @@ from mlncount import (
     And, Atom, CardinalityConstraint, Domain, Eq, Equals, Exists, ForAll,
     Implies, Mln, Predicate, Var, analytic_fixed_points, brute_wfomc,
     brute_count_distribution, constrained_partition, count_distribution,
-    count_true_groundings, enumerate_worlds, evaluate, forward_dft,
-    full_spectrum, inverse_dft_raw, lifted_wfomc, partition_function,
+    forward_dft, full_spectrum, inverse_dft_raw, lifted_wfomc,
+    partition_function,
 )
 from mlncount.brute import brute_constrained_partition
 from mlncount.cli import main
 from mlncount.spectrum import CountSpec
 
-from helpers import random_feasible_mln, random_theory, world_mass
+from helpers import (
+    count_true_groundings, enumerate_worlds, evaluate, random_feasible_mln,
+    random_theory, world_mass,
+)
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 F = Predicate("f", 2)

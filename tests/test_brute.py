@@ -7,12 +7,12 @@ import pytest
 from mlncount import (
     Atom, Domain, Eq, Exists, ForAll, Iff, Mln, Not, Or, Predicate, TRUE, Var,
     WeightFunction, brute, brute_mln_marginal, brute_mln_partition,
-    brute_wfomc, count_true_groundings, enumerate_worlds, evaluate,
-    free_variables, marginal, parse_model_text, partition_function,
+    brute_wfomc, free_variables, marginal, parse_model_text,
+    partition_function,
 )
 from mlncount.brute import (
     atom_count, brute_constrained_marginal, brute_constrained_partition,
-    brute_count_distribution, world_weight,
+    brute_count_distribution,
 )
 from mlncount.constraints import Between, CustomPredicate, Equals
 from mlncount.errors import (
@@ -20,7 +20,9 @@ from mlncount.errors import (
 )
 
 from helpers import (
-    naive_wfomc, random_feasible_mln, random_theory, rel_close, world_mass,
+    PossibleWorld, conjugated, count_true_groundings, enumerate_worlds,
+    evaluate, naive_wfomc, random_feasible_mln, random_theory, rel_close,
+    world_mass, world_weight,
 )
 
 X, Y = Var("x"), Var("y")
@@ -85,7 +87,7 @@ class TestBruteWfomc:
         w = WeightFunction({"f": 0.8 - 0.3j})
         wbar = WeightFunction({"f": 0.2 + 0.1j})
         plain = brute_wfomc(gamma, w, wbar, Domain(2), vocab=[F])
-        conj = brute_wfomc(gamma, w.conjugated(), wbar.conjugated(),
+        conj = brute_wfomc(gamma, conjugated(w), conjugated(wbar),
                            Domain(2), vocab=[F])
         assert rel_close(conj, complex(plain).conjugate())
 
@@ -125,7 +127,6 @@ class TestBruteWfomc:
     def test_world_weight(self):
         w = WeightFunction({"p": 2})
         wbar = WeightFunction({"p": 3})
-        from mlncount import PossibleWorld
         wd = PossibleWorld(frozenset({Atom(P, (0,))}))
         assert world_weight(wd, w, wbar, [P], Domain(2)) == 6
 

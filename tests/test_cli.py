@@ -229,6 +229,12 @@ class TestExitCodes:
                            model_path("domain 2\npredicate p/3\n"))
         assert code == 2 and "arity" in err
 
+    def test_three_variables_name_their_line(self, model_path, capsys):
+        text = ("domain 2\npredicate r/2\n"
+                "hard : forall x forall y forall z r(x,z)\n")
+        code, _, err = run(capsys, "partition", model_path(text))
+        assert code == 2 and err.startswith("error: line 3: formula uses 3")
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "partition", "/nonexistent/x.mln")
         assert code == 2

@@ -9,7 +9,6 @@ from mlncount import (
     And, Atom, Domain, Eq, Equals, Exists, ForAll, FunctionConstraint, Iff,
     Implies, Mln, Predicate, TautologyTrue, Var, analytic_fixed_points,
     constrained_marginal, constrained_partition, count_distribution,
-    count_true_groundings, enumerate_worlds, evaluate,
     fixed_point_distribution, full_spectrum, lifted, parse_model,
     rewrite_function_constraints, spectrum, spectrum_point,
 )
@@ -22,7 +21,10 @@ from mlncount.constraints import (
 from mlncount.errors import InfeasibleConstraintError, NumericResidueError
 from mlncount.spectrum import CountDistribution, CountSpec
 
-from helpers import random_feasible_mln, world_mass
+from helpers import (
+    count_true_groundings, enumerate_worlds, evaluate, random_feasible_mln,
+    world_mass,
+)
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 P = Predicate("p", 1)

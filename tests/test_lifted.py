@@ -8,11 +8,11 @@ import pytest
 
 from mlncount import (
     And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Mln, Not, Or,
-    PossibleWorld, Predicate, TRUE, Var, WeightFunction, brute_wfomc,
-    evaluate, lifted_wfomc, marginal, translate_mln,
+    Predicate, TRUE, Var, WeightFunction, brute_wfomc, lifted_wfomc,
+    marginal, translate_mln,
 )
 from mlncount import lifted
-from mlncount.logic import all_variables, iter_subformulas
+from mlncount.logic import iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
     Fo2Theory, _config_sum, _enumerate_cells, _normalize_theory, _pair_table,
@@ -20,8 +20,8 @@ from mlncount.lifted import (
 )
 
 from helpers import (
-    random_feasible_mln, random_matrix, random_theory, random_weight,
-    rel_close,
+    PossibleWorld, all_variables, evaluate, random_feasible_mln,
+    random_matrix, random_theory, random_weight, rel_close,
 )
 
 X, Y = Var("x"), Var("y")

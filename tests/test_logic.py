@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from mlncount import (
     And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Not, Or,
-    PossibleWorld, Predicate, TRUE, Var, count_true_groundings, evaluate,
-    free_variables, groundings, parse_formula, pretty,
+    Predicate, TRUE, Var, free_variables, groundings, parse_formula, pretty,
 )
 from mlncount.logic import (
-    FALSE, Truth, all_variables, evaluate_bitwise, fold, ground_atoms,
-    iter_subformulas, predicates_of, universal_closure,
+    FALSE, Truth, evaluate_bitwise, fold, ground_atoms, iter_subformulas,
+    predicates_of, universal_closure,
 )
 from mlncount.errors import (
     FormulaSyntaxError, TooManyVariablesError, VocabularyError,
+)
+
+from helpers import (
+    PossibleWorld, all_variables, count_true_groundings, evaluate,
 )
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
@@ -42,9 +45,18 @@ class TestParse:
         assert isinstance(f.body, Exists)
         assert free_variables(f) == set()
 
-    def test_three_variables_rejected(self):
-        with pytest.raises(TooManyVariablesError):
-            parse_formula("f(x,y) & f(y,z)", VOCAB)
+    @pytest.mark.parametrize("text", [
+        "f(x,y) & f(y,z)",
+        "forall z f(x,y)",  # z is bound but occurs in no atom
+    ], ids=["z-in-atom", "z-bound-only"])
+    def test_three_variables_rejected(self, text):
+        with pytest.raises(TooManyVariablesError,
+                           match=r"3 distinct variables \(x, y, z\)"):
+            parse_formula(text, VOCAB)
+
+    def test_two_variables_reused_accepted(self):
+        f = parse_formula("forall x exists y f(x,y) & p(x)", VOCAB)
+        assert all_variables(f) == {X, Y}
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(VocabularyError):

@@ -6,7 +6,9 @@ from mlncount import (
     Atom, Domain, Equals, Exists, ForAll, Predicate, Var, parse_model_text,
 )
 from mlncount.constraints import Between, Conjunction
-from mlncount.errors import FormulaSyntaxError, VocabularyError
+from mlncount.errors import (
+    FormulaSyntaxError, TooManyVariablesError, VocabularyError,
+)
 
 X, Y = Var("x"), Var("y")
 
@@ -107,6 +109,12 @@ class TestParseErrors:
     def test_formula_error_carries_line(self):
         with pytest.raises(FormulaSyntaxError, match="line 3"):
             parse_model_text("domain 2\npredicate p/1\nhard : p(x) &\n")
+
+    def test_variable_limit_error_carries_line(self):
+        with pytest.raises(TooManyVariablesError,
+                           match=r"^line 3: formula uses 3 distinct variables"):
+            parse_model_text("domain 2\npredicate r/2\n"
+                             "hard : forall x forall y forall z r(x,z)\n")
 
     @pytest.mark.parametrize("directive", [
         "weight inf", "weight -inf", "weight nan", "weight 1e999",

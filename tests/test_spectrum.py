@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlncount import (
-    Atom, Domain, Exists, ForAll, Mln, PossibleWorld, Predicate, Var,
-    brute_count_distribution, count_distribution, count_statistics,
-    forward_dft, full_spectrum, inverse_dft, inverse_dft_raw,
-    partition_function, shape_vector, spectrum_point,
+    Atom, Domain, Exists, ForAll, Mln, Predicate, Var,
+    brute_count_distribution, count_distribution, forward_dft, full_spectrum,
+    inverse_dft, inverse_dft_raw, partition_function, shape_vector,
+    spectrum_point,
 )
 from mlncount.errors import NumericOverflowError
 from mlncount.modelfile import parse_model_text
 from mlncount.spectrum import CountSpec, Spectrum
 
-from helpers import random_feasible_mln
+from helpers import PossibleWorld, count_statistics, random_feasible_mln
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
