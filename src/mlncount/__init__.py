@@ -24,7 +24,7 @@ from .errors import (
     MlncountError, NumericOverflowError, NumericResidueError,
     TooManyVariablesError, UnsupportedSentenceError, VocabularyError,
 )
-from .lifted import CompiledTheory, Fo2Theory, compile_theory, lifted_wfomc
+from .lifted import CompiledTheory, Fo2Theory, compile_theory
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, Predicate, TRUE, Var, WeightFunction, free_variables, groundings,
@@ -34,8 +34,8 @@ from .mln import Mln, marginal, partition_function, translate_mln
 from .modelfile import Model, parse_model, parse_model_text
 from .parser import parse_formula
 from .spectrum import (
-    CountDistribution, CountSpec, Spectrum, count_distribution, forward_dft,
-    full_spectrum, inverse_dft, inverse_dft_raw, shape_vector, spectrum_point,
+    CountDistribution, CountSpec, Spectrum, count_distribution, full_spectrum,
+    inverse_dft, inverse_dft_raw, shape_vector,
 )
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ import sys
 from collections import Counter
 from functools import reduce
 from itertools import accumulate
-from typing import Iterable
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
 )
 from .logic import (
     And, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
-    Predicate, TRUE, WeightFunction, conjoin, evaluate_bitwise, fold,
+    TRUE, WeightFunction, conjoin, evaluate_bitwise, fold,
     free_variables, ground_atoms, groundings, predicates_of, substitute,
     universal_closure,
 )
@@ -46,10 +45,6 @@ _CHUNK_WORDS = 1 << 14
 
 if sys.byteorder != "little":
     raise ImportError("bit-packed world enumeration assumes a little-endian host")
-
-
-def atom_count(vocab: Iterable[Predicate], d: Domain) -> int:
-    return sum(d.size ** p.arity for p in vocab)
 
 
 def _expand(f: Formula, d: Domain) -> Formula:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
 )
+from .lifted import _check_fragment
 from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
 from .mln import Mln, as_probability
 # Unused here; kept so that ``constraints.partition_function`` resolves.
@@ -178,6 +179,7 @@ def constrained_marginal(phi: Mln, cc: CardinalityConstraint,
     """Probability of the sentence ``gamma`` under the constrained
     distribution, read off an extended count grid whose last axis tracks
     the query's truth.  The normalizer cancels from the ratio."""
+    _check_fragment(gamma, phi.vocabulary)
     _, _, masses = _kept_masses(phi, cc, d, [gamma])
     return as_probability(float(masses[:, 1].sum() / masses.sum()),
                           "constrained marginal")

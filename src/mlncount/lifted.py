@@ -689,9 +689,3 @@ def _config_sum(n: int, cell_weights: list, r: list):
 
     rec(c - 1, n, 1)
     return total, leaves, magnitude
-
-
-def lifted_wfomc(t: Fo2Theory, w, wbar, d: Domain):
-    """Weighted model count over all worlds of the theory's vocabulary,
-    polynomial in the domain size.  Skolemizes internally as needed."""
-    return compile_theory(t).wfomc(w, wbar, d)

@@ -62,15 +62,6 @@ class Formula:
 
     __slots__ = ()
 
-    def __and__(self, other: "Formula") -> "Formula":
-        return And(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not(self)
-
     def __str__(self):
         return pretty(self)
 
@@ -167,21 +158,20 @@ class WeightFunction:
     unit-weight model counts stay exact.
     """
 
-    def __init__(self, weights=None, default=1):
+    def __init__(self, weights=None):
         self._weights = dict(weights or {})
-        self._default = default
 
     def __call__(self, pred) -> complex:
         name = pred.name if isinstance(pred, Predicate) else pred
-        return self._weights.get(name, self._default)
+        return self._weights.get(name, 1)
 
     def updated(self, extra) -> "WeightFunction":
         merged = dict(self._weights)
         merged.update(extra)
-        return WeightFunction(merged, self._default)
+        return WeightFunction(merged)
 
     def __repr__(self):
-        return f"WeightFunction({self._weights!r}, default={self._default!r})"
+        return f"WeightFunction({self._weights!r})"
 
 
 def fresh_name(base: str, used: set[str]) -> str:

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleConstraintError, NumericResidueError
+from .errors import (
+    InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
+)
 from . import lifted
 from .lifted import Fo2Theory
 from .logic import (
@@ -67,7 +69,11 @@ def translate_mln(phi: Mln):
         xi, sentence = _indicator("xi", formula, used)
         vocab.append(xi)
         sentences.append(sentence)
-        weights[xi.name] = math.exp(weight)
+        try:
+            weights[xi.name] = math.exp(weight)
+        except OverflowError:
+            raise NumericOverflowError(
+                f"weight {weight:g} of {formula} overflows exp") from None
     return (Fo2Theory.of(sentences, vocab),
             WeightFunction(weights), WeightFunction())
 

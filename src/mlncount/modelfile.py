@@ -153,7 +153,10 @@ def parse_model_text(text: str) -> Model:
                 raise FormulaSyntaxError(f"unknown directive {head!r}")
         except (FormulaSyntaxError, VocabularyError,
                 TooManyVariablesError) as err:
-            raise type(err)(f"line {lineno}: {err}") from None
+            err.args = (f"line {lineno}: {err}",)
+            if isinstance(err, FormulaSyntaxError):
+                err.line = lineno
+            raise err from None
 
     if domain is None:
         raise FormulaSyntaxError("missing domain directive")

@@ -76,16 +76,15 @@ class CountDistribution:
     def shape(self) -> tuple[int, ...]:
         return self.probabilities.shape
 
-    def __getitem__(self, index):
-        return self.probabilities[index]
 
-
-def _spectrum_values(phi: Mln, psi: CountSpec, d: Domain, ks: np.ndarray,
-                     tilts=None):
-    """Normalized transform values at the frequency vectors in the columns
-    of ``ks`` (one row per count formula, the first column zero) and the
-    normalizer, from one weighted count whose indicator weights are arrays
-    over the columns, scaled by exp(tilt) per count formula."""
+def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, tilts=None) -> Spectrum:
+    """Transform values at every grid frequency, in C index order, under
+    the log-weights ``tilts`` on the count formulas (none by default): one
+    weighted count in which each count formula's indicator weighs exp(tilt)
+    times its roots of unity over the grid, normalized by Z, the count at
+    frequency zero, which the spectrum carries."""
+    shape = shape_vector(psi, d)
+    ks = np.indices(shape).reshape(len(shape), -1)
     theory, w, wbar = translate_mln(phi)
     used = {p.name for p in theory.vocabulary}
     xis, ties = zip(*(_indicator("xb", beta, used) for beta in psi.formulas))
@@ -93,38 +92,11 @@ def _spectrum_values(phi: Mln, psi: CountSpec, d: Domain, ks: np.ndarray,
                                            theory.vocabulary + xis))
     weights = {xi.name: math.exp(tj) * np.exp(-2j * np.pi * kj / mj)
                for xi, tj, kj, mj in zip(xis, tilts or [0.0] * len(psi), ks,
-                                         shape_vector(psi, d))}
+                                         shape)}
     raw = np.full(ks.shape[1], compiled.wfomc(w.updated(weights), wbar, d),
                   dtype=np.complex128)
     z = as_normalizer(complex(raw[0]))
-    return raw / z, z
-
-
-def spectrum_point(phi: Mln, psi: CountSpec, k, d: Domain) -> complex:
-    """Transform value at one frequency vector: the normalized weighted
-    count with root-of-unity indicator weights."""
-    k = tuple(k)
-    shape = shape_vector(psi, d)
-    if len(k) != len(shape) or not all(
-            0 <= kj < mj for kj, mj in zip(k, shape)):
-        raise ValueError(f"frequency {k} outside grid {shape}")
-    ks = np.array([(0,) * len(k), k]).T
-    return complex(_spectrum_values(phi, psi, d, ks)[0][1])
-
-
-def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, tilts=None) -> Spectrum:
-    """Transform values at every grid frequency, in C index order, under
-    the log-weights ``tilts`` on the count formulas (none by default),
-    evaluated in one vectorized pass."""
-    shape = shape_vector(psi, d)
-    ks = np.indices(shape).reshape(len(shape), -1)
-    values, z = _spectrum_values(phi, psi, d, ks, tilts)
-    return Spectrum(values.reshape(shape), z)
-
-
-def forward_dft(values: np.ndarray) -> np.ndarray:
-    """Multidimensional transform: g(k) = sum_n f(n) e^{-2 pi i <k, n/M>}."""
-    return np.fft.fftn(np.asarray(values, dtype=np.complex128))
+    return Spectrum((raw / z).reshape(shape), z)
 
 
 def inverse_dft_raw(values: np.ndarray) -> np.ndarray:

@@ -110,7 +110,7 @@ def conjugated(w: WeightFunction) -> WeightFunction:
     """The weight function with every complex weight conjugated."""
     conj = {k: (v.conjugate() if isinstance(v, complex) else v)
             for k, v in w._weights.items()}
-    return WeightFunction(conj, w._default)
+    return WeightFunction(conj)
 
 
 def _terms(f: Formula) -> tuple:

@@ -309,6 +309,20 @@ class TestExitCodes:
             code, _, err = run(capsys, *argv)
             assert code == 1 and "negative" in err, argv
 
+    @pytest.mark.parametrize("clause", ["", "cardinality np in 0..3\n"])
+    def test_open_query_is_refused(self, model_path, capsys, clause):
+        path = model_path("domain 4\npredicate p/1\nweight 0.5 : p(x)\n"
+                          f"count np : p(x)\n{clause}")
+        code, out, err = run(capsys, "marginal", path, "--query", "p(x)")
+        assert code == 2 and out == ""
+        assert err == "error: sentence has free variables: p(x)\n"
+
+    def test_weight_beyond_exp_range(self, model_path, capsys):
+        text = "domain 2\npredicate p/1\nweight 710 : p(x)\n"
+        code, out, err = run(capsys, "partition", model_path(text))
+        assert code == 1 and out == ""
+        assert err.startswith("error: weight 710")
+
     def test_infeasible_hard_formulas(self, model_path, capsys):
         text = ("domain 2\npredicate p/1\nhard : exists x p(x)\n"
                 "hard : forall x !p(x)\n")

@@ -8,8 +8,8 @@ import pytest
 
 from mlncount import (
     And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Mln, Not, Or,
-    Predicate, TRUE, Var, WeightFunction, brute_wfomc, lifted_wfomc,
-    marginal, translate_mln,
+    Predicate, TRUE, Var, WeightFunction, brute_wfomc, marginal,
+    translate_mln,
 )
 from mlncount import lifted
 from mlncount.logic import iter_subformulas
@@ -68,9 +68,9 @@ class TestSkolemize:
             swbar = wbar.updated({k: v[1] for k, v in weights.items()})
             skolemized = Fo2Theory.of(sentences, vocab.preds)
             for n in (1, 2, 3):
-                a = lifted_wfomc(theory, w, wbar, Domain(n))
-                assert rel_close(a, lifted_wfomc(skolemized, sw, swbar,
-                                                 Domain(n)))
+                a = compile_theory(theory).wfomc(w, wbar, Domain(n))
+                assert rel_close(a, compile_theory(skolemized).wfomc(
+                    sw, swbar, Domain(n)))
                 if n < 3:
                     assert rel_close(a, brute_wfomc(sentences, sw, swbar,
                                                     Domain(n),
@@ -235,15 +235,15 @@ class TestPairWeight:
 class TestLiftedWfomc:
     def test_unconstrained_unary(self):
         t = Fo2Theory.of([], [P])
-        assert lifted_wfomc(t, ONES, ONES, Domain(10)) == 1024
+        assert compile_theory(t).wfomc(ONES, ONES, Domain(10)) == 1024
 
     def test_totality_n4(self):
         t = Fo2Theory.of([TOTALITY], [F])
-        assert lifted_wfomc(t, ONES, ONES, Domain(4)) == 50625
+        assert compile_theory(t).wfomc(ONES, ONES, Domain(4)) == 50625
 
     def test_unit_weight_result_is_integer(self):
         t = Fo2Theory.of([TOTALITY], [F])
-        value = lifted_wfomc(t, ONES, ONES, Domain(7))
+        value = compile_theory(t).wfomc(ONES, ONES, Domain(7))
         assert isinstance(value, int)
         assert value == (2 ** 7 - 1) ** 7
 
@@ -254,36 +254,36 @@ class TestLiftedWfomc:
             for n in (1, 2, 3):
                 b = brute_wfomc(list(theory.sentences), w, wbar, Domain(n),
                                 vocab=theory.vocabulary)
-                l = lifted_wfomc(theory, w, wbar, Domain(n))
+                l = compile_theory(theory).wfomc(w, wbar, Domain(n))
                 assert rel_close(l, b), (theory.sentences, n)
 
     def test_rejects_constants(self):
         t = Fo2Theory.of([Atom(F, (0, 1))], [F])
         with pytest.raises(UnsupportedSentenceError):
-            lifted_wfomc(t, ONES, ONES, Domain(2))
+            compile_theory(t).wfomc(ONES, ONES, Domain(2))
 
     def test_rejects_equality(self):
         t = Fo2Theory.of([ForAll(X, ForAll(Y, Eq(X, Y)))], [F])
         with pytest.raises(UnsupportedSentenceError):
-            lifted_wfomc(t, ONES, ONES, Domain(2))
+            compile_theory(t).wfomc(ONES, ONES, Domain(2))
 
     def test_rejects_free_variables(self):
         t = Fo2Theory.of([Atom(P, (X,))], [P])
         with pytest.raises(UnsupportedSentenceError):
-            lifted_wfomc(t, ONES, ONES, Domain(2))
+            compile_theory(t).wfomc(ONES, ONES, Domain(2))
 
     def test_rejects_third_variable_name_even_if_bound(self):
         z = Var("z")
         t = Fo2Theory.of([ForAll(X, ForAll(Y, Exists(z, Atom(F, (X, Y)))))],
                          [F])
         with pytest.raises(UnsupportedSentenceError, match="3 distinct"):
-            lifted_wfomc(t, ONES, ONES, Domain(2))
+            compile_theory(t).wfomc(ONES, ONES, Domain(2))
 
     def test_overflow_detected(self):
         t = Fo2Theory.of([], [F])
         w = WeightFunction({"f": 1e40})
         with pytest.raises(NumericOverflowError):
-            lifted_wfomc(t, w, ONES, Domain(10))
+            compile_theory(t).wfomc(w, ONES, Domain(10))
 
     def test_fraction_weights_have_no_magnitude_limit(self):
         # 900 atoms of weight 1 + 5/2: far beyond the float range, exact.
@@ -291,13 +291,14 @@ class TestLiftedWfomc:
                                            Not(Atom(F, (X, Y))))))
         t = Fo2Theory.of([tautology], [F])
         w = WeightFunction({"f": Fraction(5, 2)})
-        assert lifted_wfomc(t, w, ONES, Domain(30)) == Fraction(7, 2) ** 900
+        value = compile_theory(t).wfomc(w, ONES, Domain(30))
+        assert value == Fraction(7, 2) ** 900
 
     def test_nested_quantifiers_normalize(self):
         # propositional combination of sentences
         s = Or(ForAll(X, Atom(P, (X,))), Not(Exists(X, Atom(P, (X,)))))
         t = Fo2Theory.of([s], [P])
-        assert lifted_wfomc(t, ONES, ONES, Domain(3)) == 2
+        assert compile_theory(t).wfomc(ONES, ONES, Domain(3)) == 2
 
     @pytest.mark.parametrize("sentence", [
         ForAll(Y, ForAll(X, Implies(Atom(F, (Y, X)), Atom(P, (X,))))),
@@ -310,13 +311,13 @@ class TestLiftedWfomc:
         wbar = WeightFunction({"f": 5, "p": 7})
         t = Fo2Theory.of([sentence], [P, F])
         for n in (1, 2, 3):
-            assert lifted_wfomc(t, w, wbar, Domain(n)) == \
+            assert compile_theory(t).wfomc(w, wbar, Domain(n)) == \
                 brute_wfomc([sentence], w, wbar, Domain(n), vocab=[P, F])
 
     def test_exists_exists(self):
         s = Exists(X, Exists(Y, Atom(F, (X, Y))))
         t = Fo2Theory.of([s], [F])
-        assert lifted_wfomc(t, ONES, ONES, Domain(2)) == 15
+        assert compile_theory(t).wfomc(ONES, ONES, Domain(2)) == 15
 
 
 class TestCellMerge:
@@ -343,7 +344,7 @@ class TestCellMerge:
             with_exists += any(isinstance(s.body, Exists)
                                for s in theory.sentences)
             for n in (1, 2, 3):
-                got = lifted_wfomc(theory, w, wbar, Domain(n))
+                got = compile_theory(theory).wfomc(w, wbar, Domain(n))
                 want = brute_wfomc(list(theory.sentences), w, wbar, Domain(n),
                                    vocab=theory.vocabulary)
                 assert isinstance(got, int)
@@ -385,7 +386,7 @@ class TestComplement:
             w = WeightFunction({k: rng.randint(-2, 3) for k in names})
             wbar = WeightFunction({k: rng.randint(-2, 3) for k in names})
             for n in (1, 2, 3):
-                got = lifted_wfomc(theory, w, wbar, Domain(n))
+                got = compile_theory(theory).wfomc(w, wbar, Domain(n))
                 want = brute_wfomc(list(theory.sentences), w, wbar, Domain(n),
                                    vocab=theory.vocabulary)
                 assert isinstance(got, int)

@@ -12,8 +12,8 @@ from mlncount import (
 )
 from mlncount import lifted
 from mlncount.errors import (
-    InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
-    VocabularyError,
+    InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
+    UnsupportedSentenceError, VocabularyError,
 )
 from mlncount.mln import as_probability
 
@@ -66,6 +66,11 @@ class TestTranslate:
         theory, w, wbar = translate_mln(mln)
         assert theory.sentences == (TOTALITY,)
         assert len(theory.vocabulary) == 1
+
+    def test_weight_beyond_exp_range_is_typed(self):
+        mln = Mln.of([(Atom(P, (X,)), 710.0)], [P])
+        with pytest.raises(NumericOverflowError, match="weight 710"):
+            translate_mln(mln)
 
     def test_partition_after_translation(self):
         mln = Mln.of([(Atom(P, (X,)), math.log(2))], [P])

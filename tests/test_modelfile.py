@@ -109,6 +109,10 @@ class TestParseErrors:
     def test_formula_error_carries_line(self):
         with pytest.raises(FormulaSyntaxError, match="line 3"):
             parse_model_text("domain 2\npredicate p/1\nhard : p(x) &\n")
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_model_text("domain 2\npredicate p/1\nhard : p(x) & )\n")
+        assert (err.value.line, err.value.column) == (3, 8)
+        assert str(err.value) == "line 3: column 8: unexpected token ')'"
 
     def test_variable_limit_error_carries_line(self):
         with pytest.raises(TooManyVariablesError,
