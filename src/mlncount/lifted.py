@@ -33,16 +33,20 @@ that is polynomial in the domain size:
    and, per cell pair, the base-3 codes of the allowed cross assignments;
    each call builds a code's weight monomial once.  Cells with equal pair
    rows merge, weights summed, which cuts the compositions visited.
-5. *Collapse* of product-structured classes.  Where the cross assignments
-   a class g allows toward every class it meets are every combination of
-   one set S_g of its own outgoing atoms p(u, v) with a set of the other's
-   (as Skolemizing ``forall x exists y`` leaves them), each pair weight
-   factors as h(S_g) h(T), h summing the weights of the assignments.
-   Such classes that offer every other class the same set T form a group,
-   and the group sums into one cell weighted sum_g w_g h(S_g)^(n-1): for
-   ``forall x exists y f(x,y)`` the whole sum becomes one composition,
-   (2^n - 1)^n with unit weights, and the (1, -1) Skolem weights cancel
-   inside that cell's weight instead of across compositions.
+5. *Layered collapse* into outer labels.  A class is separable when the
+   cross assignments it allows toward every class are every combination of
+   a set of its own outgoing atoms p(u, v) with a set of the other's (as
+   Skolemizing ``forall x exists y`` leaves them), so each pair weight
+   factors as h(own) h(other's), h summing the weights of the assignments.
+   Separable classes toward which every class sends the same set share an
+   outer label; every other class is a label of its own.  The sum then runs
+   over compositions m of the labels: once they are fixed, each element of
+   a shared label o picks its class i alone, so o weighs
+   sum_i w_i prod_o' h(i's set toward o')^(m_o' - [o' = o]) per element,
+   by the multinomial theorem for any weights.  Total plus onto is n + 1
+   compositions, and ``forall x exists y f(x,y)`` one, (2^n - 1)^n with
+   unit weights: the (1, -1) Skolem weights cancel inside a label's weight
+   instead of across compositions.
 
 Arithmetic is generic: integer and ``Fraction`` weights give exact
 results, float and complex weights run in floating point with overflow
@@ -350,20 +354,6 @@ def _pair_table(matrices2, preds, table):
 # --- compiled theories ------------------------------------------------------
 
 @dataclass(frozen=True)
-class _Collapse:
-    """The table a branch's composition sum runs over: its classes, with
-    each group of product-structured classes replaced by one cell."""
-
-    # The classes kept as cells, in order; the groups' cells follow them.
-    rest: tuple[int, ...]
-    # Per group, (class g, bool rows of S_g over the binary predicates) per
-    # member.
-    groups: tuple[tuple[tuple[int, list], ...], ...]
-    # Per group, the bool rows of T_Gk per class k of ``rest``.
-    toward: tuple[tuple[list, ...], ...]
-
-
-@dataclass(frozen=True)
 class _Branch:
     nullary_values: tuple[tuple[str, bool], ...]
     # (-1)^|S|, S the ``exists x`` sentences whose complements it counts.
@@ -374,8 +364,10 @@ class _Branch:
     # (a, b), a <= b -> the sorted ``_pair_table`` codes between classes a
     # and b, whose monomials ``_weights`` builds once per call.
     pair_counts: dict
-    # What the composition sum runs over: ``_find_groups`` of the classes.
-    collapse: _Collapse
+    # What the composition sum runs over, and what it weighs them by:
+    # ``_outer_labels`` of the classes.
+    labels: tuple[tuple[int, ...], ...]
+    outgoing: dict
 
 
 @dataclass(frozen=True)
@@ -430,12 +422,11 @@ class CompiledTheory:
                 factor = branch.sign
                 for name, value in branch.nullary_values:
                     factor = factor * (w(name) if value else wbar(name))
-                cells, pairs = _collapsed_table(
-                    branch, d.size, binary,
-                    *_weights(self.vocabulary, branch.cells,
-                              branch.pair_counts, w, wbar))
+                table = _outer_table(
+                    branch, binary, *_weights(self.vocabulary, branch.cells,
+                                              branch.pair_counts, w, wbar))
                 try:
-                    value, _, size = _config_sum(d.size, cells, pairs)
+                    value, _, size = _config_sum(d.size, *table)
                 except OverflowError as err:
                     # An exact big-int term met a float weight.
                     raise NumericOverflowError(
@@ -451,11 +442,11 @@ class CompiledTheory:
         return total, magnitude
 
     def composition_count(self, d: Domain) -> int:
-        """Number of cell compositions the sum visits, over all branches:
-        compositions of the elements into the collapsed table's cells, one
-        per group of product-structured classes and one per other class."""
-        sizes = (len(b.collapse.rest) + len(b.collapse.groups)
-                 for b in self.branches)
+        """Number of compositions the sum visits, over all branches:
+        compositions of the elements into each branch's outer labels, one
+        per set of separable classes with equal columns and one per other
+        class (``_outer_labels``)."""
+        sizes = (len(b.labels) for b in self.branches)
         return sum(math.comb(d.size + c - 1, c - 1) for c in sizes if c)
 
 
@@ -496,74 +487,61 @@ def _weights(vocab, cells, pair_counts, w, wbar):
     return weights, r
 
 
-def _collapsed_table(branch, n, binary, cells, r):
-    """The cell weights and pair table of ``branch.collapse``, from the
-    class-level ``_weights``.  ``binary`` holds (wbar(p), w(p)) per binary
-    p, and h(A) is ``_row_sum(binary, A)``.
+def _outer_table(branch, binary, weights, r):
+    """The label weights, label pair table and layers that the sum over
+    ``branch.labels`` reads, from the class-level ``_weights``.  ``binary``
+    holds (wbar(p), w(p)) per binary p, and h(A) is ``_row_sum(binary, A)``.
 
-    A group's cell weighs sum_g w_g h(S_g)^(n-1), with 1 to itself and to
-    the groups it meets and h(T_Gk) to each kept class k: each pair weight
-    r_gk factors as h(S_g) h(T_gk), and the n_g (n-1) factors h(S_g) of a
-    composition's term move into the weight, so by the multinomial theorem
-    the group's members sum into one cell, for any weights."""
-    collapse = branch.collapse
-    if not collapse.groups:
-        return cells, r
-    rest = collapse.rest
-    weights = [cells[k] for k in rest] + [
-        functools.reduce(operator.add, (
-            cells[g] * cpow(_row_sum(binary, outgoing), n - 1)
-            for g, outgoing in members), 0)
-        for members in collapse.groups]
-    out = [[0] * len(weights) for _ in weights]
-    # 1 between groups that meet, and 0 between those that do not.
-    firsts = [members[0][0] for members in collapse.groups]
-    for a, g in enumerate(firsts, len(rest)):
-        out[a][len(rest):] = [1 if branch.pair_counts[min(g, h), max(g, h)]
-                              else 0 for h in firsts]
-    for a, k in enumerate(rest):
-        out[a][:len(rest)] = [r[k][l] for l in rest]
-    for g, sets in enumerate(collapse.toward, len(rest)):
-        for a, rows in enumerate(sets):
-            out[a][g] = out[g][a] = _row_sum(binary, rows)
-    return weights, out
+    A label of one class k keeps w_k, and r_kl toward another such label l.
+    Toward a label o of several classes its pair weights all factor as
+    h(own[k][o]) times a factor of the partner's, so h(own[k][o]) is its
+    entry there and the partner's factor moves into o's layer: o's members
+    i, each with w_i and h(own[i][o']) per label o'.  Between two labels of
+    several classes the entry is 1, as their factors are in the layers."""
+    if not branch.outgoing:
+        return weights, r, ()
+    h = {key: _row_sum(binary, rows) for key, rows in branch.outgoing.items()}
+    labels = branch.labels
+    plain = [members[0] for members in labels if len(members) == 1]
+    layered = range(len(plain), len(labels))
+    table = [[r[k][l] for l in plain] + [h[k, o] for o in layered]
+             for k in plain]
+    table += [[h[k, o] for k in plain] + [1] * len(layered) for o in layered]
+    layers = tuple((o, [(weights[i], [h[i, p] for p in range(len(labels))])
+                        for i in labels[o]]) for o in layered)
+    return [weights[k] for k in plain] + [1] * len(layered), table, layers
 
 
-def _find_groups(own, size) -> _Collapse:
-    """Group the product-structured classes of one branch.
+def _outer_labels(own, size):
+    """The outer labels of one branch's classes, and the outgoing sets that
+    ``_outer_table`` weighs.
 
     ``own`` holds the classes' ``_pair_table`` masks and ``size`` the
-    lengths of their pair rows, as lists.  Class g is separable when its
-    row with every class it meets, itself included, is every combination of
-    one set S_g of its outgoing cross assignments with a set of the
-    other's.  Separable classes with equal columns (``own[k][g]`` over all
-    k) offer every other class k one set T_Gk = ``own[k][g]``, and meet
-    each other unless they meet no class at all; two or more such classes
-    form a group."""
-    c = len(own)
+    lengths of their pair rows, as lists.  Class a is separable when its
+    row with every class k, itself included, is every combination of
+    ``own[a][k]`` with ``own[k][a]``; then each pair weight r_ak factors as
+    h(own[a][k]) h(own[k][a]).  Separable classes with equal columns
+    (``own[k][a]`` over all k) share a label, as every class sends them one
+    set; every other class is a label of its own.  Returns the labels as
+    tuples of classes, those of one class first in class order, and per
+    (class a, label o), a or o of several classes, the bool rows of
+    ``own[a][o]`` over the binary predicates."""
     columns = {}
-    for g, row in enumerate(own):
-        s = row[g]
-        if all(not n or mask == s and n == sum(s) * sum(own[k][g])
-               for k, (mask, n) in enumerate(zip(row, size[g]))):
-            columns.setdefault(tuple(tuple(r[g]) for r in own), []).append(g)
-    groups = [members for members in columns.values() if len(members) > 1]
-    if not groups:
-        return _Collapse(tuple(range(c)), (), ())
-    grouped = {g for members in groups for g in members}
-    rest = [k for k in range(c) if k not in grouped]
+    for a, row in enumerate(own):
+        separable = all(n == sum(mask) * sum(own[k][a])
+                        for k, (mask, n) in enumerate(zip(row, size[a])))
+        key = tuple(tuple(r[a]) for r in own) if separable else a
+        columns.setdefault(key, []).append(a)
+    labels = tuple(sorted(map(tuple, columns.values()),
+                          key=lambda members: len(members) > 1))
+    if len(labels) == len(own):
+        return labels, {}
     # A mask spans the 2^b assignments of the b binary predicates.
     bits = _assignments(len(own[0][0]).bit_length() - 1).tolist()
-
-    def assignments(mask):
-        return [a for a, keep in zip(bits, mask) if keep]
-
-    return _Collapse(
-        tuple(rest),
-        tuple(tuple((g, assignments(own[g][g])) for g in members)
-              for members in groups),
-        tuple(tuple(assignments(own[k][members[0]]) for k in rest)
-              for members in groups))
+    return labels, {
+        (a, p): [t for t, keep in zip(bits, own[a][others[0]]) if keep]
+        for members in labels for p, others in enumerate(labels)
+        if len(members) > 1 or len(others) > 1 for a in members}
 
 
 def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
@@ -582,7 +560,7 @@ def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
     return _Branch(
         nullary_values, sign,
         tuple(table[members].tolist() for members in classes.values()),
-        pair_counts, _find_groups(own[reps][:, reps].tolist(), size))
+        pair_counts, *_outer_labels(own[reps][:, reps].tolist(), size))
 
 
 def _expand(tables) -> tuple[_Branch, ...]:
@@ -637,40 +615,57 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
                           tuple(sorted(_skw.items())), tuple(tables))
 
 
-def _config_sum(n: int, cell_weights: list, r: list):
+def _config_sum(n: int, cell_weights: list, r: list, layers=()):
     """Sum over compositions of n elements into cells, in colexicographic
     order, of multinomial(n; counts) * prod w_i^{n_i} * prod r_ii^{C(n_i,2)}
-    * prod_{i<j} r_ij^{n_i n_j}.  Returns (value, compositions_visited,
-    sum of |term| over the float and complex scalar terms)."""
+    * prod_{i<j} r_ij^{n_i n_j}, times W_o^{n_o} per layer (o, members) of
+    ``_outer_table``, W_o the sum over its members (w, h) of w * prod_j
+    h_j^{n_j - [j = o]}.  Returns (value, compositions_visited, sum of
+    |term| over the float and complex scalar terms)."""
     c = len(cell_weights)
     if c == 0:
         return (1 if n == 0 else 0), 0, 0
+    # Rows: the cells' rows of r, then the layers' members' rows of h; in
+    # rpow, column c stands for the cell weights.  Each power is built once.
+    members = [(o, w, hs) for o, ms in layers for w, hs in ms]
+    rows = r + [hs for _, _, hs in members]
+    spans = [(o, [(c + m, w) for m, (p, w, _) in enumerate(members) if p == o])
+             for o, _ in layers]
     pow_cache: dict = {}
+    width, stride = c + 1, n * n + 1
 
     def rpow(i: int, j: int, e: int):
-        key = (i, j, e)
-        got = pow_cache.get(key)
-        if got is None:
-            got = cpow(r[i][j], e)
-            pow_cache[key] = got
-        return got
+        key = (i * width + j) * stride + e
+        if key not in pow_cache:
+            pow_cache[key] = cpow(rows[i][j] if j < c else cell_weights[i], e)
+        return pow_cache[key]
 
     total = magnitude = 0
     leaves = 0
     # Assign the last cell's count in the outermost loop so completed
     # compositions appear in colexicographic order.
     assigned: list[tuple[int, int]] = []
+    counts = [0] * c
 
     def rec(idx: int, remaining: int, acc):
         nonlocal total, leaves, magnitude
         if idx == 0:
-            k = remaining
+            k = counts[0] = remaining
             term = acc
             if k:
-                term = term * cpow(cell_weights[0], k)
+                term = term * rpow(0, c, k)
                 term = term * rpow(0, 0, k * (k - 1) // 2)
                 for j, nj in assigned:
                     term = term * rpow(0, j, k * nj)
+            for o, rows_w in spans:
+                if counts[o]:
+                    weight = 0
+                    for i, w in rows_w:
+                        w = w * rpow(i, 0, k - (o == 0))
+                        for j, nj in reversed(assigned):
+                            w = w * rpow(i, j, nj - (j == o))
+                        weight = weight + w
+                    term = term * cpow(weight, counts[o])
             total += term
             if isinstance(term, (float, complex)):
                 magnitude += abs(term)
@@ -679,13 +674,16 @@ def _config_sum(n: int, cell_weights: list, r: list):
         rec(idx - 1, remaining, acc)
         for k in range(1, remaining + 1):
             term = acc * math.comb(remaining, k)
-            term = term * cpow(cell_weights[idx], k)
+            term = term * rpow(idx, c, k)
             term = term * rpow(idx, idx, k * (k - 1) // 2)
             for j, nj in assigned:
                 term = term * rpow(idx, j, k * nj)
             assigned.append((idx, k))
+            counts[idx] = k
             rec(idx - 1, remaining - k, term)
             assigned.pop()
+        counts[idx] = 0
 
     rec(c - 1, n, 1)
+    rec = None  # rec holds itself: free the cache now, not in a later GC pass
     return total, leaves, magnitude

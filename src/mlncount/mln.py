@@ -128,9 +128,9 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
     """Probability that a sampled world satisfies the sentence ``gamma``.
     A ``forall x m`` or ``exists x m`` gamma costs no second compile."""
     theory, w, wbar = translate_mln(phi)
+    lifted._check_fragment(gamma, theory.vocabulary)
     compiled = lifted.compile_theory(theory)
     den = as_normalizer(*compiled._wfomc(w, wbar, d))
-    lifted._check_fragment(gamma, theory.vocabulary)
     query = compiled._conditioned(gamma) or lifted.compile_theory(
         Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary))
     num = as_real(query.wfomc(w, wbar, d), "query count")

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -29,6 +30,7 @@ P = Predicate("p", 1)
 F = Predicate("f", 2)
 ONES = WeightFunction()
 TOTALITY = ForAll(X, Exists(Y, Atom(F, (X, Y))))
+ONTO = ForAll(Y, Exists(X, Atom(F, (X, Y))))
 
 
 class TestSkolemize:
@@ -560,6 +562,24 @@ class TestCompositionSum:
             cpow(np.array([1.0, complex("nan")]), 3)
         assert cpow(np.array([1.0, 1e149, 0.5j]), 2)[1] == pytest.approx(1e298)
 
+    @pytest.mark.parametrize("layers", [
+        (), ((1, [(0.5, [1.5, 2.0]), (2.0, [0.5, 1.0])]),)],
+        ids=["plain", "layered"])
+    def test_config_sum_leaves_no_reference_cycle(self, layers):
+        # Garbage that only the cycle collector frees would be collected
+        # inside some later call, whose latency it would then carry.
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            value, leaves, _ = _config_sum(
+                4, [1.5, 1], [[0.5, 2.0], [2.0, 1]], layers)
+            assert leaves == 5 and value != 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_config_sum_array_weights_match_scalar_sums(self):
         rng = np.random.default_rng(7)
         c, n, size = 3, 5, 6
@@ -686,9 +706,9 @@ class TestPrunedCompositionCount:
         onto = compile_theory(Fo2Theory.of(
             [ForAll(X, Exists(Y, Atom(f, (X, Y)))),
              ForAll(Y, Exists(X, Atom(f, (X, Y))))], [f]))
-        # Counted without enumerating them.
-        assert onto.composition_count(Domain(2000)) == \
-            math.comb(2003, 3) > 10 ** 9
+        # One composition per split of the elements by sk1, the onto
+        # Skolem predicate.
+        assert onto.composition_count(Domain(2000)) == 2001
 
 
 def _own_side_theory(rng, binary):
@@ -714,6 +734,34 @@ def _own_side_theory(rng, binary):
     return Fo2Theory.of(sentences, vocab)
 
 
+def _two_sided_theory(rng):
+    """A theory whose forall-exists sentences tie the cross atom b(x, y) to
+    a unary atom of y, as ``f(x,y) & p(y)`` does: the pair rows stay
+    products, but x's set depends on y's label.  Some add a forall-exists
+    sentence over x's own atoms, a forall-forall one over x's atoms, y's
+    unary atoms and b(x, y), or an ``exists x`` sentence."""
+    vocab = [Predicate(f"u{i}", 1) for i in range(rng.randint(1, 2))]
+    vocab += [Predicate(f"b{i}", 2) for i in range(rng.randint(1, 2))]
+    own = [Atom(p, (X,) * p.arity) for p in vocab]
+    cross = [Atom(p, (X, Y)) for p in vocab if p.arity == 2]
+    partner = [Atom(p, (Y,)) for p in vocab if p.arity == 1]
+
+    def literal(atoms):
+        atom = rng.choice(atoms)
+        return atom if rng.random() < 0.5 else Not(atom)
+
+    sentences = [ForAll(X, Exists(Y, rng.choice([And, Or, Implies])(
+        literal(cross), literal(partner)))) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.5:
+        sentences.append(ForAll(X, Exists(Y, random_matrix(rng, own + cross))))
+    if rng.random() < 0.4:
+        sentences.append(ForAll(X, ForAll(Y, random_matrix(
+            rng, own + cross + partner))))
+    if rng.random() < 0.3:
+        sentences.append(Exists(X, random_matrix(rng, own)))
+    return Fo2Theory.of(sentences, vocab)
+
+
 def _class_level_wfomc(compiled, w, wbar, n):
     """``CompiledTheory.wfomc`` over the uncollapsed class-level tables."""
     w = w.updated({k: v[0] for k, v in compiled.skolem_weights})
@@ -729,6 +777,24 @@ def _class_level_wfomc(compiled, w, wbar, n):
     return total
 
 
+def _layered(branch):
+    """Whether some outer label of ``branch`` holds several classes."""
+    return len(branch.labels) < len(branch.cells)
+
+
+def _two_sided(branch):
+    """Whether a class of a several-class label of ``branch`` sends
+    different nonempty sets toward two labels, which the group collapse of
+    partner-independent sets did not cover."""
+    layered = {a for members in branch.labels if len(members) > 1
+               for a in members}
+    sets = {}
+    for (a, _), rows in branch.outgoing.items():
+        if a in layered and rows:
+            sets.setdefault(a, set()).add(tuple(map(tuple, rows)))
+    return any(len(found) > 1 for found in sets.values())
+
+
 class TestCollapse:
     def test_integer_weights_equal_class_level_sum(self):
         rng = random.Random(808)
@@ -739,13 +805,39 @@ class TestCollapse:
             w = WeightFunction({k: rng.randint(-2, 3) for k in names})
             wbar = WeightFunction({k: rng.randint(-2, 3) for k in names})
             compiled = compile_theory(theory)
-            grouped += sum(bool(b.collapse.groups) for b in compiled.branches)
+            grouped += sum(map(_layered, compiled.branches))
             for n in (1, 2, 3, 4):
                 got = compiled.wfomc(w, wbar, Domain(n))
                 assert type(got) is int
                 assert got == _class_level_wfomc(compiled, w, wbar, n), \
                     (theory.sentences, n)
         assert grouped >= 20
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["int", "complex"])
+    def test_two_sided_labels_match_class_level_sum(self, exact):
+        rng = random.Random(1212)
+        two_sided = 0
+        for _ in range(120):
+            theory = _two_sided_theory(rng)
+            draws = [rng.randint(-2, 3) if exact else random_weight(rng)
+                     for _ in range(2 * len(theory.vocabulary))]
+            w, wbar = (WeightFunction({p.name: v for p, v in zip(
+                theory.vocabulary, half)}) for half in (draws[::2], draws[1::2]))
+            compiled = compile_theory(theory)
+            two_sided += sum(map(_two_sided, compiled.branches))
+            for n in (1, 2, 3, 4):
+                got = compiled.wfomc(w, wbar, Domain(n))
+                want = _class_level_wfomc(compiled, w, wbar, n)
+                if n <= 2:
+                    assert rel_close(want, brute_wfomc(
+                        list(theory.sentences), w, wbar, Domain(n),
+                        vocab=theory.vocabulary), 1e-12)
+                if exact:
+                    assert type(got) is int and got == want, \
+                        (theory.sentences, n)
+                else:
+                    assert rel_close(got, want, 1e-12), (theory.sentences, n)
+        assert two_sided >= 20
 
     def test_complex_weights_match_brute(self):
         rng = random.Random(909)
@@ -757,7 +849,7 @@ class TestCollapse:
             wbar = WeightFunction({p.name: random_weight(rng)
                                    for p in theory.vocabulary})
             compiled = compile_theory(theory)
-            groups = [bool(b.collapse.groups) for b in compiled.branches]
+            groups = [_layered(b) for b in compiled.branches]
             grouped += any(groups)
             for n in (1, 2, 3):
                 got = compiled.wfomc(w, wbar, Domain(n))
@@ -765,7 +857,8 @@ class TestCollapse:
                                    vocab=theory.vocabulary)
                 assert rel_close(got, want, 1e-12), (theory.sentences, n)
                 if not any(groups):
-                    # Nothing collapsed: the class-level sum, bit for bit.
+                    # Every label one class: the class-level sum, bit for
+                    # bit.
                     assert got == _class_level_wfomc(compiled, w, wbar, n)
         assert grouped >= 20
 
@@ -775,7 +868,7 @@ class TestCollapse:
         while tested < 10:
             theory = _own_side_theory(rng, rng.randint(1, 2))
             compiled = compile_theory(theory)
-            if not any(b.collapse.groups for b in compiled.branches):
+            if not any(map(_layered, compiled.branches)):
                 continue
             tested += 1
             names = [p.name for p in theory.vocabulary]
@@ -793,7 +886,8 @@ class TestCollapse:
                 assert got[e] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("extra", [
-        # x's allowed f(x, y) depend on y's cell: products, not separable.
+        # x's allowed f(x, y) depend on y's p: products, and two labels,
+        # p's values, of two classes each.
         ForAll(X, ForAll(Y, Implies(Atom(F, (X, Y)), Atom(P, (Y,))))),
         # f(x, y) and f(y, x) agree: not products.
         ForAll(X, ForAll(Y, Iff(Atom(F, (X, Y)), Atom(F, (Y, X))))),
@@ -801,7 +895,7 @@ class TestCollapse:
         # assignment of each side occurs.
         ForAll(X, ForAll(Y, Not(And(Atom(F, (X, Y)), Atom(F, (Y, X)))))),
         # Unless p(x) or f(x, x), f(x, y) follows p(y): one assignment
-        # toward each cell, but not the same one.
+        # toward each label, but not the same one.
         ForAll(X, ForAll(Y, Or(Implies(Not(Atom(P, (X,))),
                                        Iff(Atom(F, (X, Y)), Atom(P, (Y,)))),
                                Atom(F, (X, X))))),
@@ -826,14 +920,65 @@ class TestCollapse:
     def test_totality_count_from_one_composition(self, n):
         compiled = compile_theory(Fo2Theory.of([TOTALITY], [F]))
         (branch,) = compiled.branches
-        assert len(branch.cells) == 2 and branch.collapse.rest == ()
+        assert len(branch.cells) == 2 and branch.labels == ((0, 1),)
         assert compiled.composition_count(Domain(n)) == 1
         assert compiled.wfomc(ONES, ONES, Domain(n)) == (2 ** n - 1) ** n
 
-    def test_total_onto_stays_ungrouped(self):
-        onto = ForAll(Y, Exists(X, Atom(F, (X, Y))))
-        compiled = compile_theory(Fo2Theory.of([TOTALITY, onto], [F]))
+    def test_total_onto_sums_over_outer_labels(self):
+        compiled = compile_theory(Fo2Theory.of([TOTALITY, ONTO], [F]))
         (branch,) = compiled.branches
-        assert branch.collapse.groups == () and len(branch.cells) == 4
+        # f(u, v) is allowed iff sk0(u) and sk1(v): the labels are sk1's two
+        # values, each of two classes.
+        assert len(branch.cells) == 4 and len(branch.labels) == 2
+        assert all(len(members) == 2 for members in branch.labels)
         for n in (5, 26):
-            assert compiled.composition_count(Domain(n)) == math.comb(n + 3, 3)
+            assert compiled.composition_count(Domain(n)) == n + 1
+
+
+class TestTwoLabelClosedForms:
+    """Theories whose closed forms are single sums over k <= n, each summed
+    over the n + 1 compositions of the domain into two outer labels."""
+
+    @staticmethod
+    def _total_onto(n, w, wbar):
+        """Inclusion-exclusion over the k elements without a predecessor:
+        each row is wbar on their columns and not all wbar on the rest."""
+        return sum((-1) ** k * math.comb(n, k)
+                   * (wbar ** k * ((w + wbar) ** (n - k) - wbar ** (n - k)))
+                   ** n for k in range(n + 1))
+
+    @pytest.mark.parametrize("w, wbar", [(1, 1), (Fraction(3, 2), Fraction(1)),
+                                         (2, 5)], ids=str)
+    @pytest.mark.parametrize("n", [1, 6, 13, 26, 30])
+    def test_total_onto(self, n, w, wbar):
+        compiled = compile_theory(Fo2Theory.of([TOTALITY, ONTO], [F]))
+        got = compiled.wfomc(WeightFunction({"f": w}),
+                             WeightFunction({"f": wbar}), Domain(n))
+        want = self._total_onto(n, w, wbar)
+        assert got == want and type(got) is type(want)
+        assert compiled.composition_count(Domain(n)) == n + 1
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_marked_successor(self, n):
+        # Every element has an f-successor inside p: sum over the k
+        # elements of p of ((2^k - 1) 2^(n-k))^n.
+        marked = ForAll(X, Exists(Y, And(Atom(F, (X, Y)), Atom(P, (Y,)))))
+        compiled = compile_theory(Fo2Theory.of([marked], [P, F]))
+        got = compiled.wfomc(ONES, ONES, Domain(n))
+        assert type(got) is int and got == sum(
+            math.comb(n, k) * ((2 ** k - 1) * 2 ** (n - k)) ** n
+            for k in range(n + 1))
+        assert compiled.composition_count(Domain(n)) == n + 1
+
+    def test_onto_probability_under_totality(self):
+        n = 22
+        d = Domain(n)
+        onto = compile_theory(Fo2Theory.of([TOTALITY, ONTO], [F]))
+        total = compile_theory(Fo2Theory.of([TOTALITY], [F]))
+        want = Fraction(self._total_onto(n, 1, 1), (2 ** n - 1) ** n)
+        assert Fraction(onto.wfomc(ONES, ONES, d),
+                        total.wfomc(ONES, ONES, d)) == want
+        assert onto.composition_count(d) == n + 1
+        assert total.composition_count(d) == 1
+        mln = Mln.of([(TOTALITY, math.inf)], [F])
+        assert marginal(mln, ONTO, d) == float(want)

@@ -38,6 +38,15 @@ class TestUndeclaredPredicates:
         with pytest.raises(VocabularyError, match="q/1"):
             marginal(mln, Exists(X, Atom(Q, (X,))), Domain(2))
 
+    def test_marginal_query_is_refused_before_any_count(self, monkeypatch):
+        def no_count(*args):
+            raise AssertionError("counted before the query was checked")
+
+        monkeypatch.setattr(lifted.CompiledTheory, "_wfomc", no_count)
+        mln = Mln.of([(TOTALITY, math.inf)], [F])
+        with pytest.raises(VocabularyError, match="q/1"):
+            marginal(mln, Exists(X, Atom(Q, (X,))), Domain(30))
+
     def test_count_distribution_formula(self):
         mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
         with pytest.raises(VocabularyError, match="q/1"):
@@ -272,9 +281,9 @@ def _soft_total(weight):
 
 
 class TestSoftTotality:
-    # Total relations with a soft f(x,y): the collapsed table sums the
-    # (1, -1) Skolem weights inside one cell weight, (1 + e^w)^n - 1, so Z
-    # keeps its digits where the composition sum cancelled to noise.
+    # Total relations with a soft f(x,y): the outer label sums the (1, -1)
+    # Skolem weights inside its weight, (1 + e^w)^n - 1, so Z keeps its
+    # digits where the composition sum cancelled to noise.
     @pytest.mark.parametrize("weight,n", [(w, n) for w in (-10, -6)
                                           for n in (10, 20, 30)]
                              + [(0.5, 10), (0.5, 20)])

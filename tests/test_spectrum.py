@@ -210,7 +210,7 @@ class TestCountDistribution:
     def test_total_relation_size_law_with_soft_edges(self, weight, n):
         # Count law of |f| over total relations with f(x,y) weighted w:
         # c_m e^(w m) normalized, c_m the coefficients of ((1+t)^n - 1)^n.
-        # The (1, -1) Skolem weights cancel inside one collapsed cell.
+        # The (1, -1) Skolem weights cancel inside one outer label's weight.
         tot = ForAll(X, Exists(Y, Atom(F, (X, Y))))
         mln = Mln.of([(tot, math.inf), (Atom(F, (X, Y)), weight)], [F])
         dist = count_distribution(mln, CountSpec.of([Atom(F, (X, Y))]),

@@ -61,16 +61,16 @@ def _counts(sentences):
 def test_compile_counts_of_a_grouped_theory():
     compiled, record = _counts([TOTALITY])
     (branch,) = compiled.branches
-    assert branch.collapse.groups
+    assert branch.labels == ((0, 1),)
     # Two classes (sk true, with or without f(x,x)), one binary predicate.
     assert record == {"branches": 1, "cells": 2, "pair_rows": 7,
                       "pair_evals": math.comb(3, 2) * 4, "compositions": 1}
 
 
-def test_compile_counts_of_an_ungrouped_theory():
+def test_compile_counts_of_a_two_label_theory():
     compiled, record = _counts([TOTALITY, ONTO])
     (branch,) = compiled.branches
-    assert not branch.collapse.groups
+    assert len(branch.labels) == 2
+    # Compositions of the 5 elements into the two outer labels.
     assert record == {"branches": 1, "cells": 4, "pair_rows": 16,
-                      "pair_evals": math.comb(5, 2) * 4,
-                      "compositions": math.comb(5 + 3, 3)}
+                      "pair_evals": math.comb(5, 2) * 4, "compositions": 6}
