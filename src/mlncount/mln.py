@@ -1,10 +1,10 @@
 """Weighted-formula models and their inference queries.
 
 A model is a set of weighted two-variable formulas; weight ``+inf`` marks a
-hard constraint.  Inference reduces to weighted model counting: each soft
-formula gets a fresh indicator predicate tied to it by an equivalence, with
-weight ``exp(w)`` on the indicator, and each hard formula becomes the
-universal closure itself.
+hard constraint.  Inference reduces to weighted model counting: each hard
+formula becomes its universal closure, and each soft formula multiplies
+``exp(w)`` into w(p), or wbar(p) if negated, of its own predicate p if it
+is a literal, else of a fresh indicator tied to it by an equivalence.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .errors import (
 from . import lifted
 from .lifted import Fo2Theory
 from .logic import (
-    Atom, Domain, Formula, Iff, Predicate, WeightFunction, fresh_name,
-    free_variables, universal_closure,
+    Atom, Domain, Formula, Iff, Not, Predicate, Var, WeightFunction,
+    fresh_name, free_variables, universal_closure,
 )
 
 IMAG_TOL = 1e-9
@@ -40,25 +40,30 @@ class Mln:
                    tuple(vocabulary))
 
 
-def _indicator(base: str, formula: Formula, used: set[str]):
-    """A fresh predicate xi and the sentence ``forall vars: xi(vars) <->
-    formula`` over the formula's free variables."""
+def _counting_predicate(formula: Formula, declared, vocab, base: str):
+    """(p, side, ties): w(p) if ``side`` is True, else wbar(p), weighs each
+    true grounding of ``formula``, and the sentences ``ties`` tie p to it.
+    A ``declared`` atom over distinct variables, or its negation, needs no
+    tie; any other formula gets a p named from ``base``, fresh in ``vocab``,
+    over its free variables and ``forall vars: p(vars) <-> formula``."""
+    atom = formula.body if isinstance(formula, Not) else formula
+    if isinstance(atom, Atom) and atom.pred in declared and len(
+            {a for a in atom.args if isinstance(a, Var)}) == atom.pred.arity:
+        return atom.pred, atom is formula, ()
     fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
-    xi = Predicate(fresh_name(base, used), len(fv))
-    return xi, universal_closure(Iff(Atom(xi, fv), formula))
+    xi = Predicate(fresh_name(base, {p.name for p in vocab}), len(fv))
+    return xi, True, (universal_closure(Iff(Atom(xi, fv), formula)),)
 
 
 def translate_mln(phi: Mln):
     """Reduce the model to a weighted counting problem.
 
-    Soft formulas (a, w) add ``forall vars: xi(vars) <-> a`` with
-    ``w(xi) = exp(w)``; hard formulas add their universal closure.  Returns
-    (theory, w, wbar).
+    A soft formula (a, w) multiplies ``exp(w)`` into the weight that counts
+    a's true groundings (``_counting_predicate``); hard formulas add their
+    universal closure.  Returns (theory, w, wbar).
     """
-    used = {p.name for p in phi.vocabulary}
-    sentences = []
-    vocab = list(phi.vocabulary)
-    weights = {}
+    sentences, vocab = [], list(phi.vocabulary)
+    weights = [WeightFunction(), WeightFunction()]  # wbar, w
     for formula, weight in phi.weighted_formulas:
         if math.isinf(weight):
             if weight < 0:
@@ -66,16 +71,21 @@ def translate_mln(phi: Mln):
                                  "formula and use +inf")
             sentences.append(universal_closure(formula))
             continue
-        xi, sentence = _indicator("xi", formula, used)
-        vocab.append(xi)
-        sentences.append(sentence)
+        pred, positive, ties = _counting_predicate(formula, phi.vocabulary,
+                                                   vocab, "xi")
+        if ties:
+            vocab.append(pred)
+        sentences.extend(ties)
+        side = weights[positive]
         try:
-            weights[xi.name] = math.exp(weight)
+            value = side(pred) * math.exp(weight)
         except OverflowError:
+            value = math.inf
+        if value == math.inf:
             raise NumericOverflowError(
-                f"weight {weight:g} of {formula} overflows exp") from None
-    return (Fo2Theory.of(sentences, vocab),
-            WeightFunction(weights), WeightFunction())
+                f"weight {weight:g} of {formula} leaves the float range")
+        weights[positive] = side.updated({pred.name: value})
+    return Fo2Theory.of(sentences, vocab), weights[True], weights[False]
 
 
 def as_real(value, what: str):

@@ -2,14 +2,14 @@
 
 For a model and a list of formulas, the count distribution is the law of the
 vector of true-grounding counts under the model's distribution.  Its DFT
-value at frequency k is a weighted model count in which each count formula's
-indicator predicate carries the root of unity ``exp(-2*pi*i*k_j/M_j)``.  All
-frequencies are evaluated in one weighted count whose indicator weights are
-arrays over the grid, so the composition sum is walked once.  At frequency
-zero every root is 1 and the count is the normalizer Z itself.  A tilt t_j
-multiplies indicator j's weight by exp(t_j), and so the mass of count vector
-n by exp(<t, n>).  Inverting the transform on the full grid (by FFT)
-recovers the distribution.
+value at frequency k is a weighted model count in which the weight of each
+true grounding of count formula j, as a soft formula's is placed, carries
+the root of unity ``exp(-2*pi*i*k_j/M_j)``.  All frequencies are evaluated
+in one weighted count whose weights are arrays over the grid, so the
+composition sum is walked once.  At frequency zero every root is 1 and the
+count is the normalizer Z itself.  A tilt t_j multiplies that weight by
+exp(t_j), and so the mass of count vector n by exp(<t, n>).  Inverting the
+transform on the full grid (by FFT) recovers the distribution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import NumericResidueError
 from .lifted import Fo2Theory, compile_theory
 from .logic import Domain, Formula, free_variables
-from .mln import Mln, _indicator, as_normalizer, translate_mln
+from .mln import Mln, _counting_predicate, as_normalizer, translate_mln
 
 SUM_TOL = 1e-6
 IMAG_TOL = 1e-6
@@ -79,21 +79,31 @@ class CountDistribution:
 
 def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, tilts=None) -> Spectrum:
     """Transform values at every grid frequency, in C index order, under
-    the log-weights ``tilts`` on the count formulas (none by default): one
-    weighted count in which each count formula's indicator weighs exp(tilt)
-    times its roots of unity over the grid, normalized by Z, the count at
+    the log-weights ``tilts``, one per count formula (none by default): one
+    weighted count in which each true grounding of a count formula weighs
+    exp(tilt) times its roots of unity over the grid (on the predicate that
+    ``mln._counting_predicate`` names), normalized by Z, the count at
     frequency zero, which the spectrum carries."""
+    tilts = [0.0] * len(psi) if tilts is None else tilts
+    if len(tilts) != len(psi):
+        raise ValueError(f"{len(tilts)} tilts for {len(psi)} count formulas")
     shape = shape_vector(psi, d)
     ks = np.indices(shape).reshape(len(shape), -1)
     theory, w, wbar = translate_mln(phi)
-    used = {p.name for p in theory.vocabulary}
-    xis, ties = zip(*(_indicator("xb", beta, used) for beta in psi.formulas))
-    compiled = compile_theory(Fo2Theory.of(theory.sentences + ties,
-                                           theory.vocabulary + xis))
-    weights = {xi.name: math.exp(tj) * np.exp(-2j * np.pi * kj / mj)
-               for xi, tj, kj, mj in zip(xis, tilts or [0.0] * len(psi), ks,
-                                         shape)}
-    raw = np.full(ks.shape[1], compiled.wfomc(w.updated(weights), wbar, d),
+    sentences, vocab = list(theory.sentences), list(theory.vocabulary)
+    weights = [wbar, w]
+    for beta, tj, kj, mj in zip(psi.formulas, tilts, ks, shape):
+        pred, positive, ties = _counting_predicate(beta, phi.vocabulary,
+                                                   vocab, "xb")
+        if ties:
+            vocab.append(pred)
+        sentences.extend(ties)
+        side = weights[positive]
+        weights[positive] = side.updated({pred.name: side(pred) * (
+            math.exp(tj) * np.exp(-2j * np.pi * kj / mj))})
+    compiled = compile_theory(Fo2Theory.of(sentences, vocab))
+    raw = np.full(ks.shape[1],
+                  compiled.wfomc(weights[True], weights[False], d),
                   dtype=np.complex128)
     z = as_normalizer(complex(raw[0]))
     return Spectrum((raw / z).reshape(shape), z)

@@ -406,7 +406,8 @@ HAS_FIX = dict(FUNCTIONS3.queries)["has_fix"]
 class TestOneCountPerQuery:
     """Each count query compiles one theory and makes one weighted count:
     the normalizer is the count at frequency zero, and the tilt rides on
-    the count formulas' indicator weights."""
+    the weights that count the count formulas' true groundings, their own
+    predicates' for literals."""
 
     @pytest.mark.parametrize("query", [
         lambda m: count_distribution(m.mln, m.count_spec, m.domain),

@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from mlncount import (
@@ -17,11 +19,14 @@ from mlncount.errors import (
 )
 from mlncount.mln import as_probability
 
-from helpers import random_feasible_mln
+from helpers import (
+    count_statistics, enumerate_worlds, random_feasible_mln, world_mass,
+)
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
 Q = Predicate("q", 1)
+R = Predicate("r", 0)
 F = Predicate("f", 2)
 TOTALITY = ForAll(X, Exists(Y, Atom(F, (X, Y))))
 
@@ -59,16 +64,49 @@ class TestTranslate:
         assert theory.sentences == ()
         assert w("p") == 1 and wbar("p") == 1
 
-    def test_soft_formula_gets_indicator(self):
+    def test_soft_atom_weighs_its_predicate(self):
+        # A literal needs no indicator: its own predicate's weight counts
+        # its true groundings.
         mln = Mln.of([(Atom(P, (X,)), math.log(2))], [P])
+        theory, w, wbar = translate_mln(mln)
+        assert theory.sentences == ()
+        assert theory.vocabulary == (P,)
+        assert w("p") == pytest.approx(2)
+        assert wbar("p") == 1
+
+    @pytest.mark.parametrize("formula, name, weights", [
+        (Not(Atom(P, (X,))), "p", (1, 3)),
+        (Atom(F, (Y, X)), "f", (3, 1)),
+        (Atom(R, ()), "r", (3, 1)),
+    ], ids=["negated", "swapped-binary", "nullary"])
+    def test_literals_weigh_their_predicate(self, formula, name, weights):
+        theory, w, wbar = translate_mln(Mln.of([(formula, math.log(3))],
+                                               [P, F, R]))
+        assert theory.sentences == () and theory.vocabulary == (P, F, R)
+        assert (w(name), wbar(name)) == pytest.approx(weights)
+
+    def test_soft_weights_on_one_atom_multiply(self):
+        mln = Mln.of([(Atom(P, (X,)), math.log(2)), (Atom(P, (X,)),
+                      math.log(3)), (Not(Atom(P, (X,))), math.log(5))], [P])
+        theory, w, wbar = translate_mln(mln)
+        assert theory.sentences == ()
+        assert w("p") == pytest.approx(6) and wbar("p") == pytest.approx(5)
+
+    @pytest.mark.parametrize("formula", [
+        And(Atom(P, (X,)), Atom(Q, (X,))), Atom(F, (X, X)),
+    ], ids=["compound", "reflexive"])
+    def test_other_soft_formula_gets_indicator(self, formula):
+        mln = Mln.of([(formula, math.log(2))], [P, Q, F])
         theory, w, wbar = translate_mln(mln)
         (sentence,) = theory.sentences
         assert isinstance(sentence, ForAll)
         assert isinstance(sentence.body, Iff)
+        assert sentence.body.right == formula
         xi = sentence.body.left.pred
-        assert xi.arity == 1
+        assert xi.arity == 1 and theory.vocabulary == (P, Q, F, xi)
         assert w(xi.name) == pytest.approx(2)
         assert wbar(xi.name) == 1
+        assert w("p") == w("f") == 1
 
     def test_hard_formula_is_closure_without_indicator(self):
         mln = Mln.of([(TOTALITY, math.inf)], [F])
@@ -80,6 +118,25 @@ class TestTranslate:
         mln = Mln.of([(Atom(P, (X,)), 710.0)], [P])
         with pytest.raises(NumericOverflowError, match="weight 710"):
             translate_mln(mln)
+
+    def test_product_of_weights_beyond_float_range_is_typed(self):
+        # Each weight is within exp's range; their product on p is not.
+        for literal in (Atom(P, (X,)), Not(Atom(P, (X,)))):
+            mln = Mln.of([(literal, 400.0), (literal, 400.0)], [P])
+            text = re.escape(str(literal))
+            with pytest.raises(NumericOverflowError,
+                               match=f"weight 400 of {text} "):
+                translate_mln(mln)
+
+    def test_constant_atom_is_refused(self):
+        # A ground atom is no literal over variables: it keeps its
+        # indicator, which the fragment gate refuses.
+        ground = Atom(P, (0,))
+        with pytest.raises(UnsupportedSentenceError, match="constants"):
+            partition_function(Mln.of([(ground, 0.5)], [P]), Domain(2))
+        with pytest.raises(UnsupportedSentenceError, match="constants"):
+            count_distribution(Mln.of([], [P]), CountSpec.of([ground]),
+                               Domain(2))
 
     def test_partition_after_translation(self):
         mln = Mln.of([(Atom(P, (X,)), math.log(2))], [P])
@@ -328,3 +385,79 @@ class TestSoftClosedFormulas:
         gamma = Exists(X, Atom(P, (X,)))
         assert marginal(mln, gamma, Domain(2)) == \
             pytest.approx(brute_mln_marginal(mln, gamma, Domain(2)), abs=1e-9)
+
+
+def _law(mln, psi, d, tilts):
+    """The tilted count law and its normalizer, one world at a time."""
+    law = {}
+    for world in enumerate_worlds(mln.vocabulary, d):
+        counts = count_statistics(psi, world, d)
+        mass = world_mass(mln, world, d) * math.exp(
+            sum(t * k for t, k in zip(tilts, counts)))
+        law[counts] = law.get(counts, 0.0) + mass
+    z = math.fsum(law.values())
+    return {k: m / z for k, m in law.items()}, z
+
+
+PX, QX = Atom(P, (X,)), Atom(Q, (X,))
+FXY, FYX = Atom(F, (X, Y)), Atom(F, (Y, X))
+RULE = ForAll(X, ForAll(Y, Implies(FXY, PX)))
+
+
+class TestLiteralsAgainstOracle:
+    """Models whose soft or count formulas are literals, counted by their
+    own predicates' weights, against world-by-world references."""
+
+    CASES = {
+        "soft-negated": (
+            [(Not(PX), 0.8), (Or(PX, QX), -0.4)], [P, Q],
+            [QX], Exists(X, And(PX, QX)), 3),
+        "two-soft-on-one-atom": (
+            [(PX, 0.7), (PX, -1.1), (Not(PX), 0.4), (Implies(PX, QX), 0.5)],
+            [P, Q], [PX, QX], ForAll(X, QX), 3),
+        "soft-swapped-binary": (
+            [(FYX, 0.6), (RULE, math.inf), (Atom(F, (X, X)), -0.3)], [P, F],
+            [FXY, PX], Exists(X, Atom(F, (X, X))), 2),
+        "nullary-soft": (
+            [(Atom(R, ()), 1.2), (Implies(Atom(R, ()), Exists(X, PX)),
+                                  math.inf)], [P, R],
+            [PX, Atom(R, ())], ForAll(X, PX), 3),
+        "count-atom-with-soft-weight": (
+            [(FXY, -0.5), (RULE, math.inf), (PX, 0.9)], [P, F],
+            [PX, FXY], Exists(X, PX), 2),
+        "repeated-count-atom": (
+            [(And(PX, QX), 0.5), (PX, -0.2)], [P, Q],
+            [PX, PX], Exists(X, QX), 3),
+        "negated-count-atom": (
+            [(PX, 0.3), (Iff(PX, QX), 0.6)], [P, Q],
+            [Not(PX), QX], ForAll(X, Or(PX, QX)), 3),
+        "reflexive-count-keeps-indicator": (
+            [(Atom(F, (X, X)), 0.5), (FXY, -0.7)], [F],
+            [Atom(F, (X, X)), FYX], Exists(X, Atom(F, (X, X))), 2),
+    }
+
+    @pytest.fixture(params=list(CASES), ids=list(CASES))
+    def case(self, request):
+        formulas, vocab, psi, gamma, n = self.CASES[request.param]
+        return Mln.of(formulas, vocab), psi, gamma, Domain(n)
+
+    def test_partition_and_marginal(self, case):
+        mln, _, gamma, d = case
+        assert float(partition_function(mln, d)) == pytest.approx(
+            brute_mln_partition(mln, d), rel=1e-12)
+        assert marginal(mln, gamma, d) == pytest.approx(
+            brute_mln_marginal(mln, gamma, d), abs=1e-12)
+
+    @pytest.mark.parametrize("tilted", [False, True],
+                             ids=["untilted", "tilted"])
+    def test_count_law(self, case, tilted):
+        mln, psi, _, d = case
+        tilts = [0.4, -0.7][:len(psi)] if tilted else [0.0] * len(psi)
+        dist = count_distribution(mln, CountSpec.of(psi), d,
+                                  tilts=tilts if tilted else None)
+        want, z = _law(mln, CountSpec.of(psi), d, tilts)
+        grid = np.zeros(dist.shape)
+        for counts, p in want.items():
+            grid[counts] = p
+        assert np.max(np.abs(dist.probabilities - grid)) <= 1e-12
+        assert dist.normalizer == pytest.approx(z, rel=1e-12)

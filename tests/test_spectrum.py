@@ -20,6 +20,7 @@ from helpers import PossibleWorld, count_statistics, random_feasible_mln
 
 X, Y = Var("x"), Var("y")
 P = Predicate("p", 1)
+Q = Predicate("q", 1)
 F = Predicate("f", 2)
 
 
@@ -179,6 +180,16 @@ class TestCountDistribution:
                 <= 1e-12
             assert dist.normalizer == pytest.approx(
                 float(partition_function(ref, d)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("tilts", [[0.3], [0.3, 0.1, -0.2]],
+                             ids=["shorter", "longer"])
+    @pytest.mark.parametrize("query", [full_spectrum, count_distribution])
+    def test_tilts_must_match_the_count_formulas(self, query, tilts):
+        # A short list used to drop the later formulas' weights silently.
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P, Q])
+        psi = CountSpec.of([Atom(P, (X,)), Atom(Q, (X,))])
+        with pytest.raises(ValueError, match="tilts"):
+            query(mln, psi, Domain(3), tilts=tilts)
 
     def test_sums_to_one(self):
         rng = random.Random(404)
