@@ -22,9 +22,9 @@ from .constraints import (
     fixed_point_distribution,
 )
 from .errors import (
-    BruteForceCapError, FormulaSyntaxError, InfeasibleConstraintError,
-    MlncountError, TooManyVariablesError, UnsupportedSentenceError,
-    VocabularyError,
+    CHECK_TOL, BruteForceCapError, FormulaSyntaxError,
+    InfeasibleConstraintError, MlncountError, TooManyVariablesError,
+    UnsupportedSentenceError, VocabularyError,
 )
 from .mln import marginal, partition_function
 from .modelfile import Model, parse_model
@@ -34,8 +34,6 @@ from .serialize import (
     write_fixed_points_csv, write_spectrum_csv,
 )
 from .spectrum import count_distribution, full_spectrum
-
-CHECK_TOL = 1e-9
 
 
 def _build_argparser() -> argparse.ArgumentParser:

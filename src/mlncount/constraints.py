@@ -24,18 +24,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
-    InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
+    RESOLVE_LIMIT, InfeasibleConstraintError, NumericResidueError,
 )
-from .lifted import _check_fragment
+from .lifted import _check_fragment, times_exp
 from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
 from .mln import Mln, as_probability
 # Unused here; kept so that ``constraints.partition_function`` resolves.
 from .mln import partition_function  # noqa: F401
 from .spectrum import CountSpec, count_distribution, shape_vector
-
-# Kept mass within this factor of the transform residue summed over its
-# bins has under 4 right digits left.
-RESOLVE_LIMIT = 1e4
 
 
 class CardinalityPredicate:
@@ -154,7 +150,7 @@ def _kept_masses(phi: Mln, cc: CardinalityConstraint, d: Domain, extra=()):
     noise = q.residue * float(factors.sum()) * masses[0].size
     if total <= RESOLVE_LIMIT * noise:
         raise NumericResidueError(
-            f"kept mass {total:.3g} is not above {RESOLVE_LIMIT:g} times the "
+            f"kept mass {total:.3g} is not above {RESOLVE_LIMIT=:g} times the "
             f"transform residue {noise:.3g}: it is not told from round-off")
     return q.normalizer, shift, masses
 
@@ -164,14 +160,9 @@ def constrained_partition(phi: Mln, cc: CardinalityConstraint,
     """Normalizer of the constrained distribution: the total unnormalized
     count mass on the grid points the predicate keeps."""
     z, shift, masses = _kept_masses(phi, cc, d)
-    try:
-        value = z * math.exp(shift) * float(masses.sum())
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise NumericOverflowError(
-            "constrained partition function exceeds the float range")
-    return value
+    # Bit for bit (z * exp(shift)) * sum.
+    return times_exp(float(masses.sum()), shift, z,
+                     "constrained partition function")
 
 
 def constrained_marginal(phi: Mln, cc: CardinalityConstraint,

@@ -50,8 +50,9 @@ that is polynomial in the domain size:
 
 Arithmetic is generic: integer and ``Fraction`` weights give exact
 results, float and complex weights run in floating point with overflow
-detection.  A weight may also be a numpy array, which evaluates the sum for
-every element in one pass over the compositions.
+detection against ``MAGNITUDE_LIMIT``, in the table of numeric limits in
+``errors`` (``_check_range``).  A weight may also be a numpy array, which
+evaluates the sum for every element in one pass over the compositions.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    NumericOverflowError, UnsupportedSentenceError, VocabularyError,
+    MAGNITUDE_LIMIT, NumericOverflowError, UnsupportedSentenceError,
+    VocabularyError,
 )
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
@@ -73,8 +75,6 @@ from .logic import (
     fresh_name, iter_subformulas, substitute,
 )
 
-_MAGNITUDE_LIMIT = 1e300
-_FLOATING = (float, complex, np.ndarray)  # the types checked against it
 # Bound on the (cell pair, cross assignment) entries the pair table
 # evaluates at once, so its memory does not grow with the cells squared.
 _CHUNK = 1 << 16
@@ -83,10 +83,34 @@ _TRUTH_LEAVES = {TRUE: np.True_, FALSE: np.False_}
 _XY = (Var("x"), Var("y"))
 
 
+def _check_range(value, what: str, *args):
+    """``value``, or NumericOverflowError naming ``what % args`` if it is a
+    float, complex or array (any element) above MAGNITUDE_LIMIT or NaN."""
+    if isinstance(value, (float, complex, np.ndarray)):
+        within = abs(value) <= MAGNITUDE_LIMIT  # False for NaN
+        if within is not True and not np.all(within):
+            raise NumericOverflowError(
+                f"{what % args} exceeds {MAGNITUDE_LIMIT=:g}")
+    return value
+
+
+def times_exp(x, y, z, what: str, *args):
+    """``x * (exp(y) * z)``, or NumericOverflowError naming ``what % args``
+    if it leaves the float range (any element of an array)."""
+    try:
+        value = x * (math.exp(y) * z)
+    except OverflowError:
+        value = math.inf
+    finite = abs(value) < math.inf  # False for NaN; elementwise for arrays
+    if finite is not True and not np.all(finite):
+        raise NumericOverflowError(f"{what % args} leaves the float range")
+    return value
+
+
 def cpow(base, exponent: int):
     """base**exponent by repeated squaring; exact for ints and
-    ``Fraction``s, checked for magnitude for floats, complex numbers and
-    numpy arrays (every element)."""
+    ``Fraction``s, range-checked for floats, complex numbers and numpy
+    arrays."""
     if isinstance(base, int):
         return base ** exponent
     result = 1
@@ -98,13 +122,7 @@ def cpow(base, exponent: int):
         e >>= 1
         if e:
             b = b * b
-    if isinstance(result, _FLOATING):
-        # False for NaN; elementwise for arrays.
-        within = abs(result) <= _MAGNITUDE_LIMIT
-        if within is not True and not np.all(within):
-            raise NumericOverflowError(
-                f"|{base!r}**{exponent}| exceeds {_MAGNITUDE_LIMIT:g}")
-    return result
+    return _check_range(result, "|%r**%d|", base, exponent)
 
 
 @dataclass(frozen=True)
@@ -416,7 +434,7 @@ class CompiledTheory:
         binary = [(wbar(p.name), w(p.name))
                   for p in self.vocabulary if p.arity == 2]
         total = magnitude = 0
-        # Array overflow shows as inf or NaN and raises below, not as a warning.
+        # Overflow shows as inf or NaN and raises below, not as a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             for branch in self.branches:
                 factor = branch.sign
@@ -427,19 +445,11 @@ class CompiledTheory:
                                               branch.pair_counts, w, wbar))
                 try:
                     value, _, size = _config_sum(d.size, *table)
-                except OverflowError as err:
-                    # An exact big-int term met a float weight.
-                    raise NumericOverflowError(
-                        f"weighted count left the floating-point range: {err}"
-                    ) from err
+                except OverflowError:  # an exact big-int term met a float
+                    value, size = math.inf, 0
                 total = total + factor * value
                 magnitude = magnitude + abs(factor) * size
-        if isinstance(total, _FLOATING):
-            within = abs(total) <= _MAGNITUDE_LIMIT
-            if within is not True and not np.all(within):
-                raise NumericOverflowError(
-                    "weighted count left the floating-point range")
-        return total, magnitude
+        return _check_range(total, "weighted count"), magnitude
 
     def composition_count(self, d: Domain) -> int:
         """Number of compositions the sum visits, over all branches:

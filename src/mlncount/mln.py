@@ -11,20 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
-    InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
+    CANCEL_LIMIT, COUNT_IMAG_TOL, PROB_TOL, InfeasibleConstraintError,
+    NumericResidueError,
 )
 from . import lifted
-from .lifted import Fo2Theory
+from .lifted import Fo2Theory, times_exp
 from .logic import (
     Atom, Domain, Formula, Iff, Not, Predicate, Var, WeightFunction,
     fresh_name, free_variables, universal_closure,
 )
-
-IMAG_TOL = 1e-9
-CANCEL_LIMIT = 1e12  # beyond it, under 4 of a double's digits are left
 
 
 @dataclass(frozen=True)
@@ -40,61 +37,50 @@ class Mln:
                    tuple(vocabulary))
 
 
-def _counting_predicate(formula: Formula, declared, vocab, base: str):
-    """(p, side, ties): w(p) if ``side`` is True, else wbar(p), weighs each
-    true grounding of ``formula``, and the sentences ``ties`` tie p to it.
-    A ``declared`` atom over distinct variables, or its negation, needs no
-    tie; any other formula gets a p named from ``base``, fresh in ``vocab``,
-    over its free variables and ``forall vars: p(vars) <-> formula``."""
+def weigh(formula, y, phi, sentences, vocab, weights, base, z=1):
+    """Multiply ``z * exp(y)`` into the entry of ``weights``, [wbar, w],
+    that counts each true grounding of ``formula``: w(p), or wbar(p) if it
+    is negated, of its own p if it is an atom of ``phi`` over distinct
+    variables, else of a fresh p named from ``base`` that joins ``vocab``,
+    with ``forall vars: p(vars) <-> formula`` joining ``sentences``."""
     atom = formula.body if isinstance(formula, Not) else formula
-    if isinstance(atom, Atom) and atom.pred in declared and len(
+    if isinstance(atom, Atom) and atom.pred in phi.vocabulary and len(
             {a for a in atom.args if isinstance(a, Var)}) == atom.pred.arity:
-        return atom.pred, atom is formula, ()
-    fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
-    xi = Predicate(fresh_name(base, {p.name for p in vocab}), len(fv))
-    return xi, True, (universal_closure(Iff(Atom(xi, fv), formula)),)
+        pred, side = atom.pred, atom is formula
+    else:
+        fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
+        pred, side = Predicate(fresh_name(base, {p.name for p in vocab}),
+                               len(fv)), True
+        vocab.append(pred)
+        sentences.append(universal_closure(Iff(Atom(pred, fv), formula)))
+    weights[side] = weights[side].updated({pred.name: times_exp(
+        weights[side](pred), y, z, "weight %g of %s", y, formula)})
 
 
 def translate_mln(phi: Mln):
-    """Reduce the model to a weighted counting problem.
-
-    A soft formula (a, w) multiplies ``exp(w)`` into the weight that counts
-    a's true groundings (``_counting_predicate``); hard formulas add their
-    universal closure.  Returns (theory, w, wbar).
-    """
+    """Reduce the model to a weighted counting problem (theory, w, wbar):
+    hard formulas add their universal closure, and a soft formula (a, w)
+    multiplies exp(w) into the weight counting a's groundings (``weigh``)."""
     sentences, vocab = [], list(phi.vocabulary)
     weights = [WeightFunction(), WeightFunction()]  # wbar, w
     for formula, weight in phi.weighted_formulas:
-        if math.isinf(weight):
-            if weight < 0:
-                raise ValueError("weight -inf is not meaningful; negate the "
-                                 "formula and use +inf")
+        if weight == math.inf:
             sentences.append(universal_closure(formula))
-            continue
-        pred, positive, ties = _counting_predicate(formula, phi.vocabulary,
-                                                   vocab, "xi")
-        if ties:
-            vocab.append(pred)
-        sentences.extend(ties)
-        side = weights[positive]
-        try:
-            value = side(pred) * math.exp(weight)
-        except OverflowError:
-            value = math.inf
-        if value == math.inf:
-            raise NumericOverflowError(
-                f"weight {weight:g} of {formula} leaves the float range")
-        weights[positive] = side.updated({pred.name: value})
+        elif math.isfinite(weight):
+            weigh(formula, weight, phi, sentences, vocab, weights, "xi")
+        else:
+            raise ValueError(f"weight {weight} of {formula} is not finite or "
+                             "+inf, the weight of a hard formula")
     return Fo2Theory.of(sentences, vocab), weights[True], weights[False]
 
 
 def as_real(value, what: str):
     """Check the imaginary residue of a count that must be real."""
     if isinstance(value, complex):
-        if abs(value.imag) > IMAG_TOL * (1 + abs(value)):
+        if abs(value.imag) > COUNT_IMAG_TOL * (1 + abs(value)):
             raise NumericResidueError(
-                f"{what} has imaginary residue {value.imag:g} "
-                f"(value {value!r})")
+                f"{what} has imaginary residue {value.imag:g} (value "
+                f"{value!r}), above {COUNT_IMAG_TOL=:g} of 1 + its size")
         return value.real
     return value
 
@@ -107,23 +93,22 @@ def as_normalizer(value, magnitude=0):
     if magnitude and z and magnitude > CANCEL_LIMIT * abs(z):
         raise NumericResidueError(
             f"partition function {z!r} cancels {magnitude / abs(z):.2g}-fold,"
-            f" outside what double precision resolves")
+            f" outside {CANCEL_LIMIT=:g}, what double precision resolves")
     if z <= 0:
-        if isinstance(z, float) and z < -IMAG_TOL:
-            raise NumericResidueError(f"partition function is negative: {z!r}")
+        if isinstance(z, float) and z < -COUNT_IMAG_TOL:
+            raise NumericResidueError(f"partition function is negative: "
+                                      f"{z!r}, below -{COUNT_IMAG_TOL=:g}")
         raise InfeasibleConstraintError(
             "partition function is zero: every world is excluded")
     return z
-
-
-PROB_TOL = 1e-9
 
 
 def as_probability(p: float, what: str) -> float:
     """Clamp a round-off excursion of a probability into [0, 1]; one beyond
     ``PROB_TOL`` is a numeric fault, not a probability."""
     if not -PROB_TOL <= p <= 1 + PROB_TOL:
-        raise NumericResidueError(f"{what} {p!r} lies outside [0, 1]")
+        raise NumericResidueError(
+            f"{what} {p!r} lies outside [0, 1] by more than {PROB_TOL=:g}")
     return min(max(p, 0.0), 1.0)
 
 
@@ -144,8 +129,5 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
     query = compiled._conditioned(gamma) or lifted.compile_theory(
         Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary))
     num = as_real(query.wfomc(w, wbar, d), "query count")
-    if isinstance(num, int) and isinstance(den, int):
-        p = float(Fraction(num, den))
-    else:
-        p = num / den
-    return as_probability(p, "marginal")
+    # Two ints divide exactly rounded, however large.
+    return as_probability(num / den, "marginal")

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericResidueError
+from .errors import (
+    GRID_IMAG_TOL, GRID_NEG_TOL, GRID_SUM_TOL, NumericResidueError,
+)
 from .lifted import Fo2Theory, compile_theory
 from .logic import Domain, Formula, free_variables
-from .mln import Mln, _counting_predicate, as_normalizer, translate_mln
-
-SUM_TOL = 1e-6
-IMAG_TOL = 1e-6
-NEG_TOL = 1e-9
+from .mln import Mln, as_normalizer, translate_mln, weigh
 
 
 @dataclass(frozen=True)
@@ -79,28 +77,23 @@ class CountDistribution:
 
 def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, tilts=None) -> Spectrum:
     """Transform values at every grid frequency, in C index order, under
-    the log-weights ``tilts``, one per count formula (none by default): one
-    weighted count in which each true grounding of a count formula weighs
-    exp(tilt) times its roots of unity over the grid (on the predicate that
-    ``mln._counting_predicate`` names), normalized by Z, the count at
-    frequency zero, which the spectrum carries."""
+    the finite log-weights ``tilts``, one per count formula (none by
+    default): one weighted count in which each true grounding of a count
+    formula weighs exp(tilt) times its roots of unity over the grid
+    (``mln.weigh``), normalized by Z, the count at frequency zero, which
+    the spectrum carries."""
     tilts = [0.0] * len(psi) if tilts is None else tilts
-    if len(tilts) != len(psi):
-        raise ValueError(f"{len(tilts)} tilts for {len(psi)} count formulas")
+    if len(tilts) != len(psi) or not all(map(math.isfinite, tilts)):
+        raise ValueError(f"tilts {list(tilts)} are not one finite number per "
+                         f"count formula, of {len(psi)}")
     shape = shape_vector(psi, d)
     ks = np.indices(shape).reshape(len(shape), -1)
     theory, w, wbar = translate_mln(phi)
     sentences, vocab = list(theory.sentences), list(theory.vocabulary)
     weights = [wbar, w]
     for beta, tj, kj, mj in zip(psi.formulas, tilts, ks, shape):
-        pred, positive, ties = _counting_predicate(beta, phi.vocabulary,
-                                                   vocab, "xb")
-        if ties:
-            vocab.append(pred)
-        sentences.extend(ties)
-        side = weights[positive]
-        weights[positive] = side.updated({pred.name: side(pred) * (
-            math.exp(tj) * np.exp(-2j * np.pi * kj / mj))})
+        weigh(beta, tj, phi, sentences, vocab, weights, "xb",
+              np.exp(-2j * np.pi * kj / mj))
     compiled = compile_theory(Fo2Theory.of(sentences, vocab))
     raw = np.full(ks.shape[1],
                   compiled.wfomc(weights[True], weights[False], d),
@@ -117,21 +110,21 @@ def inverse_dft_raw(values: np.ndarray) -> np.ndarray:
 def inverse_dft(g: Spectrum) -> CountDistribution:
     """Invert a spectrum into a probability grid, checking residues.
 
-    Imaginary parts above tolerance or negatives below ``-1e-9`` signal an
-    upstream numeric fault; small negatives are clamped to zero.  The worst
-    of both is kept as the grid's ``residue``, a floor under which a bin's
-    mass is round-off.
+    Imaginary parts above ``GRID_IMAG_TOL`` or negatives below
+    ``-GRID_NEG_TOL`` signal an upstream numeric fault; smaller negatives
+    are clamped to zero.  The worst of both is kept as the grid's
+    ``residue``, a floor under which a bin's mass is round-off.
     """
     raw = inverse_dft_raw(g.values)
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst_imag > IMAG_TOL:
-        raise NumericResidueError(
-            f"inverse transform has imaginary residue {worst_imag:g}")
+    if worst_imag > GRID_IMAG_TOL:
+        raise NumericResidueError(f"inverse transform has imaginary residue "
+                                  f"{worst_imag:g}, above {GRID_IMAG_TOL=:g}")
     q = raw.real.copy()
     worst_negative = -float(q.min()) if q.size else 0.0
-    if worst_negative > NEG_TOL:
-        raise NumericResidueError(
-            f"inverse transform has negative mass {-worst_negative:g}")
+    if worst_negative > GRID_NEG_TOL:
+        raise NumericResidueError(f"inverse transform has negative mass "
+                                  f"{-worst_negative:g} < -{GRID_NEG_TOL=:g}")
     np.clip(q, 0.0, None, out=q)
     return CountDistribution(q, g.normalizer, max(worst_imag, worst_negative))
 
@@ -143,7 +136,7 @@ def count_distribution(phi: Mln, psi: CountSpec, d: Domain,
     ``threads`` selects nothing."""
     dist = inverse_dft(full_spectrum(phi, psi, d, tilts=tilts))
     total = float(dist.probabilities.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise NumericResidueError(
-            f"count distribution sums to {total!r}, expected 1")
+    if abs(total - 1.0) > GRID_SUM_TOL:
+        raise NumericResidueError(f"count distribution sums to {total!r}, "
+                                  f"more than {GRID_SUM_TOL=:g} away from 1")
     return dist

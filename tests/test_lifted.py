@@ -284,7 +284,8 @@ class TestLiftedWfomc:
     def test_overflow_detected(self):
         t = Fo2Theory.of([], [F])
         w = WeightFunction({"f": 1e40})
-        with pytest.raises(NumericOverflowError):
+        with pytest.raises(NumericOverflowError,
+                           match=r"exceeds MAGNITUDE_LIMIT=1e\+300"):
             compile_theory(t).wfomc(w, ONES, Domain(10))
 
     def test_fraction_weights_have_no_magnitude_limit(self):
@@ -556,9 +557,9 @@ class TestCompositionSum:
 
     def test_cpow_array_overflow_on_any_element(self):
         # 1e151**2 = 1e302 is finite but above the limit; the others are not.
-        with pytest.raises(NumericOverflowError):
+        with pytest.raises(NumericOverflowError, match="MAGNITUDE_LIMIT"):
             cpow(np.array([1.0, 1e151, 0.5j]), 2)
-        with pytest.raises(NumericOverflowError):
+        with pytest.raises(NumericOverflowError, match="MAGNITUDE_LIMIT"):
             cpow(np.array([1.0, complex("nan")]), 3)
         assert cpow(np.array([1.0, 1e149, 0.5j]), 2)[1] == pytest.approx(1e298)
 

@@ -191,6 +191,26 @@ class TestCountDistribution:
         with pytest.raises(ValueError, match="tilts"):
             query(mln, psi, Domain(3), tilts=tilts)
 
+    @pytest.mark.parametrize("tilt", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("query", [full_spectrum, count_distribution])
+    def test_tilts_must_be_finite(self, query, tilt):
+        # They used to raise only after numpy's RuntimeWarnings, on an array
+        # of nan+nanj.
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        with pytest.raises(ValueError, match="finite"):
+            query(mln, CountSpec.of([Atom(P, (X,))]), Domain(3), tilts=[tilt])
+
+    @pytest.mark.parametrize("tilt,message", [
+        # Past exp's range: the weighting step names the count formula.
+        (710.0, r"weight 710 of p\(x\) leaves the float range"),
+        # Within it, the weight's third power passes the overflow limit.
+        (700.0, r"exceeds MAGNITUDE_LIMIT=1e\+300")])
+    def test_tilt_past_the_float_range_is_typed(self, tilt, message):
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
+        with pytest.raises(NumericOverflowError, match=message):
+            count_distribution(mln, CountSpec.of([Atom(P, (X,))]), Domain(3),
+                               tilts=[tilt])
+
     def test_sums_to_one(self):
         rng = random.Random(404)
         for _ in range(5):
@@ -202,7 +222,8 @@ class TestCountDistribution:
         # 2^1056 worlds: the exact normalizer is fine, the float sweep is not.
         model = parse_model_text("domain 32\npredicate p/1\n"
                                  "predicate f/2\ncount c : p(x)\n")
-        with pytest.raises(NumericOverflowError):
+        with pytest.raises(NumericOverflowError,
+                           match="weighted count exceeds MAGNITUDE_LIMIT"):
             count_distribution(model.mln, model.count_spec, model.domain)
 
     def test_marginalizing_extended_axis_is_consistent(self):
