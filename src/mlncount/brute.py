@@ -33,7 +33,7 @@ from .errors import (
 )
 from .logic import (
     And, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
-    TRUE, WeightFunction, conjoin, evaluate_bitwise, fold,
+    TRUE, WeightFunction, conjoin, diagonal, evaluate_bitwise, fold,
     free_variables, ground_atoms, groundings, predicates_of, substitute,
     universal_closure,
 )
@@ -149,23 +149,27 @@ def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
     vocab = list(vocab)
 
     # Count classes: the vector of per-predicate true-atom counts, each a
-    # popcount over the predicate's contiguous run of index bits.
+    # popcount over the predicate's contiguous run of index bits, and per
+    # binary p the count of its true p(e, e), for its diagonal weight.
     sizes = [d.size ** p.arity for p in vocab]
-    runs = [((1 << s) - 1) << offset
-            for s, offset in zip(sizes, accumulate(sizes, initial=0))]
+    offsets = list(accumulate(sizes, initial=0))
+    columns = [(p, ((1 << s) - 1) << o, s)
+               for p, s, o in zip(vocab, sizes, offsets)] + [
+        (diagonal(p), sum(1 << o + e * (d.size + 1) for e in d.elements),
+         d.size) for p, o in zip(vocab, offsets) if p.arity == 2]
 
     def keys(idx):
         key = np.zeros(len(idx), dtype=np.int64)
-        for run, s in zip(runs, sizes):
+        for _, run, s in columns:
             key = key * (s + 1) + np.bitwise_count(idx & np.uint64(run))
         return key
 
     total = 0
     blocks = _walk(sentences, vocab, d, cap)
     for key, n in _tally(keys(idx) for idx, _ in blocks).items():
-        counts = np.unravel_index(key, [s + 1 for s in sizes])
+        counts = np.unravel_index(key, [s + 1 for _, _, s in columns])
         weight = 1
-        for p, s, k in zip(vocab, sizes, map(int, counts)):
+        for (p, _, s), k in zip(columns, map(int, counts)):
             weight = weight * w(p) ** k * wbar(p) ** (s - k)
         total = total + n * weight
     return total

@@ -29,10 +29,15 @@ that is polynomial in the domain size:
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
-   per-cell-pair cross weights.  Compilation keeps each cell's bool row
-   and, per cell pair, the base-3 codes of the allowed cross assignments;
-   each call builds a code's weight monomial once.  Cells with equal pair
-   rows merge, weights summed, which cuts the compositions visited.
+   per-cell-pair cross weights.  A binary p's bit in a cell is p(e, e), so
+   p's diagonal weight (a soft or count ``p(x,x)``) multiplies into that
+   bit's weight.  Compilation keeps each cell's bool row and, per cell
+   pair, the base-3 codes of the allowed cross assignments; each call
+   builds a code's weight monomial once.  The binary matrices are evaluated
+   once over a (cell i, cell j, cross assignment) grid, x in cell i; the
+   orientation with x in cell j is its transpose with each assignment's
+   forward and backward halves swapped.  Cells with equal pair rows merge,
+   weights summed, which cuts the compositions visited.
 5. *Layered collapse* into outer labels.  A class is separable when the
    cross assignments it allows toward every class are every combination of
    a set of its own outgoing atoms p(u, v) with a set of the other's (as
@@ -71,12 +76,13 @@ from .errors import (
 )
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, Predicate, TRUE, Truth, Var, evaluate_bitwise, fold, free_variables,
-    fresh_name, iter_subformulas, substitute,
+    Or, Predicate, TRUE, Truth, Var, diagonal, evaluate_bitwise, fold,
+    free_variables, fresh_name, iter_subformulas, substitute,
 )
 
-# Bound on the (cell pair, cross assignment) entries the pair table
-# evaluates at once, so its memory does not grow with the cells squared.
+# Bound on the (cell, cell, cross assignment) entries at which the pair
+# table evaluates its matrices at once, so that the evaluation's
+# intermediate arrays do not grow with the cells squared.
 _CHUNK = 1 << 16
 _TRUTH_LEAVES = {TRUE: np.True_, FALSE: np.False_}
 # The two variables of every normalized sentence.
@@ -98,7 +104,8 @@ def times_exp(x, y, z, what: str, *args):
     """``x * (exp(y) * z)``, or NumericOverflowError naming ``what % args``
     if it leaves the float range (any element of an array)."""
     try:
-        value = x * (math.exp(y) * z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = x * (math.exp(y) * z)
     except OverflowError:
         value = math.inf
     finite = abs(value) < math.inf  # False for NaN; elementwise for arrays
@@ -180,7 +187,8 @@ def _emit(out: list, quantifiers, variables, matrix: Formula) -> None:
     """Append ``Q1 x Q2 y matrix``: the prefix variables are renamed to x
     and y at once, so a prefix binding y before x swaps them."""
     canonical = _XY[:len(variables)]
-    f = substitute(matrix, dict(zip(variables, canonical)))
+    binding = {v: c for v, c in zip(variables, canonical) if v != c}
+    f = substitute(matrix, binding) if binding else matrix
     for q, v in reversed(list(zip(quantifiers, canonical))):
         f = q(v, f)
     out.append(f)
@@ -189,14 +197,16 @@ def _emit(out: list, quantifiers, variables, matrix: Formula) -> None:
 def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
     """Replace quantified subformulas by fresh definition predicates,
     emitting the defining sentences into ``out``.  Returns a
-    quantifier-free formula."""
+    quantifier-free formula, ``f`` itself if it is one."""
     if isinstance(f, (Atom, Truth)):
         return f
     if isinstance(f, Not):
-        return Not(_eliminate_inner(f.body, vocab, out))
+        body = _eliminate_inner(f.body, vocab, out)
+        return f if body is f.body else Not(body)
     if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_eliminate_inner(f.left, vocab, out),
-                       _eliminate_inner(f.right, vocab, out))
+        a = _eliminate_inner(f.left, vocab, out)
+        b = _eliminate_inner(f.right, vocab, out)
+        return f if a is f.left and b is f.right else type(f)(a, b)
     if isinstance(f, (ForAll, Exists)):
         inner = _eliminate_inner(f.body, vocab, out)
         fv = sorted(free_variables(inner) - {f.var})
@@ -276,10 +286,24 @@ def _normalize_theory(t: Fo2Theory):
 
 # --- cells -----------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
 def _assignments(k: int) -> np.ndarray:
     """All 2^k truth assignments to k atoms, one per row, in
-    ``itertools.product((False, True), repeat=k)`` order."""
-    return (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+    ``itertools.product((False, True), repeat=k)`` order; built once per k,
+    read-only."""
+    bits = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1 == 1
+    bits.flags.writeable = False
+    return bits
+
+
+@functools.lru_cache(maxsize=8)
+def _codes(b: int) -> np.ndarray:
+    """Per cross assignment of b binary predicates, ``_assignments(2b)``,
+    its base-3 code; built once per b, read-only."""
+    cross = _assignments(2 * b)
+    code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
+    code.flags.writeable = False
+    return code
 
 
 def _holds(preds, rows: np.ndarray, matrices) -> np.ndarray:
@@ -316,56 +340,46 @@ def _pair_table(matrices2, preds, table):
     product of the two sizes."""
     binary = [p for p in preds if p.arity == 2]
     b = len(binary)
-    cross = _assignments(2 * b)
-    code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
-    half = 2 ** b
-    # Per orientation (u, v), u the element of cell i and v that of cell j,
-    # the cross atoms r(u, v) and then r(v, u) take the cross columns.
-    # Each also lists the atoms of u's own cell and of v's.
-    orientations = []
-    for u, v in (_XY, _XY[::-1]):
-        atoms = [Atom(p, (u, v)) for p in binary] + \
-                [Atom(p, (v, u)) for p in binary]
-        values = {a: cross[:, k] for k, a in enumerate(atoms)} | _TRUTH_LEAVES
-        orientations.append(([Atom(p, (u,) * p.arity) for p in preds],
-                             [Atom(p, (v,) * p.arity) for p in preds], values))
+    cross, half = _assignments(2 * b), 2 ** b
+    x, y = _XY
+    # The matrices hold over a (cell i, cell j, cross assignment) grid,
+    # with x in cell i, y in cell j, and p(x, y) then p(y, x) taking the
+    # cross columns, a block of cells i at a time.  An assignment's index
+    # is its forward half, p(x, y), times 2^b plus its backward half.
+    leaves = _TRUTH_LEAVES | {Atom(p, (y,) * p.arity): table[None, :, k, None]
+                              for k, p in enumerate(preds)}
+    for k, p in enumerate(binary):
+        leaves[Atom(p, (x, y))] = cross[:, k]
+        leaves[Atom(p, (y, x))] = cross[:, b + k]
     c = len(table)
-    ids = np.zeros((c, c), dtype=np.int64)
-    rows, index = [], {}
-    own = np.zeros((c, c, half), dtype=bool)
-    # Cell pairs i <= j, a chunk at a time: element 0 in cell i, element 1
-    # in cell j, evaluated as (pairs, cross assignments) arrays.
+    holds = np.ones((c, c, len(cross)), dtype=bool)
+    step = max(1, _CHUNK // (len(cross) * max(c, 1)))
+    for lo in range(0, c, step):
+        block = table[lo:lo + step, :, None, None]
+        values = leaves | {Atom(p, (x,) * p.arity): block[:, k]
+                           for k, p in enumerate(preds)}
+        for m in matrices2:
+            holds[lo:lo + step] &= evaluate_bitwise(m, values)
+    # The other orientation, x in cell j and y in cell i, is the transpose
+    # with each assignment's halves swapped.
+    holds = holds.reshape(c, c, half, half)
+    ok = holds & holds.transpose(1, 0, 3, 2)
+    own = ok.any(axis=3)
+    # Row p counts the satisfying assignments of the p-th pair i <= j per
+    # code; equal rows share an id.
     first, second = np.nonzero(np.arange(c)[:, None] <= np.arange(c))
-    step = max(1, _CHUNK // len(cross))
-    for lo in range(0, len(first), step):
-        left, right = first[lo:lo + step], second[lo:lo + step]
-        ok = np.ones((len(left), len(cross)), dtype=bool)
-        ends = table[left, :, None], table[right, :, None]
-        for u_atoms, v_atoms, values in orientations:
-            for atoms, end in zip((u_atoms, v_atoms), ends):
-                for k, atom in enumerate(atoms):
-                    values[atom] = end[:, k]
-            for m in matrices2:
-                ok &= evaluate_bitwise(m, values)
-        pair, assignment = np.nonzero(ok)
-        # An assignment's index is its forward half, p(u, v), times 2^b
-        # plus its backward half.
-        own[left, right], own[right, left] = (
-            np.bincount(pair * half + side, minlength=len(left) * half)
-            .reshape(len(left), half) > 0
-            for side in (assignment >> b, assignment & half - 1))
-        # Row p counts the satisfying assignments of pair p per code.
-        counts = np.bincount(pair * 3 ** b + code[assignment],
-                             minlength=len(left) * 3 ** b).reshape(len(left), -1)
-        raw, width = counts.tobytes(), counts.itemsize * 3 ** b
-        found = []
-        for p in range(len(left)):
-            key = raw[p * width:(p + 1) * width]
-            if key not in index:
-                index[key] = len(rows)
-                rows.append(np.repeat(np.arange(3 ** b), counts[p]).tolist())
-            found.append(index[key])
-        ids[left, right] = ids[right, left] = found
+    pair, assignment = np.nonzero(ok[first, second].reshape(len(first),
+                                                            len(cross)))
+    counts = np.bincount(pair * 3 ** b + _codes(b)[assignment],
+                         minlength=len(first) * 3 ** b)
+    raw, width = counts.tobytes(), counts.itemsize * 3 ** b
+    index = {}
+    found = [index.setdefault(raw[k:k + width], len(index))
+             for k in range(0, len(raw), width)]
+    rows = [np.repeat(np.arange(3 ** b), np.frombuffer(key, counts.dtype))
+            .tolist() for key in index]
+    ids = np.zeros((c, c), dtype=np.int64)
+    ids[first, second] = ids[second, first] = found
     return ids, rows, own
 
 
@@ -472,11 +486,14 @@ def _weights(vocab, cells, pair_counts, w, wbar):
 
     A class's weight sums its cells' products over the unary and binary p
     in ``vocab`` of w(p) where the row bit is true and wbar(p) where it is
-    false.  A pair entry sums in code order its codes' monomials, each
+    false; a binary p's bit is p(e, e), whose weight carries p's diagonal
+    weight too.  A pair entry sums in code order its codes' monomials, each
     built once per call: products of w(p)^t * wbar(p)^(2-t) over the binary
     p, the first the lowest digit t."""
     # (wbar(p), w(p)), indexed by a row bit.
-    pick = [(wbar(p.name), w(p.name)) for p in vocab if p.arity in (1, 2)]
+    pick = [(wbar(p.name), w(p.name)) if p.arity == 1 else
+            (wbar(p.name) * wbar(diagonal(p)), w(p.name) * w(diagonal(p)))
+            for p in vocab if p.arity in (1, 2)]
     weights = [_row_sum(pick, members) for members in cells]
 
     def monomial(code):
@@ -554,7 +571,7 @@ def _outer_labels(own, size):
         if len(members) > 1 or len(others) > 1 for a in members}
 
 
-def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
+def _branch(nullary_values, sign, rows, table, ids, own) -> _Branch:
     """The branch over the cells in ``table``, whose ``_pair_table`` entries
     are ``ids``, ``rows`` and ``own``."""
     # Cells with the same row of pair entries (so r_ii = r_jj = r_ij) are
@@ -566,7 +583,7 @@ def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
     reps = [members[0] for members in classes.values()]
     pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                    for a in range(len(reps)) for b in range(a, len(reps))}
-    size = [[len(rows[ids[i, j]]) for j in reps] for i in reps]
+    size = np.array([len(row) for row in rows])[ids[reps][:, reps]].tolist()
     return _Branch(
         nullary_values, sign,
         tuple(table[members].tolist() for members in classes.values()),
@@ -576,7 +593,8 @@ def _branch(nullary_values, sign, table, ids, rows, own) -> _Branch:
 def _expand(tables) -> tuple[_Branch, ...]:
     """Per nullary branch and subset S of its ``exists x`` misses, the
     branch of sign (-1)^|S| over the kept cells where every miss in S holds,
-    unless S is nonempty and keeps no cell."""
+    unless S is nonempty and keeps no cell.  A branch that keeps every cell
+    reads the tables as they are."""
     branches = []
     for values, table, keep, misses, ids, rows, own in tables:
         for subset in itertools.product((False, True), repeat=len(misses)):
@@ -584,9 +602,9 @@ def _expand(tables) -> tuple[_Branch, ...]:
                                  itertools.compress(misses, subset), keep)
             if any(subset) and not k.any():
                 continue
-            kept = np.ix_(k, k)
-            branches.append(_branch(values, (-1) ** sum(subset), table[k],
-                                    ids[kept], rows, own[kept]))
+            cut = (table, ids, own) if k.all() else (
+                table[k], ids[k][:, k], own[k][:, k])
+            branches.append(_branch(values, (-1) ** sum(subset), rows, *cut))
     return tuple(branches)
 
 

@@ -154,8 +154,10 @@ def conjoin(formulas) -> Formula:
 class WeightFunction:
     """Mapping from predicate names to complex weights, defaulting to 1.
 
-    Integer and real weights are kept in their native types so that
-    unit-weight model counts stay exact.
+    A binary p may also have an entry under ``diagonal(p)``: a weight that
+    each ground atom p(e, e) carries on top of p's own.  Integer and real
+    weights are kept in their native types so that unit-weight model
+    counts stay exact.
     """
 
     def __init__(self, weights=None):
@@ -172,6 +174,11 @@ class WeightFunction:
 
     def __repr__(self):
         return f"WeightFunction({self._weights!r})"
+
+
+def diagonal(pred: Predicate) -> Atom:
+    """``pred(x, x)``, the key of its diagonal weight in a WeightFunction."""
+    return Atom(pred, (Var("x"), Var("x")))
 
 
 def fresh_name(base: str, used: set[str]) -> str:
@@ -208,10 +215,12 @@ def predicates_of(f: Formula) -> frozenset[Predicate]:
 def substitute(f: Formula, binding: dict[Var, Term]) -> Formula:
     """Replace free occurrences of the bound variables by domain elements
     or by other variables, all at once: {x: y, y: x} swaps x and y.  A
-    quantifier of ``f`` may capture a variable substituted into its body."""
+    quantifier of ``f`` may capture a variable substituted into its body.
+    A subformula that nothing changes is returned as it is."""
     if isinstance(f, Atom):
-        return Atom(f.pred, tuple(binding.get(a, a) if isinstance(a, Var) else a
-                                  for a in f.args))
+        args = tuple(binding.get(a, a) if isinstance(a, Var) else a
+                     for a in f.args)
+        return f if args == f.args else Atom(f.pred, args)
     if isinstance(f, Eq):
         left = binding.get(f.left, f.left) if isinstance(f.left, Var) else f.left
         right = binding.get(f.right, f.right) if isinstance(f.right, Var) else f.right
@@ -219,12 +228,15 @@ def substitute(f: Formula, binding: dict[Var, Term]) -> Formula:
     if isinstance(f, Truth):
         return f
     if isinstance(f, Not):
-        return Not(substitute(f.body, binding))
+        body = substitute(f.body, binding)
+        return f if body is f.body else Not(body)
     if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(substitute(f.left, binding), substitute(f.right, binding))
+        a, b = substitute(f.left, binding), substitute(f.right, binding)
+        return f if a is f.left and b is f.right else type(f)(a, b)
     if isinstance(f, (ForAll, Exists)):
         inner = {v: e for v, e in binding.items() if v != f.var}
-        return type(f)(f.var, substitute(f.body, inner)) if inner else f
+        body = substitute(f.body, inner) if inner else f.body
+        return f if body is f.body else type(f)(f.var, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -239,11 +251,13 @@ def fold(f: Formula, values=None) -> Formula:
     whose variable is not free in the folded body (sound because domains
     are nonempty).  ``values`` maps atoms to the TRUE or FALSE leaf that
     replaces them.  The result is TRUE, FALSE or a formula with no Truth
-    leaf and no vacuous quantifier."""
+    leaf and no vacuous quantifier; ``f`` itself if it already is one."""
     if isinstance(f, (Atom, Eq, Truth)):
         return values.get(f, f) if values else f
     if isinstance(f, Not):
-        return _negate(fold(f.body, values))
+        body = fold(f.body, values)
+        return f if body is f.body and not isinstance(body, Truth) \
+            else _negate(body)
     if isinstance(f, (And, Or, Implies, Iff)):
         a, b = fold(f.left, values), fold(f.right, values)
         if isinstance(b, Truth) and not isinstance(a, Truth):
@@ -251,7 +265,7 @@ def fold(f: Formula, values=None) -> Formula:
                 return TRUE if b.value else Not(a)
             a, b = b, a  # the other connectives commute
         if not isinstance(a, Truth):
-            return type(f)(a, b)
+            return f if a is f.left and b is f.right else type(f)(a, b)
         if isinstance(f, And):
             return b if a.value else FALSE
         if isinstance(f, Or):
@@ -261,7 +275,9 @@ def fold(f: Formula, values=None) -> Formula:
         return b if a.value else _negate(b)
     if isinstance(f, (ForAll, Exists)):
         b = fold(f.body, values)
-        return type(f)(f.var, b) if f.var in free_variables(b) else b
+        if f.var not in free_variables(b):
+            return b
+        return f if b is f.body else type(f)(f.var, b)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -4,7 +4,8 @@ A model is a set of weighted two-variable formulas; weight ``+inf`` marks a
 hard constraint.  Inference reduces to weighted model counting: each hard
 formula becomes its universal closure, and each soft formula multiplies
 ``exp(w)`` into w(p), or wbar(p) if negated, of its own predicate p if it
-is a literal, else of a fresh indicator tied to it by an equivalence.
+is a literal, into p's diagonal weight if it is ``p(x,x)`` or its
+negation, else into that of a fresh indicator tied to it by an equivalence.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import lifted
 from .lifted import Fo2Theory, times_exp
 from .logic import (
     Atom, Domain, Formula, Iff, Not, Predicate, Var, WeightFunction,
-    fresh_name, free_variables, universal_closure,
+    diagonal, fresh_name, free_variables, universal_closure,
 )
 
 
@@ -41,20 +42,23 @@ def weigh(formula, y, phi, sentences, vocab, weights, base, z=1):
     """Multiply ``z * exp(y)`` into the entry of ``weights``, [wbar, w],
     that counts each true grounding of ``formula``: w(p), or wbar(p) if it
     is negated, of its own p if it is an atom of ``phi`` over distinct
-    variables, else of a fresh p named from ``base`` that joins ``vocab``,
-    with ``forall vars: p(vars) <-> formula`` joining ``sentences``."""
+    variables, p's diagonal weight (``logic.diagonal``) if it is ``p(v,v)``,
+    else of a fresh p named from ``base`` that joins ``vocab``, with
+    ``forall vars: p(vars) <-> formula`` joining ``sentences``."""
     atom = formula.body if isinstance(formula, Not) else formula
-    if isinstance(atom, Atom) and atom.pred in phi.vocabulary and len(
-            {a for a in atom.args if isinstance(a, Var)}) == atom.pred.arity:
-        pred, side = atom.pred, atom is formula
+    side = atom is formula
+    if isinstance(atom, Atom) and atom.pred in phi.vocabulary and all(
+            isinstance(a, Var) for a in atom.args):
+        key = (atom.pred.name if len(set(atom.args)) == atom.pred.arity
+               else diagonal(atom.pred))
     else:
         fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
-        pred, side = Predicate(fresh_name(base, {p.name for p in vocab}),
-                               len(fv)), True
+        pred = Predicate(fresh_name(base, {p.name for p in vocab}), len(fv))
+        key, side = pred.name, True
         vocab.append(pred)
         sentences.append(universal_closure(Iff(Atom(pred, fv), formula)))
-    weights[side] = weights[side].updated({pred.name: times_exp(
-        weights[side](pred), y, z, "weight %g of %s", y, formula)})
+    weights[side] = weights[side].updated({key: times_exp(
+        weights[side](key), y, z, "weight %g of %s", y, formula)})
 
 
 def translate_mln(phi: Mln):
@@ -77,7 +81,7 @@ def translate_mln(phi: Mln):
 def as_real(value, what: str):
     """Check the imaginary residue of a count that must be real."""
     if isinstance(value, complex):
-        if abs(value.imag) > COUNT_IMAG_TOL * (1 + abs(value)):
+        if not abs(value.imag) <= COUNT_IMAG_TOL * (1 + abs(value)):  # NaN too
             raise NumericResidueError(
                 f"{what} has imaginary residue {value.imag:g} (value "
                 f"{value!r}), above {COUNT_IMAG_TOL=:g} of 1 + its size")
@@ -94,10 +98,10 @@ def as_normalizer(value, magnitude=0):
         raise NumericResidueError(
             f"partition function {z!r} cancels {magnitude / abs(z):.2g}-fold,"
             f" outside {CANCEL_LIMIT=:g}, what double precision resolves")
-    if z <= 0:
-        if isinstance(z, float) and z < -COUNT_IMAG_TOL:
-            raise NumericResidueError(f"partition function is negative: "
-                                      f"{z!r}, below -{COUNT_IMAG_TOL=:g}")
+    if not z > 0:
+        if isinstance(z, float) and not z >= -COUNT_IMAG_TOL:
+            raise NumericResidueError(f"partition function {z!r} is negative"
+                                      f" or NaN, below -{COUNT_IMAG_TOL=:g}")
         raise InfeasibleConstraintError(
             "partition function is zero: every world is excluded")
     return z

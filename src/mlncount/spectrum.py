@@ -117,12 +117,12 @@ def inverse_dft(g: Spectrum) -> CountDistribution:
     """
     raw = inverse_dft_raw(g.values)
     worst_imag = float(np.max(np.abs(raw.imag))) if raw.size else 0.0
-    if worst_imag > GRID_IMAG_TOL:
+    if not worst_imag <= GRID_IMAG_TOL:  # NaN too
         raise NumericResidueError(f"inverse transform has imaginary residue "
                                   f"{worst_imag:g}, above {GRID_IMAG_TOL=:g}")
     q = raw.real.copy()
     worst_negative = -float(q.min()) if q.size else 0.0
-    if worst_negative > GRID_NEG_TOL:
+    if not worst_negative <= GRID_NEG_TOL:
         raise NumericResidueError(f"inverse transform has negative mass "
                                   f"{-worst_negative:g} < -{GRID_NEG_TOL=:g}")
     np.clip(q, 0.0, None, out=q)
@@ -136,7 +136,7 @@ def count_distribution(phi: Mln, psi: CountSpec, d: Domain,
     ``threads`` selects nothing."""
     dist = inverse_dft(full_spectrum(phi, psi, d, tilts=tilts))
     total = float(dist.probabilities.sum())
-    if abs(total - 1.0) > GRID_SUM_TOL:
+    if not abs(total - 1.0) <= GRID_SUM_TOL:
         raise NumericResidueError(f"count distribution sums to {total!r}, "
                                   f"more than {GRID_SUM_TOL=:g} away from 1")
     return dist

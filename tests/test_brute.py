@@ -8,14 +8,14 @@ from mlncount import (
     Atom, Domain, Eq, Exists, ForAll, Iff, Mln, Not, Or, Predicate, TRUE, Var,
     WeightFunction, brute, brute_mln_marginal, brute_mln_partition,
     brute_wfomc, free_variables, marginal, parse_model_text,
-    partition_function,
+    partition_function, translate_mln,
 )
 from mlncount.brute import (
     brute_constrained_marginal, brute_constrained_partition,
     brute_count_distribution,
 )
 from mlncount.constraints import Between, CustomPredicate, Equals
-from mlncount.logic import ground_atoms
+from mlncount.logic import diagonal, ground_atoms
 from mlncount.errors import (
     BruteForceCapError, InfeasibleConstraintError, VocabularyError,
 )
@@ -62,6 +62,19 @@ class TestBruteWfomc:
     def test_weighted_unary(self):
         w = WeightFunction({"p": 2})
         assert brute_wfomc(TRUE, w, ONES, Domain(3), vocab=[P]) == 27
+
+    def test_diagonal_weight(self):
+        # Each f(e, e) carries the diagonal weight on top of f's: three
+        # values per diagonal atom, two per other atom, at n = 2.
+        w = WeightFunction({"f": 1, diagonal(F): 2})
+        assert brute_wfomc(TRUE, w, ONES, Domain(2), vocab=[F]) == 36
+        # A soft f(x,x) is translated onto that weight.
+        mln = Mln.of([(Not(Atom(F, (X, X))), 0.7), (Atom(F, (X, Y)), -0.3)],
+                     [F])
+        theory, w, wbar = translate_mln(mln)
+        assert brute_wfomc(list(theory.sentences), w, wbar, Domain(3),
+                           vocab=theory.vocabulary) == pytest.approx(
+            brute_mln_partition(mln, Domain(3)), rel=1e-12)
 
     def test_totality_sentence(self):
         gamma = ForAll(X, Exists(Y, Atom(F, (X, Y))))

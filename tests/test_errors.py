@@ -2,16 +2,18 @@
 limit they crossed."""
 
 import ast
+import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
 import mlncount
 from mlncount import errors, spectrum
-from mlncount.errors import NumericResidueError
+from mlncount.errors import NumericOverflowError, NumericResidueError
 from mlncount.logic import Atom, Domain, Predicate, Var
-from mlncount.mln import Mln, as_real
+from mlncount.mln import Mln, as_normalizer, as_real
 from mlncount.spectrum import CountDistribution, CountSpec, Spectrum
 
 P = Predicate("p", 1)
@@ -74,3 +76,36 @@ def test_grid_sum_names_its_limit(monkeypatch):
     with pytest.raises(NumericResidueError, match="GRID_SUM_TOL=1e-06"):
         spectrum.count_distribution(mln, CountSpec.of([Atom(P, (Var("x"),))]),
                                     Domain(1))
+
+
+# NaN compares false with every limit, so each check is written to fail
+# unless its value is within the limit.
+
+def test_nan_spectrum_is_a_residue_error():
+    with pytest.raises(NumericResidueError, match="GRID_IMAG_TOL"):
+        spectrum.inverse_dft(Spectrum(np.array([1.0, np.nan, 0.5])))
+
+
+def test_nan_grid_total_is_a_residue_error(monkeypatch):
+    monkeypatch.setattr(spectrum, "inverse_dft", lambda g: CountDistribution(
+        np.array([np.nan, 0.5]), g.normalizer))
+    with pytest.raises(NumericResidueError, match="GRID_SUM_TOL"):
+        spectrum.count_distribution(Mln.of([], [P]), CountSpec.of(
+            [Atom(P, (Var("x"),))]), Domain(1))
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0), math.nan,
+                               complex(1.0, math.nan)])
+def test_nan_normalizer_is_a_residue_error(z):
+    with pytest.raises(NumericResidueError):
+        as_normalizer(z)
+
+
+def test_weight_overflow_raises_without_a_warning():
+    # The finiteness check after the multiply is what reports it.
+    mln = Mln.of([(Atom(P, (Var("x"),)), 400.0)], [P])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericOverflowError, match="weight 400 of p"):
+            spectrum.count_distribution(mln, CountSpec.of(
+                [Atom(P, (Var("x"),))]), Domain(3), tilts=[400.0])

@@ -16,8 +16,8 @@ from mlncount import lifted
 from mlncount.logic import iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _config_sum, _enumerate_cells, _normalize_theory, _pair_table,
-    _weights, compile_theory, cpow,
+    Fo2Theory, _assignments, _codes, _config_sum, _enumerate_cells,
+    _normalize_theory, _pair_table, _weights, compile_theory, cpow,
 )
 
 from helpers import (
@@ -131,6 +131,16 @@ class TestCells:
         # renamed at once.
         for u, v in ((a, b), (a, X)):
             assert compiled(u, v) == compiled(X, Y)
+
+    @pytest.mark.parametrize("table", [lambda: _assignments(3),
+                                       lambda: _codes(2)],
+                             ids=["assignments", "codes"])
+    def test_cached_tables_are_read_only(self, table):
+        # Built once and shared by every compile: a write would leak into
+        # the next one.
+        assert table() is table()
+        with pytest.raises(ValueError, match="read-only"):
+            table()[0] = 1
 
     def test_no_feasible_cell(self):
         contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))

@@ -10,7 +10,7 @@ from mlncount import (
 )
 from mlncount.logic import (
     FALSE, Truth, evaluate_bitwise, fold, ground_atoms, iter_subformulas,
-    predicates_of, universal_closure,
+    predicates_of, substitute, universal_closure,
 )
 from mlncount.errors import (
     FormulaSyntaxError, TooManyVariablesError, VocabularyError,
@@ -304,6 +304,19 @@ def test_fold_drops_quantifier_left_vacuous_by_folding():
     f = ForAll(X, ForAll(Y, Or(Atom(P, (Y,)), And(Atom(F, (X, Y)), FALSE))))
     assert fold(f) == ForAll(Y, Atom(P, (Y,)))
     assert fold(Exists(X, Not(Atom(Q, ()))), {Atom(Q, ()): FALSE}) == TRUE
+
+
+def test_rewrite_that_changes_nothing_returns_its_input():
+    # No Truth leaf, no vacuous quantifier: fold and an identity
+    # substitution return the node they were given, not an equal copy.
+    matrix = Iff(Not(Atom(F, (X, Y))), Implies(
+        Or(Atom(P, (X,)), Atom(Q, ())), And(Atom(P, (Y,)), Atom(F, (Y, 0)))))
+    f = ForAll(X, Exists(Y, matrix))
+    assert fold(f) is f
+    assert substitute(f, {X: X, Y: Y}) is f
+    assert substitute(matrix, {X: X, Y: Y}) is matrix
+    swapped = substitute(matrix, {X: Y, Y: X})
+    assert swapped != matrix and substitute(swapped, {X: Y, Y: X}) == matrix
 
 
 def test_tree_queries_pinned():

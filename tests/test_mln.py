@@ -17,6 +17,7 @@ from mlncount.errors import (
     InfeasibleConstraintError, NumericOverflowError, NumericResidueError,
     UnsupportedSentenceError, VocabularyError,
 )
+from mlncount.logic import diagonal
 from mlncount.mln import as_probability
 
 from helpers import (
@@ -93,8 +94,8 @@ class TestTranslate:
         assert w("p") == pytest.approx(6) and wbar("p") == pytest.approx(5)
 
     @pytest.mark.parametrize("formula", [
-        And(Atom(P, (X,)), Atom(Q, (X,))), Atom(F, (X, X)),
-    ], ids=["compound", "reflexive"])
+        And(Atom(P, (X,)), Atom(Q, (X,))),
+    ], ids=["compound"])
     def test_other_soft_formula_gets_indicator(self, formula):
         mln = Mln.of([(formula, math.log(2))], [P, Q, F])
         theory, w, wbar = translate_mln(mln)
@@ -107,6 +108,19 @@ class TestTranslate:
         assert w(xi.name) == pytest.approx(2)
         assert wbar(xi.name) == 1
         assert w("p") == w("f") == 1
+
+    @pytest.mark.parametrize("formula, side", [
+        (Atom(F, (X, X)), 1), (Atom(F, (Y, Y)), 1),
+        (Not(Atom(F, (X, X))), 0),
+    ], ids=["reflexive", "over-y", "negated"])
+    def test_reflexive_soft_formula_weighs_diagonal(self, formula, side):
+        # f(e, e) is the cell's bit for f: its weight needs no indicator.
+        mln = Mln.of([(formula, math.log(2))], [P, F])
+        theory, w, wbar = translate_mln(mln)
+        assert theory.sentences == () and theory.vocabulary == (P, F)
+        assert ((wbar, w)[side](diagonal(F)) == pytest.approx(2)
+                and (w, wbar)[side](diagonal(F)) == 1)
+        assert w("f") == wbar("f") == 1
 
     def test_hard_formula_is_closure_without_indicator(self):
         mln = Mln.of([(TOTALITY, math.inf)], [F])
@@ -411,7 +425,7 @@ def _law(mln, psi, d, tilts):
 
 
 PX, QX = Atom(P, (X,)), Atom(Q, (X,))
-FXY, FYX = Atom(F, (X, Y)), Atom(F, (Y, X))
+FXY, FYX, FXX = Atom(F, (X, Y)), Atom(F, (Y, X)), Atom(F, (X, X))
 RULE = ForAll(X, ForAll(Y, Implies(FXY, PX)))
 
 
@@ -442,9 +456,18 @@ class TestLiteralsAgainstOracle:
         "negated-count-atom": (
             [(PX, 0.3), (Iff(PX, QX), 0.6)], [P, Q],
             [Not(PX), QX], ForAll(X, Or(PX, QX)), 3),
-        "reflexive-count-keeps-indicator": (
-            [(Atom(F, (X, X)), 0.5), (FXY, -0.7)], [F],
-            [Atom(F, (X, X)), FYX], Exists(X, Atom(F, (X, X))), 2),
+        "reflexive-count-weighs-diagonal": (
+            [(FXX, 0.5), (FXY, -0.7)], [F],
+            [FXX, FYX], Exists(X, FXX), 2),
+        "negated-reflexive-soft": (
+            [(Not(FXX), 0.7), (PX, -0.2), (RULE, math.inf)], [P, F],
+            [Not(FXX), PX], ForAll(X, Or(PX, FXX)), 3),
+        "reflexive-soft-and-count-with-binary": (
+            [(FXX, 0.9), (Not(FXX), -0.3), (FXY, -0.6)], [F],
+            [FXX, FXY], ForAll(X, FXX), 3),
+        "reflexive-over-y": (
+            [(Atom(F, (Y, Y)), 0.8), (TOTALITY, math.inf)], [F],
+            [Atom(F, (Y, Y))], Exists(X, FXX), 3),
     }
 
     @pytest.fixture(params=list(CASES), ids=list(CASES))
