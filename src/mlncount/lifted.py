@@ -3,15 +3,15 @@
 The pipeline turns an arbitrary theory of two-variable sentences into a sum
 that is polynomial in the domain size:
 
-1. *Normalization* rewrites every sentence into plain prenex formulas of
-   the shapes ``forall x m``, ``forall x forall y m``, ``forall x exists y
-   m``, ``exists x m`` or ``m``, the matrix m quantifier-free (nullary
-   atoms only in ``m`` alone), using fresh definition predicates for
-   nested quantifiers and for what follows a leading ``exists``, after
-   ``logic.fold`` has folded TRUE/FALSE leaves and dropped vacuous
-   quantifiers; a negated quantifier in the prefix becomes its dual.
-   Each emitted sentence has its prefix variables renamed to x and y at
-   once, so later steps bind the atoms over x and y directly.
+1. *Normalization* rewrites every sentence into clauses (quantifier
+   types, matrix) of the shapes ``forall x m``, ``forall x forall y m``,
+   ``forall x exists y m``, ``exists x m`` or ``m``, the matrix m
+   quantifier-free (nullary atoms only in ``m`` alone), using fresh
+   definition predicates for nested quantifiers and for what follows a
+   leading ``exists``, after ``logic.fold`` has folded TRUE/FALSE leaves and
+   dropped vacuous quantifiers; a negated quantifier in the prefix becomes
+   its dual.  Each clause's matrix has the prefix variables renamed to x
+   and y at once, so later steps bind the atoms over x and y directly.
    Definitions are equivalences, so each original world extends uniquely
    and the weighted count is unchanged.
 2. *Skolemization* removes ``forall x exists y m``: it becomes ``forall x
@@ -21,11 +21,12 @@ that is polynomial in the domain size:
    universally quantified matrices per branch (``logic.fold`` with the
    branch's nullary values).  Each ``exists x m`` is counted by its
    complement, Z(T and exists x m) = Z(T) - Z(T and forall x not m), m
-   over x alone: each subset S of a branch's ``exists x`` sentences is a
-   branch of sign (-1)^|S| over the cells where every ``not m`` in S holds.
-   The same expansion conditions a compiled theory on a query ``forall x
-   m`` (keep the cells where m holds) or ``exists x m`` (one more subset
-   factor) without rebuilding its tables: ``CompiledTheory._conditioned``.
+   over x alone: each subset S of a branch's misses, the cells where such
+   an m fails, is a branch of sign (-1)^|S| over the cells where every miss
+   in S holds.  One step, ``_condition``, adds each ``exists x`` clause's
+   miss, and conditions a compiled theory on a query ``forall x m`` (keep
+   the cells where m holds) or ``exists x m`` (one more miss) without
+   rebuilding its tables (``CompiledTheory._conditioned``).
 4. *Cell decomposition* groups elements by their complete truth assignment
    over unary and reflexive-binary atoms; the count is a sum over
    compositions of the domain into cells, with per-cell weights and
@@ -77,7 +78,7 @@ from .errors import (
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
     Or, Predicate, TRUE, Truth, Var, diagonal, evaluate_bitwise, fold,
-    free_variables, fresh_name, iter_subformulas, substitute,
+    free_variables, fresh_predicate, iter_subformulas, substitute,
 )
 
 # Bound on the (cell, cell, cross assignment) entries at which the pair
@@ -85,7 +86,7 @@ from .logic import (
 # intermediate arrays do not grow with the cells squared.
 _CHUNK = 1 << 16
 _TRUTH_LEAVES = {TRUE: np.True_, FALSE: np.False_}
-# The two variables of every normalized sentence.
+# The two variables of every normalized clause.
 _XY = (Var("x"), Var("y"))
 
 
@@ -146,19 +147,6 @@ class Fo2Theory:
 
 # --- normalization ----------------------------------------------------------
 
-class _Vocabulary:
-    """Tracks predicates and hands out fresh names."""
-
-    def __init__(self, preds):
-        self.preds = list(preds)
-        self._names = {p.name for p in self.preds}
-
-    def fresh(self, base: str, arity: int) -> Predicate:
-        p = Predicate(fresh_name(base, self._names), arity)
-        self.preds.append(p)
-        return p
-
-
 def _check_fragment(s: Formula, vocabulary) -> None:
     """Reject what the lifted fragment cannot count: predicates outside the
     vocabulary, free variables, equality atoms, constants, and more than two
@@ -184,19 +172,16 @@ def _check_fragment(s: Formula, vocabulary) -> None:
 
 
 def _emit(out: list, quantifiers, variables, matrix: Formula) -> None:
-    """Append ``Q1 x Q2 y matrix``: the prefix variables are renamed to x
-    and y at once, so a prefix binding y before x swaps them."""
-    canonical = _XY[:len(variables)]
-    binding = {v: c for v, c in zip(variables, canonical) if v != c}
-    f = substitute(matrix, binding) if binding else matrix
-    for q, v in reversed(list(zip(quantifiers, canonical))):
-        f = q(v, f)
-    out.append(f)
+    """Append the clause ``(quantifiers, matrix)``, the prefix variables
+    renamed to x and y at once, so a prefix binding y before x swaps them."""
+    binding = {v: c for v, c in zip(variables, _XY) if v != c}
+    out.append((tuple(quantifiers),
+                substitute(matrix, binding) if binding else matrix))
 
 
-def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
-    """Replace quantified subformulas by fresh definition predicates,
-    emitting the defining sentences into ``out``.  Returns a
+def _eliminate_inner(f: Formula, vocab: list, out: list) -> Formula:
+    """Replace quantified subformulas by fresh definition predicates that
+    join ``vocab``, emitting the defining clauses into ``out``.  Returns a
     quantifier-free formula, ``f`` itself if it is one."""
     if isinstance(f, (Atom, Truth)):
         return f
@@ -209,12 +194,10 @@ def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
         return f if a is f.left and b is f.right else type(f)(a, b)
     if isinstance(f, (ForAll, Exists)):
         inner = _eliminate_inner(f.body, vocab, out)
+        # At most one: ``_check_fragment`` allows two variable names.
         fv = sorted(free_variables(inner) - {f.var})
-        if len(fv) > 1:
-            raise UnsupportedSentenceError(
-                f"quantified subformula with two free variables: {f}")
         # d(fv) <-> Q v inner, as a universal and an existential half.
-        datom = Atom(vocab.fresh("def", len(fv)), tuple(fv))
+        datom = Atom(fresh_predicate("def", len(fv), vocab), tuple(fv))
         if isinstance(f, Exists):
             every, some = Implies(inner, datom), Implies(datom, inner)
         else:
@@ -226,11 +209,11 @@ def _eliminate_inner(f: Formula, vocab: _Vocabulary, out: list) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _normalize_sentence(s: Formula, vocab: _Vocabulary, out: list) -> None:
-    """Emit ``s`` as ``m``, ``forall x m``, ``forall x forall y m``,
-    ``forall x exists y m`` or ``exists x m``, m quantifier-free; ``not Q x
+def _normalize_sentence(s: Formula, vocab: list, out: list) -> None:
+    """Emit ``s`` as clauses (``_emit``) of a quantifier-free matrix under
+    (), (forall), (forall, forall), (forall, exists) or (exists); ``not Q x
     f`` is read as the dual of Q over ``not f``, a leading ``exists`` ends
-    the prefix, and definitions name what follows it."""
+    the prefix, and definitions that join ``vocab`` name what follows it."""
     body = fold(s)
     quantifiers, variables = [], []
     while len(quantifiers) < 2 and Exists not in quantifiers:
@@ -247,41 +230,26 @@ def _normalize_sentence(s: Formula, vocab: _Vocabulary, out: list) -> None:
           fold(_eliminate_inner(body, vocab, out)))
 
 
-def _prefix(s: Formula):
-    """The quantifier types and the quantifier-free matrix of a prenex
-    sentence."""
-    kinds = []
-    while isinstance(s, (ForAll, Exists)):
-        kinds.append(type(s))
-        s = s.body
-    return tuple(kinds), s
-
-
 def _normalize_theory(t: Fo2Theory):
     """Normalize every sentence of ``t`` and Skolemize ``forall x exists
-    y``.  Returns (sentences, vocabulary, skolem weight entries); each
-    sentence is ``m``, ``forall x m``, ``forall x forall y m`` or ``exists x
-    m``, which ``compile_theory`` counts by its complement.
+    y``.  Returns (clauses, vocabulary, skolem weight entries); a clause
+    (quantifiers, m) stands for ``m``, ``forall x m``, ``forall x forall y
+    m`` or ``exists x m``, which ``compile_theory`` counts by its complement.
 
     ``forall x exists y m`` becomes ``forall x forall y (m -> s(x))``, s a
     fresh unary predicate weighted (1, -1): where x has a witness s(x) is
     forced true (factor 1); otherwise its two values sum to 1 - 1 = 0."""
-    vocab = _Vocabulary(t.vocabulary)
-    normal = []
+    vocab, clauses, weights = list(t.vocabulary), [], {}
     declared = set(t.vocabulary)
     for s in t.sentences:
         _check_fragment(s, declared)
-        _normalize_sentence(s, vocab, normal)
-    x, y = _XY
-    sentences, weights = [], {}
-    for s in normal:
-        kinds, m = _prefix(s)
+        _normalize_sentence(s, vocab, clauses)
+    for k, (kinds, m) in enumerate(clauses):
         if kinds == (ForAll, Exists):
-            sk = vocab.fresh("sk", 1)
+            sk = fresh_predicate("sk", 1, vocab)
             weights[sk.name] = (1, -1)
-            s = ForAll(x, ForAll(y, Implies(m, Atom(sk, (x,)))))
-        sentences.append(s)
-    return sentences, vocab, weights
+            clauses[k] = (ForAll, ForAll), Implies(m, Atom(sk, _XY[:1]))
+    return clauses, vocab, weights
 
 
 # --- cells -----------------------------------------------------------------
@@ -416,25 +384,16 @@ class CompiledTheory:
         """This theory and ``gamma`` (checked by ``_check_fragment``) as
         ``compile_theory`` compiles them, read off this theory's tables, if
         gamma normalizes to one ``forall x m`` or ``exists x m``; else None."""
-        out = []
-        _normalize_sentence(gamma, _Vocabulary(self.vocabulary), out)
-        kinds, m = _prefix(out[-1])
-        if len(out) > 1 or kinds not in ((ForAll,), (Exists,)):
+        clauses = []
+        _normalize_sentence(gamma, list(self.vocabulary), clauses)
+        kinds, m = clauses[-1]
+        if len(clauses) > 1 or kinds not in ((ForAll,), (Exists,)):
             return None
         preds = [p for p in self.vocabulary if p.arity in (1, 2)]
-        tables = []
-        for values, table, keep, misses, *pairs in self.tables:
-            folded = fold(m, {Atom(Predicate(name, 0), ()): TRUE if bit
-                              else FALSE for name, bit in values})
-            holds = _holds(preds, table, [folded])
-            if kinds == (Exists,):
-                misses += (~holds,)
-            else:
-                keep = keep & holds
-            if folded != FALSE and not any(miss[keep].all() for miss in misses):
-                tables.append((values, table, keep, misses, *pairs))
+        tables = tuple(filter(None, (_condition(entry, preds, kinds[0], m)
+                                     for entry in self.tables)))
         return CompiledTheory(self.vocabulary, _expand(tables),
-                              self.skolem_weights, tuple(tables))
+                              self.skolem_weights, tables)
 
     def wfomc(self, w, wbar, d: Domain):
         return self._wfomc(w, wbar, d)[0]
@@ -608,38 +567,58 @@ def _expand(tables) -> tuple[_Branch, ...]:
     return tuple(branches)
 
 
+def _nullary_leaves(values) -> dict:
+    """The TRUE or FALSE leaf of each nullary atom of a branch's values."""
+    return {Atom(Predicate(name, 0), ()): TRUE if bit else FALSE
+            for name, bit in values}
+
+
+def _condition(entry, preds, kind, m):
+    """A nullary branch's tables ``entry`` conditioned on ``kind x m``, m
+    over x alone: ``forall x m`` keeps only the cells where m holds, and
+    ``exists x m`` adds the cells where m fails as one more miss.  None if m
+    folds to FALSE under the branch's nullary values or a miss then holds on
+    every kept cell, as no world of the branch satisfies it (n >= 1)."""
+    values, table, keep, misses, *pairs = entry
+    m = fold(m, _nullary_leaves(values))
+    holds = _holds(preds, table, [m])
+    if kind is Exists:
+        misses += (~holds,)
+    else:
+        keep = keep & holds
+    if m == FALSE or any(miss[keep].all() for miss in misses):
+        return None
+    return (values, table, keep, misses, *pairs)
+
+
 def compile_theory(t: Fo2Theory) -> CompiledTheory:
     """Weight-independent compilation: normalize, Skolemize, branch on
-    nullary atoms and on the complements of ``exists x`` sentences, and
+    nullary atoms and on the complements of ``exists x`` clauses, and
     tabulate cells and cross-assignment counts."""
-    sentences, vocab, _skw = _normalize_theory(t)
-    nullary = sorted(p.name for p in vocab.preds if p.arity == 0)
-    element_preds = [p for p in vocab.preds if p.arity in (1, 2)]
+    clauses, vocab, _skw = _normalize_theory(t)
+    nullary = sorted(p.name for p in vocab if p.arity == 0)
+    element_preds = [p for p in vocab if p.arity in (1, 2)]
+    universal = [(kinds, m) for kinds, m in clauses if kinds != (Exists,)]
+    existential = [m for kinds, m in clauses if kinds == (Exists,)]
 
     tables = []
     for bits in itertools.product((False, True), repeat=len(nullary)):
-        values = {Atom(Predicate(name, 0), ()): TRUE if bit else FALSE
-                  for name, bit in zip(nullary, bits)}
-        # A quantifier-free sentence has only nullary atoms, so it folds to
+        values = tuple(zip(nullary, bits))
+        leaves = _nullary_leaves(values)
+        # A quantifier-free clause has only nullary atoms, so it folds to
         # TRUE or FALSE.
-        folded = [(kinds, fold(m, values))
-                  for kinds, m in map(_prefix, sentences)]
+        folded = [(kinds, fold(m, leaves)) for kinds, m in universal]
         if any(m == FALSE for _, m in folded):
             continue
-        universal = [m for kinds, m in folded if kinds != (Exists,)]
-        matrices2 = [m for kinds, m in folded if len(kinds) == 2]
-        table = _enumerate_cells(element_preds, universal)
-        # Per ``exists x m``, the cells where m fails.  One failing
-        # everywhere falsifies the branch (for n >= 1); one failing nowhere
-        # is true, as every subset with it keeps no cell.
-        misses = tuple(~_holds(element_preds, table, [m])
-                       for kinds, m in folded if kinds == (Exists,))
-        if any(miss.all() for miss in misses):
-            continue
-        tables.append((tuple(zip(nullary, bits)), table,
-                       np.ones(len(table), dtype=bool), misses,
-                       *_pair_table(matrices2, element_preds, table)))
-    return CompiledTheory(tuple(vocab.preds), _expand(tables),
+        table = _enumerate_cells(element_preds, [m for _, m in folded])
+        entry = (values, table, np.ones(len(table), dtype=bool), ())
+        for m in existential:
+            entry = entry and _condition(entry, element_preds, Exists, m)
+        if entry:
+            matrices2 = [m for kinds, m in folded if len(kinds) == 2]
+            tables.append((*entry,
+                           *_pair_table(matrices2, element_preds, table)))
+    return CompiledTheory(tuple(vocab), _expand(tables),
                           tuple(sorted(_skw.items())), tuple(tables))
 
 

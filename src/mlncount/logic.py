@@ -181,13 +181,15 @@ def diagonal(pred: Predicate) -> Atom:
     return Atom(pred, (Var("x"), Var("x")))
 
 
-def fresh_name(base: str, used: set[str]) -> str:
-    """First of base0, base1, ... not in ``used``, which it joins."""
+def fresh_predicate(base: str, arity: int, vocab: list) -> Predicate:
+    """A predicate named the first of base0, base1, ... that no predicate of
+    ``vocab`` has, appended to ``vocab``."""
+    names = {p.name for p in vocab}
     i = 0
-    while f"{base}{i}" in used:
+    while f"{base}{i}" in names:
         i += 1
-    used.add(f"{base}{i}")
-    return f"{base}{i}"
+    vocab.append(Predicate(f"{base}{i}", arity))
+    return vocab[-1]
 
 
 def free_variables(f: Formula) -> frozenset[Var]:

@@ -10,6 +10,7 @@ negation, else into that of a fresh indicator tied to it by an equivalence.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from . import lifted
 from .lifted import Fo2Theory, times_exp
 from .logic import (
     Atom, Domain, Formula, Iff, Not, Predicate, Var, WeightFunction,
-    diagonal, fresh_name, free_variables, universal_closure,
+    diagonal, fresh_predicate, free_variables, universal_closure,
 )
 
 
@@ -53,9 +54,8 @@ def weigh(formula, y, phi, sentences, vocab, weights, base, z=1):
                else diagonal(atom.pred))
     else:
         fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
-        pred = Predicate(fresh_name(base, {p.name for p in vocab}), len(fv))
+        pred = fresh_predicate(base, len(fv), vocab)
         key, side = pred.name, True
-        vocab.append(pred)
         sentences.append(universal_closure(Iff(Atom(pred, fv), formula)))
     weights[side] = weights[side].updated({key: times_exp(
         weights[side](key), y, z, "weight %g of %s", y, formula)})
@@ -81,7 +81,9 @@ def translate_mln(phi: Mln):
 def as_real(value, what: str):
     """Check the imaginary residue of a count that must be real."""
     if isinstance(value, complex):
-        if not abs(value.imag) <= COUNT_IMAG_TOL * (1 + abs(value)):  # NaN too
+        if cmath.isnan(value):
+            raise NumericResidueError(f"{what} is NaN (value {value!r})")
+        if not abs(value.imag) <= COUNT_IMAG_TOL * (1 + abs(value)):
             raise NumericResidueError(
                 f"{what} has imaginary residue {value.imag:g} (value "
                 f"{value!r}), above {COUNT_IMAG_TOL=:g} of 1 + its size")

@@ -97,8 +97,10 @@ def test_nan_grid_total_is_a_residue_error(monkeypatch):
 @pytest.mark.parametrize("z", [complex(math.nan, 0), math.nan,
                                complex(1.0, math.nan)])
 def test_nan_normalizer_is_a_residue_error(z):
-    with pytest.raises(NumericResidueError):
+    # A NaN count is reported as NaN, not as an imaginary residue of 0.
+    with pytest.raises(NumericResidueError, match="NaN") as raised:
         as_normalizer(z)
+    assert "imaginary residue" not in str(raised.value)
 
 
 def test_weight_overflow_raises_without_a_warning():

@@ -33,30 +33,41 @@ TOTALITY = ForAll(X, Exists(Y, Atom(F, (X, Y))))
 ONTO = ForAll(Y, Exists(X, Atom(F, (X, Y))))
 
 
+def _normalized(t):
+    """``_normalize_theory(t)`` with each clause as the prenex sentence over
+    x and y that it stands for."""
+    clauses, vocab, weights = _normalize_theory(t)
+    sentences = []
+    for kinds, m in clauses:
+        for q, v in reversed(list(zip(kinds, (X, Y)))):
+            m = q(v, m)
+        sentences.append(m)
+    return sentences, vocab, weights
+
+
 class TestSkolemize:
     def test_no_existentials_is_identity(self):
         t = Fo2Theory.of([ForAll(X, ForAll(Y, Or(Atom(F, (X, Y)),
                                                  Atom(P, (X,)))))], [P, F])
-        sentences, vocab, weights = _normalize_theory(t)
+        sentences, vocab, weights = _normalized(t)
         assert sentences == list(t.sentences)
-        assert vocab.preds == [P, F] and weights == {}
+        assert vocab == [P, F] and weights == {}
         assert compile_theory(t).skolem_weights == ()
 
     def test_totality_counts_preserved(self):
-        sentences, vocab, weights = _normalize_theory(
-            Fo2Theory.of([TOTALITY], [F]))
-        assert len(vocab.preds) == 2 and len(weights) == 1
+        sentences, vocab, weights = _normalized(Fo2Theory.of([TOTALITY], [F]))
+        assert len(vocab) == 2 and len(weights) == 1
         w = ONES.updated({k: v[0] for k, v in weights.items()})
         wbar = ONES.updated({k: v[1] for k, v in weights.items()})
         for n, want in [(2, 9), (3, 343)]:
             assert brute_wfomc(sentences, w, wbar, Domain(n),
-                               vocab=vocab.preds) == want
+                               vocab=vocab) == want
 
     def test_skolem_weights_are_one_and_minus_one(self):
         t = Fo2Theory.of([TOTALITY], [F])
-        _, vocab, weights = _normalize_theory(t)
+        _, vocab, weights = _normalized(t)
         (name, pair), = weights.items()
-        assert pair == (1, -1) and name == vocab.preds[-1].name
+        assert pair == (1, -1) and name == vocab[-1].name
         assert compile_theory(t).skolem_weights == ((name, (1, -1)),)
 
     def test_invariance_under_skolemization(self):
@@ -65,10 +76,10 @@ class TestSkolemize:
         rng = random.Random(55)
         for _ in range(20):
             theory, w, wbar = random_theory(rng)
-            sentences, vocab, weights = _normalize_theory(theory)
+            sentences, vocab, weights = _normalized(theory)
             sw = w.updated({k: v[0] for k, v in weights.items()})
             swbar = wbar.updated({k: v[1] for k, v in weights.items()})
-            skolemized = Fo2Theory.of(sentences, vocab.preds)
+            skolemized = Fo2Theory.of(sentences, vocab)
             for n in (1, 2, 3):
                 a = compile_theory(theory).wfomc(w, wbar, Domain(n))
                 assert rel_close(a, compile_theory(skolemized).wfomc(
@@ -76,7 +87,7 @@ class TestSkolemize:
                 if n < 3:
                     assert rel_close(a, brute_wfomc(sentences, sw, swbar,
                                                     Domain(n),
-                                                    vocab=vocab.preds))
+                                                    vocab=vocab))
 
     def test_output_is_prenex_over_x_and_y(self):
         a, b = Var("a"), Var("b")
@@ -88,7 +99,7 @@ class TestSkolemize:
                               ForAll(a, Exists(b, Atom(F, (a, b)))))),
             Exists(Y, Exists(X, Atom(F, (X, Y)))),
         ]
-        out, _, _ = _normalize_theory(Fo2Theory.of(sentences, [P, F]))
+        out, _, _ = _normalized(Fo2Theory.of(sentences, [P, F]))
         assert len(out) > len(sentences)
         for s in out:
             assert isinstance(s, (ForAll, Exists)) and s.var == X
@@ -519,10 +530,9 @@ class TestNegatedPrefix:
          ForAll(X, ForAll(Y, Not(Atom(F, (X, Y)))))),
     ])
     def test_negation_moves_inside_the_prefix(self, negated, plain):
-        sentences, vocab, _ = _normalize_theory(Fo2Theory.of([negated],
-                                                             [P, F]))
+        sentences, vocab, _ = _normalized(Fo2Theory.of([negated], [P, F]))
         assert sentences == [plain]
-        assert vocab.preds == [P, F]
+        assert vocab == [P, F]
 
     def test_both_spellings_count_alike(self):
         loop = Atom(F, (X, X))

@@ -8,9 +8,9 @@ import pytest
 
 from mlncount import (
     And, Atom, CompiledTheory, CountSpec, Domain, Exists, ForAll, Iff,
-    Implies, Mln, Not, Or, Predicate, Var, brute_mln_marginal,
-    brute_mln_partition, count_distribution, marginal, partition_function,
-    translate_mln,
+    Implies, Mln, Not, Or, Predicate, Var, brute_count_distribution,
+    brute_mln_marginal, brute_mln_partition, count_distribution, marginal,
+    partition_function, translate_mln,
 )
 from mlncount import lifted
 from mlncount.errors import (
@@ -163,10 +163,50 @@ class TestTranslate:
         mln = Mln.of([(Atom(P, (X,)), math.log(2))], [P])
         assert partition_function(mln, Domain(3)) == pytest.approx(27)
 
+    def test_fresh_names_skip_declared_ones(self):
+        # Declared predicates take the first name of every fresh prefix:
+        # xi (soft indicators), xb (count indicators), def (definitions)
+        # and sk (Skolem predicates).
+        xi, sk, xb, d = (Predicate("xi0", 1), Predicate("sk0", 2),
+                         Predicate("xb0", 1), Predicate("def0", 1))
+        xi_x, xb_x, d_x, d_y = (Atom(xi, (X,)), Atom(xb, (X,)),
+                                Atom(d, (X,)), Atom(d, (Y,)))
+        mln = Mln.of([
+            (ForAll(X, Exists(Y, Atom(sk, (X, Y)))), math.inf),
+            (Or(d_x, Exists(Y, Atom(sk, (Y, X)))), math.inf),
+            (And(xi_x, xb_x), 0.3),
+            (Implies(Atom(sk, (X, Y)), d_y), -0.7),
+        ], [xi, sk, xb, d])
+        n = Domain(3)
+        compiled = lifted.compile_theory(translate_mln(mln)[0])
+        assert " ".join(p.name for p in compiled.vocabulary) == \
+            "xi0 sk0 xb0 def0 xi1 xi2 def1 sk1 sk2"
+        assert partition_function(mln, n) == pytest.approx(
+            brute_mln_partition(mln, n), rel=1e-12)
+        query = Exists(X, And(xi_x, d_x))
+        assert marginal(mln, query, n) == pytest.approx(
+            brute_mln_marginal(mln, query, n), abs=1e-12)
+        psi = [Or(xi_x, d_x)]
+        dist = count_distribution(mln, CountSpec.of(psi), n)
+        want = np.zeros(dist.shape)
+        for counts, p in brute_count_distribution(mln, psi, n).items():
+            want[counts] = p
+        assert np.max(np.abs(dist.probabilities - want)) <= 1e-12
+
 
 class TestPartition:
     def test_empty_unary(self):
         assert partition_function(Mln.of([], [P]), Domain(5)) == 32
+
+    def test_big_int_term_meeting_a_float_is_typed(self):
+        # f has no weight, so its pair weight stays an exact int (4^780 at
+        # n = 40), which no float holds: multiplying it into p's float
+        # class weights overflows.  At n = 30 it still fits.
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P, F])
+        assert partition_function(mln, Domain(30)) == pytest.approx(
+            (1 + math.exp(0.5)) ** 30 * 2.0 ** 900, rel=1e-12)
+        with pytest.raises(NumericOverflowError, match="MAGNITUDE_LIMIT"):
+            partition_function(mln, Domain(40))
 
     def test_zero_weight_counts_worlds(self):
         mln = Mln.of([(Atom(P, (X,)), 0.0)], [P])
