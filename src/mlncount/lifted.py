@@ -396,11 +396,9 @@ class CompiledTheory:
                               self.skolem_weights, tables)
 
     def wfomc(self, w, wbar, d: Domain):
-        return self._wfomc(w, wbar, d)[0]
-
-    def _wfomc(self, w, wbar, d: Domain):
-        """``wfomc`` and the sum of its terms' magnitudes over every branch,
-        which is 0 unless the terms are float or complex scalars."""
+        """The weighted count under (w, wbar) over ``d``, and the sum of its
+        terms' magnitudes over every branch, which is 0 unless the terms
+        are float or complex scalars."""
         if self.skolem_weights:
             w = w.updated({k: v[0] for k, v in self.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})

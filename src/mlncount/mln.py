@@ -1,10 +1,11 @@
 """Weighted-formula models and their inference queries.
 
 A model is a set of weighted two-variable formulas; weight ``+inf`` marks a
-hard constraint.  Inference reduces to weighted model counting: each hard
-formula becomes its universal closure, and each soft formula multiplies
-``exp(w)`` into w(p), or wbar(p) if negated, of its own predicate p if it
-is a literal, into p's diagonal weight if it is ``p(x,x)`` or its
+hard constraint.  Inference reduces to weighted model counts, each one
+``CompiledTheory.wfomc``: each hard formula becomes its universal closure,
+and each soft formula, then each count formula of a count law, multiplies
+its weight factor into w(p), or wbar(p) if negated, of its own predicate p
+if it is a literal, into p's diagonal weight if it is ``p(x,x)`` or its
 negation, else into that of a fresh indicator tied to it by an equivalence.
 """
 
@@ -61,10 +62,12 @@ def weigh(formula, y, phi, sentences, vocab, weights, base, z=1):
         weights[side](key), y, z, "weight %g of %s", y, formula)})
 
 
-def translate_mln(phi: Mln):
+def translate_mln(phi: Mln, counted=()):
     """Reduce the model to a weighted counting problem (theory, w, wbar):
-    hard formulas add their universal closure, and a soft formula (a, w)
-    multiplies exp(w) into the weight counting a's groundings (``weigh``)."""
+    hard formulas add their universal closure, a soft formula (a, w)
+    multiplies exp(w) into the weight counting a's groundings (``weigh``),
+    and then a count formula (b, t, z) of ``counted`` multiplies in
+    ``z * exp(t)`` alike, with any indicator it needs named from ``xb``."""
     sentences, vocab = [], list(phi.vocabulary)
     weights = [WeightFunction(), WeightFunction()]  # wbar, w
     for formula, weight in phi.weighted_formulas:
@@ -75,6 +78,8 @@ def translate_mln(phi: Mln):
         else:
             raise ValueError(f"weight {weight} of {formula} is not finite or "
                              "+inf, the weight of a hard formula")
+    for formula, tilt, z in counted:
+        weigh(formula, tilt, phi, sentences, vocab, weights, "xb", z)
     return Fo2Theory.of(sentences, vocab), weights[True], weights[False]
 
 
@@ -122,7 +127,7 @@ def partition_function(phi: Mln, d: Domain):
     """Normalization constant of the model's distribution; exact when all
     effective weights are integers."""
     theory, w, wbar = translate_mln(phi)
-    return as_normalizer(*lifted.compile_theory(theory)._wfomc(w, wbar, d))
+    return as_normalizer(*lifted.compile_theory(theory).wfomc(w, wbar, d))
 
 
 def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
@@ -131,9 +136,9 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
     theory, w, wbar = translate_mln(phi)
     lifted._check_fragment(gamma, theory.vocabulary)
     compiled = lifted.compile_theory(theory)
-    den = as_normalizer(*compiled._wfomc(w, wbar, d))
+    den = as_normalizer(*compiled.wfomc(w, wbar, d))
     query = compiled._conditioned(gamma) or lifted.compile_theory(
         Fo2Theory.of(theory.sentences + (gamma,), theory.vocabulary))
-    num = as_real(query.wfomc(w, wbar, d), "query count")
+    num = as_real(query.wfomc(w, wbar, d)[0], "query count")
     # Two ints divide exactly rounded, however large.
     return as_probability(num / den, "marginal")

@@ -31,7 +31,7 @@ from .constraints import (
 from .errors import FormulaSyntaxError, TooManyVariablesError, VocabularyError
 from .logic import Domain, Formula, Predicate, free_variables
 from .mln import Mln
-from .parser import parse_formula
+from .parser import _KEYWORDS, parse_formula
 from .spectrum import CountSpec
 
 _PRED_DECL = re.compile(r"^([a-z_][A-Za-z0-9_]*)\s*/\s*(\d+)$")
@@ -85,9 +85,8 @@ def parse_model_text(text: str) -> Model:
                     raise FormulaSyntaxError(
                         f"expected 'predicate name/arity', got {rest!r}")
                 name, arity = m.group(1), int(m.group(2))
-                if name in ("forall", "exists", "true", "false"):
-                    raise VocabularyError(
-                        f"{name!r} is a reserved word")
+                if name in _KEYWORDS:
+                    raise VocabularyError(f"{name!r} is a reserved word")
                 if name in preds:
                     raise VocabularyError(f"duplicate predicate {name!r}")
                 if arity not in (1, 2):

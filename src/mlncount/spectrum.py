@@ -3,13 +3,14 @@
 For a model and a list of formulas, the count distribution is the law of the
 vector of true-grounding counts under the model's distribution.  Its DFT
 value at frequency k is a weighted model count in which the weight of each
-true grounding of count formula j, as a soft formula's is placed, carries
-the root of unity ``exp(-2*pi*i*k_j/M_j)``.  All frequencies are evaluated
-in one weighted count whose weights are arrays over the grid, so the
-composition sum is walked once.  At frequency zero every root is 1 and the
-count is the normalizer Z itself.  A tilt t_j multiplies that weight by
-exp(t_j), and so the mass of count vector n by exp(<t, n>).  Inverting the
-transform on the full grid (by FFT) recovers the distribution.
+true grounding of count formula j, placed by ``mln.translate_mln`` as a
+soft formula's is, carries the root of unity ``exp(-2*pi*i*k_j/M_j)``.
+All frequencies are evaluated in one weighted count whose weights are
+arrays over the grid, so the composition sum is walked once.  At frequency
+zero every root is 1 and the count is the normalizer Z itself.  A tilt t_j
+multiplies that weight by exp(t_j), and so the mass of count vector n by
+exp(<t, n>).  Inverting the transform on the full grid (by FFT) recovers
+the distribution.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from .errors import (
     GRID_IMAG_TOL, GRID_NEG_TOL, GRID_SUM_TOL, NumericResidueError,
 )
-from .lifted import Fo2Theory, compile_theory
+from .lifted import compile_theory
 from .logic import Domain, Formula, free_variables
-from .mln import Mln, as_normalizer, translate_mln, weigh
+from .mln import Mln, as_normalizer, translate_mln
 
 
 @dataclass(frozen=True)
@@ -78,26 +79,21 @@ class CountDistribution:
 def full_spectrum(phi: Mln, psi: CountSpec, d: Domain, tilts=None) -> Spectrum:
     """Transform values at every grid frequency, in C index order, under
     the finite log-weights ``tilts``, one per count formula (none by
-    default): one weighted count in which each true grounding of a count
-    formula weighs exp(tilt) times its roots of unity over the grid
-    (``mln.weigh``), normalized by Z, the count at frequency zero, which
-    the spectrum carries."""
+    default): one weighted count of the model translated with its count
+    formulas (``translate_mln``), each true grounding of one weighing
+    exp(tilt) times its roots of unity over the grid, normalized by Z, the
+    count at frequency zero, which the spectrum carries."""
     tilts = [0.0] * len(psi) if tilts is None else tilts
     if len(tilts) != len(psi) or not all(map(math.isfinite, tilts)):
         raise ValueError(f"tilts {list(tilts)} are not one finite number per "
                          f"count formula, of {len(psi)}")
     shape = shape_vector(psi, d)
     ks = np.indices(shape).reshape(len(shape), -1)
-    theory, w, wbar = translate_mln(phi)
-    sentences, vocab = list(theory.sentences), list(theory.vocabulary)
-    weights = [wbar, w]
-    for beta, tj, kj, mj in zip(psi.formulas, tilts, ks, shape):
-        weigh(beta, tj, phi, sentences, vocab, weights, "xb",
-              np.exp(-2j * np.pi * kj / mj))
-    compiled = compile_theory(Fo2Theory.of(sentences, vocab))
-    raw = np.full(ks.shape[1],
-                  compiled.wfomc(weights[True], weights[False], d),
-                  dtype=np.complex128)
+    theory, w, wbar = translate_mln(phi, [
+        (beta, tj, np.exp(-2j * np.pi * kj / mj))
+        for beta, tj, kj, mj in zip(psi.formulas, tilts, ks, shape)])
+    value, _ = compile_theory(theory).wfomc(w, wbar, d)
+    raw = np.full(ks.shape[1], value, dtype=np.complex128)
     z = as_normalizer(complex(raw[0]))
     return Spectrum((raw / z).reshape(shape), z)
 

@@ -65,7 +65,7 @@ def test_criterion_2_oracle_equivalence():
             d = Domain(n)
             brute = brute_wfomc(list(theory.sentences), w, wbar, d,
                                 vocab=theory.vocabulary)
-            lifted = compile_theory(theory).wfomc(w, wbar, d)
+            lifted = compile_theory(theory).wfomc(w, wbar, d)[0]
             err = abs(complex(lifted) - complex(brute)) / \
                 (1 + abs(complex(brute)))
             worst = max(worst, err)

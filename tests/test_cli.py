@@ -229,6 +229,12 @@ class TestExitCodes:
                            model_path("domain 2\npredicate p/3\n"))
         assert code == 2 and "arity" in err
 
+    def test_reserved_predicate_name(self, model_path, capsys):
+        code, out, err = run(capsys, "partition",
+                             model_path("domain 2\npredicate true/1\n"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: 'true' is a reserved word")
+
     def test_three_variables_name_their_line(self, model_path, capsys):
         text = ("domain 2\npredicate r/2\n"
                 "hard : forall x forall y forall z r(x,z)\n")
@@ -299,7 +305,7 @@ class TestExitCodes:
     def test_negative_partition_function(self, model_path, capsys,
                                          monkeypatch):
         # A numeric fault (exit 1), not an infeasible model (exit 3).
-        monkeypatch.setattr(CompiledTheory, "_wfomc",
+        monkeypatch.setattr(CompiledTheory, "wfomc",
                             lambda *args: (-1.0, 1.0))
         path = model_path("domain 2\npredicate p/1\nweight 0.5 : p(x)\n"
                           "count np : p(x)\n")

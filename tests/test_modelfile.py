@@ -9,6 +9,7 @@ from mlncount.constraints import Between, Conjunction
 from mlncount.errors import (
     FormulaSyntaxError, TooManyVariablesError, VocabularyError,
 )
+from mlncount.parser import _KEYWORDS
 
 X, Y = Var("x"), Var("y")
 
@@ -72,6 +73,12 @@ class TestParseErrors:
     def test_arity_three_rejected(self):
         with pytest.raises(VocabularyError, match="line 2"):
             parse_model_text("domain 3\npredicate p/3\n")
+
+    @pytest.mark.parametrize("word", sorted(_KEYWORDS))
+    def test_keyword_is_no_predicate_name(self, word):
+        with pytest.raises(VocabularyError,
+                           match=f"line 2: '{word}' is a reserved word"):
+            parse_model_text(f"domain 3\npredicate {word}/1\n")
 
     def test_undeclared_predicate_in_formula(self):
         with pytest.raises(VocabularyError, match="line 2"):

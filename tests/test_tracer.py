@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from mlncount import (
-    Atom, Domain, Exists, ForAll, Predicate, Var, WeightFunction,
-    compile_theory, constraints, lifted, spectrum,
+    Atom, CountSpec, Domain, Exists, ForAll, Mln, Or, Predicate, Var,
+    WeightFunction, compile_theory, constraints, lifted, mln, spectrum,
 )
 from mlncount.lifted import Fo2Theory
 
@@ -37,6 +37,27 @@ def test_install_wraps_and_uninstall_restores():
         t.uninstall()
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original
+
+
+def test_every_count_and_indicator_is_traced():
+    # Counts: one for Z, two for the marginal (Z and the query), one for the
+    # count law.  Indicators: one per translation for the soft `p | q`, and
+    # one more for the count formula `p | q`.
+    p, q = Predicate("p", 1), Predicate("q", 1)
+    px, qx = Atom(p, (X,)), Atom(q, (X,))
+    model, d = Mln.of([(px, 0.4), (Or(px, qx), -0.3)], [p, q]), Domain(3)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.run_op(0, lambda: mln.partition_function(model, d))
+        t.run_op(1, lambda: mln.marginal(model, Exists(X, qx), d))
+        t.run_op(2, lambda: spectrum.count_distribution(
+            model, CountSpec.of([Or(px, qx)]), d))
+    finally:
+        t.uninstall()
+    metrics = tracer.analyse(t.spans, 1, 3)
+    assert metrics["wfomc.calls"] == 4
+    assert metrics["translate.indicators"] == 4
 
 
 def test_idft_diagnostics():
