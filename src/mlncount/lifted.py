@@ -52,13 +52,14 @@ that is polynomial in the domain size:
    by the multinomial theorem for any weights.  Total plus onto is n + 1
    compositions, and ``forall x exists y f(x,y)`` one, (2^n - 1)^n with
    unit weights: the (1, -1) Skolem weights cancel inside a label's weight
-   instead of across compositions.
+   instead of across compositions; only one-class labels read pair weights.
 
-Arithmetic is generic: integer and ``Fraction`` weights give exact
-results, float and complex weights run in floating point with overflow
-detection against ``MAGNITUDE_LIMIT``, in the table of numeric limits in
-``errors`` (``_check_range``).  A weight may also be a numpy array, which
-evaluates the sum for every element in one pass over the compositions.
+Arithmetic is generic: the sum raises the weights to a size-only table of
+exponents (``_compositions``) in one evaluation for every type.  Integer and
+``Fraction`` weights sum exactly in object arrays, float and complex weights
+in floating point, every power checked against ``MAGNITUDE_LIMIT`` of the
+table of numeric limits in ``errors`` (``_check_range``).  A weight may also
+be a numpy array, an axis along which one pass evaluates every element.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ from .logic import (
     free_variables, fresh_predicate, iter_subformulas, substitute,
 )
 
-# Bound on the (cell, cell, cross assignment) entries at which the pair
-# table evaluates its matrices at once, so that the evaluation's
-# intermediate arrays do not grow with the cells squared.
+# Bound on the bytes of an array evaluated at once: (cell, cell, cross
+# assignment) bools in the pair table, (composition, column) powers in the
+# composition sum; so that neither grows with the cells squared or n.
 _CHUNK = 1 << 16
 _TRUTH_LEAVES = {TRUE: np.True_, FALSE: np.False_}
 # The two variables of every normalized clause.
@@ -91,11 +92,11 @@ _XY = (Var("x"), Var("y"))
 
 
 def _check_range(value, what: str, *args):
-    """``value``, or NumericOverflowError naming ``what % args`` if it is a
-    float, complex or array (any element) above MAGNITUDE_LIMIT or NaN."""
-    if isinstance(value, (float, complex, np.ndarray)):
-        within = abs(value) <= MAGNITUDE_LIMIT  # False for NaN
-        if within is not True and not np.all(within):
+    """``value``, or NumericOverflowError naming ``what % args`` if it is
+    a float or complex scalar or array above MAGNITUDE_LIMIT or NaN."""
+    if getattr(value, "dtype", type(value)) in (float, complex):
+        top = np.maximum.reduce(abs(value), None, initial=0)
+        if not top <= MAGNITUDE_LIMIT:
             raise NumericOverflowError(
                 f"{what % args} exceeds {MAGNITUDE_LIMIT=:g}")
     return value
@@ -113,24 +114,6 @@ def times_exp(x, y, z, what: str, *args):
     if finite is not True and not np.all(finite):
         raise NumericOverflowError(f"{what % args} leaves the float range")
     return value
-
-
-def cpow(base, exponent: int):
-    """base**exponent by repeated squaring; exact for ints and
-    ``Fraction``s, range-checked for floats, complex numbers and numpy
-    arrays."""
-    if isinstance(base, int):
-        return base ** exponent
-    result = 1
-    b = base
-    e = exponent
-    while e:
-        if e & 1:
-            result = result * b
-        e >>= 1
-        if e:
-            b = b * b
-    return _check_range(result, "|%r**%d|", base, exponent)
 
 
 @dataclass(frozen=True)
@@ -368,6 +351,8 @@ class _Branch:
     # ``_outer_labels`` of the classes.
     labels: tuple[tuple[int, ...], ...]
     outgoing: dict
+    # The pairs of ``pair_counts`` that ``_outer_table`` reads.
+    read_pairs: dict
 
 
 @dataclass(frozen=True)
@@ -396,9 +381,9 @@ class CompiledTheory:
                               self.skolem_weights, tables)
 
     def wfomc(self, w, wbar, d: Domain):
-        """The weighted count under (w, wbar) over ``d``, and the sum of its
-        terms' magnitudes over every branch, which is 0 unless the terms
-        are float or complex scalars."""
+        """The weighted count under (w, wbar) over ``d``, and the magnitudes
+        of its terms summed over every branch whose sum runs on float or
+        complex scalars; exact and array sums add 0 (``_config_sum``)."""
         if self.skolem_weights:
             w = w.updated({k: v[0] for k, v in self.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})
@@ -413,7 +398,7 @@ class CompiledTheory:
                     factor = factor * (w(name) if value else wbar(name))
                 table = _outer_table(
                     branch, binary, *_weights(self.vocabulary, branch.cells,
-                                              branch.pair_counts, w, wbar))
+                                              branch.read_pairs, w, wbar))
                 try:
                     value, _, size = _config_sum(d.size, *table)
                 except OverflowError:  # an exact big-int term met a float
@@ -446,23 +431,18 @@ def _weights(vocab, cells, pair_counts, w, wbar):
     false; a binary p's bit is p(e, e), whose weight carries p's diagonal
     weight too.  A pair entry sums in code order its codes' monomials, each
     built once per call: products of w(p)^t * wbar(p)^(2-t) over the binary
-    p, the first the lowest digit t."""
+    p, the first the lowest digit t.  Pairs outside ``pair_counts`` are 0."""
     # (wbar(p), w(p)), indexed by a row bit.
     pick = [(wbar(p.name), w(p.name)) if p.arity == 1 else
             (wbar(p.name) * wbar(diagonal(p)), w(p.name) * w(diagonal(p)))
             for p in vocab if p.arity in (1, 2)]
     weights = [_row_sum(pick, members) for members in cells]
 
-    def monomial(code):
-        term = 1
-        for name, place in zip(binary, places):
-            t = code // place % 3
-            term = term * cpow(w(name), t) * cpow(wbar(name), 2 - t)
-        return term
-
-    binary = [p.name for p in vocab if p.arity == 2]
-    places = [3 ** k for k in range(len(binary))]
-    monomials = {c: monomial(c)
+    # w(p)^t * wbar(p)^(2-t) for t = 0, 1, 2, per binary p.
+    factors = [(wbar(p.name) * wbar(p.name), w(p.name) * wbar(p.name),
+                w(p.name) * w(p.name)) for p in vocab if p.arity == 2]
+    monomials = {c: math.prod(f[c // 3 ** k % 3]
+                              for k, f in enumerate(factors))
                  for c in sorted(set().union(*pair_counts.values()))}
     r = [[0] * len(cells) for _ in cells]
     for (i, j), codes in pair_counts.items():
@@ -541,10 +521,13 @@ def _branch(nullary_values, sign, rows, table, ids, own) -> _Branch:
     pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                    for a in range(len(reps)) for b in range(a, len(reps))}
     size = np.array([len(row) for row in rows])[ids[reps][:, reps]].tolist()
+    labels, outgoing = _outer_labels(own[reps][:, reps].tolist(), size)
+    plain = {members[0] for members in labels if len(members) == 1}
     return _Branch(
         nullary_values, sign,
         tuple(table[members].tolist() for members in classes.values()),
-        pair_counts, *_outer_labels(own[reps][:, reps].tolist(), size))
+        pair_counts, labels, outgoing,
+        {k: v for k, v in pair_counts.items() if plain.issuperset(k)})
 
 
 def _expand(tables) -> tuple[_Branch, ...]:
@@ -620,75 +603,92 @@ def compile_theory(t: Fo2Theory) -> CompiledTheory:
                           tuple(sorted(_skw.items())), tuple(tables))
 
 
+@functools.lru_cache(maxsize=32)
+def _compositions(n: int, c: int, exact: bool, layered: bool):
+    """The compositions m of n elements into c cells, the last cell's count
+    the most significant, as rows of exponents ``[m_i | C(m_i, 2) | m_i m_j
+    for i < j]`` (and if ``layered``, per cell o, ``max(m_j - [j = o], 0)``
+    where m_o > 0) and of multinomials, Python ints if ``exact``, read-only."""
+    # Counts lie between bars, the first most significant; exponents < n^2.
+    kind = np.min_scalar_type(max(n * n, n + c)).type
+    bars = np.fromiter(itertools.chain.from_iterable(itertools.combinations(
+        range(1, n + c), c - 1)), kind).reshape(math.comb(n + c - 1, n), -1)
+    m = np.diff(bars, prepend=kind(0), append=kind(n + c))[:, ::-1] - 1
+    layer = np.where(m[..., None] > 0, m[:, None] - np.identity(c, m.dtype),
+                     0).reshape(len(m), c * c) if layered else m[:, :0]
+    i, j = np.triu_indices(c, 1)
+    exponents = np.hstack([m, m * (m - 1) // 2, m[:, i] * m[:, j], layer])
+    exponents = exponents.astype(object) if exact else exponents
+    factorials = np.array([math.factorial(t) for t in range(n + 1)], object)
+    multinomials = factorials[n] // factorials[m].prod(axis=1)
+    multinomials = multinomials if exact else multinomials.astype(float)
+    exponents.flags.writeable = multinomials.flags.writeable = False
+    return exponents, multinomials
+
+
 def _config_sum(n: int, cell_weights: list, r: list, layers=()):
-    """Sum over compositions of n elements into cells, in colexicographic
-    order, of multinomial(n; counts) * prod w_i^{n_i} * prod r_ii^{C(n_i,2)}
-    * prod_{i<j} r_ij^{n_i n_j}, times W_o^{n_o} per layer (o, members) of
-    ``_outer_table``, W_o the sum over its members (w, h) of w * prod_j
-    h_j^{n_j - [j = o]}.  Returns (value, compositions_visited, sum of
-    |term| over the float and complex scalar terms)."""
+    """Sum over compositions m of n elements into cells of multinomial(n;
+    m) * prod w_i^{m_i} * prod r_ii^{C(m_i,2)} * prod_{i<j} r_ij^{m_i m_j},
+    times W_o^{m_o} per layer (o, members) of ``_outer_table``, W_o the sum
+    over its members (w, h) of w * prod_j h_j^{max(m_j - [j = o], 0)}.
+
+    Each weight and h_j but an int 1 is raised to its column of
+    ``_compositions``, ``_CHUNK`` bytes of (composition, column) at a time:
+    exactly in object arrays if all are ints and ``Fraction``s, else in
+    floats, range-checked, with a leading axis if some weight is an array.
+    Returns (value, compositions visited, sum of |term| over every term of a
+    float or complex scalar sum, 0 for exact and array sums)."""
     c = len(cell_weights)
     if c == 0:
         return (1 if n == 0 else 0), 0, 0
-    # Rows: the cells' rows of r, then the layers' members' rows of h; in
-    # rpow, column c stands for the cell weights.  Each power is built once.
-    members = [(o, w, hs) for o, ms in layers for w, hs in ms]
-    rows = r + [hs for _, _, hs in members]
-    spans = [(o, [(c + m, w) for m, (p, w, _) in enumerate(members) if p == o])
-             for o, _ in layers]
-    pow_cache: dict = {}
-    width, stride = c + 1, n * n + 1
-
-    def rpow(i: int, j: int, e: int):
-        key = (i * width + j) * stride + e
-        if key not in pow_cache:
-            pow_cache[key] = cpow(rows[i][j] if j < c else cell_weights[i], e)
-        return pow_cache[key]
-
-    total = magnitude = 0
-    leaves = 0
-    # Assign the last cell's count in the outermost loop so completed
-    # compositions appear in colexicographic order.
-    assigned: list[tuple[int, int]] = []
-    counts = [0] * c
-
-    def rec(idx: int, remaining: int, acc):
-        nonlocal total, leaves, magnitude
-        if idx == 0:
-            k = counts[0] = remaining
-            term = acc
-            if k:
-                term = term * rpow(0, c, k)
-                term = term * rpow(0, 0, k * (k - 1) // 2)
-                for j, nj in assigned:
-                    term = term * rpow(0, j, k * nj)
-            for o, rows_w in spans:
-                if counts[o]:
-                    weight = 0
-                    for i, w in rows_w:
-                        w = w * rpow(i, 0, k - (o == 0))
-                        for j, nj in reversed(assigned):
-                            w = w * rpow(i, j, nj - (j == o))
-                        weight = weight + w
-                    term = term * cpow(weight, counts[o])
-            total += term
-            if isinstance(term, (float, complex)):
-                magnitude += abs(term)
-            leaves += 1
-            return
-        rec(idx - 1, remaining, acc)
-        for k in range(1, remaining + 1):
-            term = acc * math.comb(remaining, k)
-            term = term * rpow(idx, c, k)
-            term = term * rpow(idx, idx, k * (k - 1) // 2)
-            for j, nj in assigned:
-                term = term * rpow(idx, j, k * nj)
-            assigned.append((idx, k))
-            counts[idx] = k
-            rec(idx - 1, remaining - k, term)
-            assigned.pop()
-        counts[idx] = 0
-
-    rec(c - 1, n, 1)
-    rec = None  # rec holds itself: free the cache now, not in a later GC pass
-    return total, leaves, magnitude
+    weights = [*cell_weights] + [r[i][i] for i in range(c)] + [
+        x for i, row in enumerate(r) for x in row[i + 1:]]
+    columns = [k for k, x in enumerate(weights)
+               if not (isinstance(x, int) and x == 1)]
+    plain, values = len(columns), [weights[k] for k in columns]
+    # Per layer: o, its ws span, and the summed w of members with all h int 1.
+    ws, spans = [], []
+    for o, ms in layers:
+        first, constant, at = len(ws), 0, len(weights) + o * c
+        for w, hs in ms:
+            if all(isinstance(h, int) and h == 1 for h in hs):
+                constant = constant + w
+            else:
+                ws.append(w)
+                values += hs
+                columns += range(at, at + c)
+        spans.append((o, first, len(ws), constant))
+    inexact = [x for x in values + ws + [span[3] for span in spans]
+               if isinstance(x, (float, complex, np.ndarray))]
+    dtype = np.result_type(*inexact, float) if inexact else object
+    shape = next((x.shape for x in inexact if isinstance(x, np.ndarray)), ())
+    # Frequencies lead, then compositions, then the weights and members' w.
+    stack = np.empty((*shape, len(values) + len(ws)), dtype)
+    for k, x in enumerate(values + ws):
+        stack[..., k] = x
+    bases, ws = stack[..., None, :len(values)], stack[..., None, len(values):]
+    exponents, multinomials = _compositions(n, c, not inexact, bool(layers))
+    size = max(len(columns), 1) * math.prod(shape) * stack.itemsize
+    step = max(1, _CHUNK // size)
+    totals, magnitude = [], 0
+    for lo in range(0, len(exponents), step):
+        block = exponents[lo:lo + step]
+        powers = _check_range(bases ** block[:, columns], "a weight's power")
+        terms = multinomials[lo:lo + step]
+        if plain:
+            terms = terms * np.multiply.reduce(powers[..., :plain], -1)
+        if layers:
+            # Per member, w * prod_j h_j^{...}; W_o sums o's members.
+            each = ws * np.multiply.reduce(powers[..., plain:].reshape(
+                *powers.shape[:-1], ws.shape[-1], c), -1)
+            for o, first, stop, constant in spans:
+                weight = np.asarray(constant)[..., None] + np.add.reduce(
+                    each[..., first:stop], -1)
+                terms = terms * _check_range(weight ** block[:, o],
+                                             "a layer weight's power")
+        totals.append(np.add.reduce(terms, -1))
+        if inexact and not shape:
+            magnitude = magnitude + np.add.reduce(abs(terms))
+    total = functools.reduce(operator.add, totals)
+    total = total.item() if isinstance(total, np.generic) else total
+    return total, len(exponents), magnitude

@@ -17,7 +17,7 @@ from mlncount.logic import iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
     Fo2Theory, _assignments, _codes, _config_sum, _enumerate_cells,
-    _normalize_theory, _pair_table, _weights, compile_theory, cpow,
+    _normalize_theory, _pair_table, _weights, compile_theory,
 )
 
 from helpers import (
@@ -563,32 +563,43 @@ class TestCompositionSum:
         # Both classes form one group: a single composition.
         assert compiled.composition_count(d) == 1
 
-    def test_cpow_matches_builtin(self):
-        assert cpow(3, 7) == 3 ** 7
-        assert cpow(0.5 + 0.5j, 9) == pytest.approx((0.5 + 0.5j) ** 9)
-        assert cpow(2.0, 0) == 1
-
-    def test_cpow_array_matches_scalar(self):
-        bases = np.array([0.5 + 0.5j, -1.2, 2.0, 1j, 0.0])
-        for e in (0, 1, 2, 7, 9):
-            got = np.broadcast_to(cpow(bases, e), bases.shape)
-            want = [cpow(complex(b), e) for b in bases]
-            assert got == pytest.approx(want, rel=1e-15)
-
-    def test_cpow_array_overflow_on_any_element(self):
-        # 1e151**2 = 1e302 is finite but above the limit; the others are not.
+    @pytest.mark.parametrize("args", [
+        # 1e151**2 = 1e302 is finite but above the limit.
+        (2, [1e151], [[1]]),
+        (2, [np.array([1.0, 1e151, 0.5j])], [[1]]),
+        (2, [1.0, 1], [[1, 1], [1, 1]], ((1, [(1e151, [1, 1])]),)),
+        (2, [float("nan")], [[1]]),
+    ], ids=["scalar", "array-element", "layer-weight", "nan"])
+    def test_power_above_limit_raises(self, args):
         with pytest.raises(NumericOverflowError, match="MAGNITUDE_LIMIT"):
-            cpow(np.array([1.0, 1e151, 0.5j]), 2)
-        with pytest.raises(NumericOverflowError, match="MAGNITUDE_LIMIT"):
-            cpow(np.array([1.0, complex("nan")]), 3)
-        assert cpow(np.array([1.0, 1e149, 0.5j]), 2)[1] == pytest.approx(1e298)
+            _config_sum(*args)
+
+    def test_power_below_limit_passes(self):
+        value, _, _ = _config_sum(2, [np.array([1.0, 1e149, 0.5j])], [[1]])
+        assert value[1] == pytest.approx(1e298)
+
+    def test_magnitude_covers_every_term(self):
+        # Terms whose factors are all ints count too: the term 1^3 of
+        # 27 = (1 + 2.0)^3, and the -1 of -1 + 2 * 0.5 + 0.25.
+        assert _config_sum(3, [1, 2.0], [[1, 1], [1, 1]]) == (27.0, 4, 27.0)
+        assert _config_sum(2, [1, 0.5], [[-1, 1], [1, 1]]) == (0.25, 3, 2.25)
+        rng = np.random.default_rng(11)
+        for c in (1, 2, 3, 5):
+            ws = list(rng.uniform(-2, 2, c))
+            r = rng.uniform(-1.5, 1.5, (c, c))
+            value, _, magnitude = _config_sum(4, ws, (r + r.T).tolist())
+            assert magnitude >= abs(value)
+        # Exact and array sums carry none.
+        assert _config_sum(3, [1, 2], [[1, 1], [1, 1]]) == (27, 4, 0)
+        assert _config_sum(3, [np.ones(2), 2.0], [[1, 1], [1, 1]])[2] == 0
 
     @pytest.mark.parametrize("layers", [
         (), ((1, [(0.5, [1.5, 2.0]), (2.0, [0.5, 1.0])]),)],
         ids=["plain", "layered"])
     def test_config_sum_leaves_no_reference_cycle(self, layers):
-        # Garbage that only the cycle collector frees would be collected
-        # inside some later call, whose latency it would then carry.
+        # The sum must leave no cyclic garbage: what only the cycle
+        # collector frees is collected inside some later call, whose
+        # latency it would then carry.
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
@@ -685,6 +696,32 @@ class TestPrunedSum:
 
         ws = [draw() for _ in range(5)]
         self._check(ws, _zero_pattern(lambda i, j: draw()), False)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["int", "complex"])
+    def test_sum_over_many_blocks(self, exact):
+        # 19,448 compositions of 10 into 8 cells, one column per weight but
+        # an int 1: the sum runs in several blocks of at most _CHUNK entries.
+        n, c = 10, 8
+        rng = random.Random(12)
+
+        def draw():
+            return rng.randint(-2, 3) if exact else complex(
+                rng.uniform(-1.2, 1.2), rng.uniform(-1, 1))
+
+        ws = [draw() for _ in range(c)]
+        r = [[None] * c for _ in range(c)]
+        for i in range(c):
+            for j in range(i, c):
+                r[i][j] = r[j][i] = draw()
+        value, leaves, magnitude = _config_sum(n, ws, r)
+        columns = sum(x != 1 for x in ws + [r[i][j] for i in range(c)
+                                            for j in range(i, c)])
+        assert leaves == 19448 and leaves * columns > 4 * lifted._CHUNK
+        want = _reference_sum(n, ws, r)
+        if exact:
+            assert value == want and type(value) is int
+        else:
+            assert abs(value - want) <= 1e-12 * magnitude
 
     def test_exact_loop_marginal_on_total_relations(self):
         f = Predicate("f", 2)
@@ -905,6 +942,27 @@ class TestCollapse:
                     WeightFunction({k: v[e] for k, v in wbar.items()}),
                     Domain(5))[0]
                 assert got[e] == pytest.approx(want, rel=1e-12)
+
+    def test_layered_sum_over_several_blocks(self, monkeypatch):
+        rng = random.Random(31)
+        n, tested = 6, 0
+        while tested < 8:
+            theory = _own_side_theory(rng, rng.randint(1, 2))
+            compiled = compile_theory(theory)
+            if max((math.comb(n + len(b.labels) - 1, len(b.labels) - 1)
+                    for b in compiled.branches if _layered(b)), default=0) <= 16:
+                continue
+            tested += 1
+            names = [p.name for p in theory.vocabulary]
+            w = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            wbar = WeightFunction({k: rng.randint(-2, 3) for k in names})
+            with monkeypatch.context() as patch:
+                # Blocks of at most 16 entries, so of at most 16
+                # compositions: a layered sum above spans several.
+                patch.setattr(lifted, "_CHUNK", 16)
+                got = compiled.wfomc(w, wbar, Domain(n))[0]
+            assert type(got) is int
+            assert got == _class_level_wfomc(compiled, w, wbar, n)
 
     @pytest.mark.parametrize("extra", [
         # x's allowed f(x, y) depend on y's p: products, and two labels,
