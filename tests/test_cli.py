@@ -72,6 +72,15 @@ class TestPartition:
         assert payload["partition"]["re"] == pytest.approx(32)
         assert payload["partition"]["im"] == 0.0
 
+    def test_json_format_beyond_float_range(self, model_path, capsys):
+        # 2^1030 is an exact int no float holds: "re" is its text.
+        code, out, _ = run(capsys, "partition",
+                           model_path("domain 1030\npredicate p/1\n"),
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {
+            "partition": {"re": "1.15052360631e+310", "im": 0.0}}
+
 
 class TestMarginal:
     def test_named_queries(self, model_path, capsys):
@@ -94,6 +103,24 @@ class TestMarginal:
         assert code == 0
         want = 1 - (9 / 10) ** 10
         assert float(out.split()[1]) == pytest.approx(want, abs=1e-9)
+
+    def test_json_format(self, model_path, capsys):
+        text = UNIFORM.replace("domain 5", "domain 3") + (
+            "weight 0.5 : p(x)\nquery allp : forall x p(x)\n"
+            "query somep : exists x p(x)\n")
+        code, out, _ = run(capsys, "marginal", model_path(text),
+                           "--format", "json")
+        assert code == 0
+        q = 1 / (1 + math.exp(0.5))
+        assert json.loads(out) == {"marginals": {
+            "allp": pytest.approx((1 - q) ** 3, rel=1e-12),
+            "somep": pytest.approx(1 - q ** 3, rel=1e-12)}}
+
+    def test_no_query_is_parse_error(self, model_path, capsys):
+        code, out, err = run(capsys, "marginal", model_path(UNIFORM))
+        assert (code, out) == (2, "")
+        assert err == ("error: no --query given and the model declares no "
+                       "queries\n")
 
 
 class TestClauseOrder:
@@ -240,6 +267,10 @@ class TestExitCodes:
                 "hard : forall x forall y forall z r(x,z)\n")
         code, _, err = run(capsys, "partition", model_path(text))
         assert code == 2 and err.startswith("error: line 3: formula uses 3")
+
+    def test_fixedpoints_needs_a_positive_n(self, capsys):
+        code, out, err = run(capsys, "fixedpoints", "--n", "0")
+        assert (code, out, err) == (2, "", "error: --n must be >= 1\n")
 
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "partition", "/nonexistent/x.mln")

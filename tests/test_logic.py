@@ -71,6 +71,27 @@ class TestParse:
             parse_formula("p(x) &", VOCAB)
         assert "column" in str(err.value) or "end of formula" in str(err.value)
 
+    @pytest.mark.parametrize("text,column,message", [
+        ("p(x) $ p(y)", 6, "unexpected character '$'"),
+        ("p(x) p(y)", 6, "unexpected trailing input 'p'"),
+        ("(p(x) p(y))", 7, "expected ')', found 'p'"),
+        ("p(&)", 3, "expected a term, found '&'"),
+        ("f(x y)", 5, "expected ',' or ')' in argument list, found 'y'"),
+        ("forall (x) p(x)", 8, "expected a variable after 'forall', found '('"),
+        ("p(x", 4, "unexpected end of formula"),
+        ("f(x,", 5, "unexpected end of formula"),
+    ])
+    def test_syntax_error_names_its_column(self, text, column, message):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text, VOCAB)
+        assert type(err.value) is FormulaSyntaxError
+        assert str(err.value) == f"column {column}: {message}"
+        assert (err.value.line, err.value.column) == (0, column)
+
+    def test_false_literal(self):
+        assert parse_formula("false", VOCAB) == FALSE
+        assert parse_formula("p(x) | false", VOCAB) == Or(Atom(P, (X,)), FALSE)
+
     def test_named_constants_rejected(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("p(Alice)", VOCAB)

@@ -134,3 +134,58 @@ class TestParseErrors:
         with pytest.raises(FormulaSyntaxError,
                            match="line 3: .*finite.*'hard : <formula>'"):
             parse_model_text(f"domain 2\npredicate p/1\n{directive} : p(x)\n")
+
+
+HEAD = "domain 2\npredicate p/1\npredicate f/2\ncount c : p(x)\n"
+
+
+class TestDirectiveChecks:
+    # Each text fails on its last line; the message names that line.
+    @pytest.mark.parametrize("text,error,message", [
+        ("domain 0\n", FormulaSyntaxError,
+         "domain size must be a positive integer, got '0'"),
+        ("domain x\n", FormulaSyntaxError,
+         "domain size must be a positive integer, got 'x'"),
+        ("domain 2\npredicate p\n", FormulaSyntaxError,
+         "expected 'predicate name/arity', got 'p'"),
+        ("domain 2\npredicate p/1\npredicate p/2\n", VocabularyError,
+         "duplicate predicate 'p'"),
+        (HEAD + "weight abc : p(x)\n", FormulaSyntaxError,
+         "expected a numeric weight, got 'abc'"),
+        (HEAD + "weight 1.0 p(x)\n", FormulaSyntaxError,
+         "expected '<head> : <formula>'"),
+        (HEAD + "weight 1.0 :\n", FormulaSyntaxError,
+         "expected '<head> : <formula>'"),
+        (HEAD + "odds 0 : p(x)\n", FormulaSyntaxError,
+         "odds must be positive, got '0'"),
+        (HEAD + "odds -2 : p(x)\n", FormulaSyntaxError,
+         "odds must be positive, got '-2'"),
+        (HEAD + "hard p(x)\n", FormulaSyntaxError,
+         "expected 'hard : <formula>'"),
+        (HEAD + "count C : p(x)\n", FormulaSyntaxError,
+         "invalid count name 'C'"),
+        (HEAD + "query Q : exists x p(x)\n", FormulaSyntaxError,
+         "invalid query name 'Q'"),
+        (HEAD + "query q : exists x p(x)\nquery q : forall x p(x)\n",
+         VocabularyError, "duplicate query name 'q'"),
+        (HEAD + "function g\n", VocabularyError, "undeclared predicate 'g'"),
+        (HEAD + "cardinality c == x\n", FormulaSyntaxError,
+         "expected an integer after '==', got 'x'"),
+        (HEAD + "cardinality nope in 0..3\n", VocabularyError,
+         "undeclared count name 'nope'"),
+        (HEAD + "cardinality c in 0-3\n", FormulaSyntaxError,
+         "expected 'lo..hi' after 'in', got '0-3'"),
+        (HEAD + "cardinality c in 3..1\n", FormulaSyntaxError,
+         "empty range 3..1"),
+        (HEAD + "cardinality c < 3\n", FormulaSyntaxError,
+         "expected 'cardinality <name> == <int>' or "
+         "'cardinality <name> in <lo>..<hi>'"),
+    ])
+    def test_rejected_with_line(self, text, error, message):
+        line = text.count("\n")
+        with pytest.raises(error) as err:
+            parse_model_text(text)
+        assert type(err.value) is error
+        assert str(err.value) == f"line {line}: {message}"
+        if error is FormulaSyntaxError:
+            assert (err.value.line, err.value.column) == (line, 0)
