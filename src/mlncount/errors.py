@@ -35,18 +35,13 @@ class MlncountError(Exception):
 class FormulaSyntaxError(MlncountError):
     """Raised on malformed formula or model-file text.
 
-    ``line`` and ``column`` are 1-based; ``line`` is 0 for single-formula
-    parses where no file context exists.
+    ``line`` and ``column`` are 1-based, 0 where unknown; the model-file
+    reader sets ``line`` and prefixes it to the message.
     """
 
-    def __init__(self, message, line=0, column=0):
-        self.line = line
-        self.column = column
-        if line:
-            message = f"line {line}, column {column}: {message}"
-        elif column:
-            message = f"column {column}: {message}"
-        super().__init__(message)
+    def __init__(self, message, column=0):
+        self.line, self.column = 0, column
+        super().__init__(f"column {column}: {message}" if column else message)
 
 
 class VocabularyError(MlncountError):

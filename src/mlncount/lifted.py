@@ -345,14 +345,12 @@ class _Branch:
     # element predicates.
     cells: tuple[list, ...]
     # (a, b), a <= b -> the sorted ``_pair_table`` codes between classes a
-    # and b, whose monomials ``_weights`` builds once per call.
+    # and b, whose monomials ``_label_table`` builds once per call.
     pair_counts: dict
     # What the composition sum runs over, and what it weighs them by:
     # ``_outer_labels`` of the classes.
     labels: tuple[tuple[int, ...], ...]
     outgoing: dict
-    # The pairs of ``pair_counts`` that ``_outer_table`` reads.
-    read_pairs: dict
 
 
 @dataclass(frozen=True)
@@ -383,28 +381,41 @@ class CompiledTheory:
     def wfomc(self, w, wbar, d: Domain):
         """The weighted count under (w, wbar) over ``d``, and the magnitudes
         of its terms summed over every branch whose sum runs on float or
-        complex scalars; exact and array sums add 0 (``_config_sum``)."""
+        complex scalars; exact and array sums add 0 (``_config_sum``).  An
+        int weight or multinomial beyond the float range that meets a float
+        raises NumericOverflowError, as does a count above MAGNITUDE_LIMIT."""
         if self.skolem_weights:
             w = w.updated({k: v[0] for k, v in self.skolem_weights})
             wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})
-        binary = [(wbar(p.name), w(p.name))
-                  for p in self.vocabulary if p.arity == 2]
         total = magnitude = 0
-        # Overflow shows as inf or NaN and raises below, not as a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for branch in self.branches:
-                factor = branch.sign
-                for name, value in branch.nullary_values:
-                    factor = factor * (w(name) if value else wbar(name))
-                table = _outer_table(
-                    branch, binary, *_weights(self.vocabulary, branch.cells,
-                                              branch.read_pairs, w, wbar))
-                try:
-                    value, _, size = _config_sum(d.size, *table)
-                except OverflowError:  # an exact big-int term met a float
-                    value, size = math.inf, 0
-                total = total + factor * value
-                magnitude = magnitude + abs(factor) * size
+        try:
+            # Overflow shows as inf or NaN and raises below, not as a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                # Each weight read once: (wbar(p), w(p)), indexed by a bit.
+                read = {p.name: (wbar(p.name), w(p.name))
+                        for p in self.vocabulary}
+                binary = [read[p.name] for p in self.vocabulary
+                          if p.arity == 2]
+                # A binary p's bit is p(e, e): it carries the diagonal weight.
+                pick = [read[p.name] if p.arity == 1 else
+                        (read[p.name][0] * wbar(diagonal(p)),
+                         read[p.name][1] * w(diagonal(p)))
+                        for p in self.vocabulary if p.arity in (1, 2)]
+                # w(p)^t * wbar(p)^(2-t) for t = 0, 1, 2, per binary p.
+                factors = [(no * no, yes * no, yes * yes)
+                           for no, yes in binary]
+                for branch in self.branches:
+                    factor = branch.sign
+                    for name, value in branch.nullary_values:
+                        factor = factor * read[name][value]
+                    value, _, size = _config_sum(d.size, *_label_table(
+                        branch, pick, binary, factors))
+                    total = total + factor * value
+                    magnitude = magnitude + abs(factor) * size
+        except OverflowError as error:  # an exact big int met a float
+            raise NumericOverflowError(
+                f"an int weight or multinomial leaves the float range "
+                f"({error})") from None
         return _check_range(total, "weighted count"), magnitude
 
     def composition_count(self, d: Domain) -> int:
@@ -423,52 +434,37 @@ def _row_sum(pick, rows):
                              for row in rows), 0)
 
 
-def _weights(vocab, cells, pair_counts, w, wbar):
-    """Class weights and the symmetric pair-weight matrix of one branch.
-
-    A class's weight sums its cells' products over the unary and binary p
-    in ``vocab`` of w(p) where the row bit is true and wbar(p) where it is
-    false; a binary p's bit is p(e, e), whose weight carries p's diagonal
-    weight too.  A pair entry sums in code order its codes' monomials, each
-    built once per call: products of w(p)^t * wbar(p)^(2-t) over the binary
-    p, the first the lowest digit t.  Pairs outside ``pair_counts`` are 0."""
-    # (wbar(p), w(p)), indexed by a row bit.
-    pick = [(wbar(p.name), w(p.name)) if p.arity == 1 else
-            (wbar(p.name) * wbar(diagonal(p)), w(p.name) * w(diagonal(p)))
-            for p in vocab if p.arity in (1, 2)]
-    weights = [_row_sum(pick, members) for members in cells]
-
-    # w(p)^t * wbar(p)^(2-t) for t = 0, 1, 2, per binary p.
-    factors = [(wbar(p.name) * wbar(p.name), w(p.name) * wbar(p.name),
-                w(p.name) * w(p.name)) for p in vocab if p.arity == 2]
-    monomials = {c: math.prod(f[c // 3 ** k % 3]
-                              for k, f in enumerate(factors))
-                 for c in sorted(set().union(*pair_counts.values()))}
-    r = [[0] * len(cells) for _ in cells]
-    for (i, j), codes in pair_counts.items():
-        r[i][j] = r[j][i] = functools.reduce(
-            operator.add, (monomials[c] for c in codes), 0)
-    return weights, r
-
-
-def _outer_table(branch, binary, weights, r):
+def _label_table(branch, pick, binary, factors):
     """The label weights, label pair table and layers that the sum over
-    ``branch.labels`` reads, from the class-level ``_weights``.  ``binary``
-    holds (wbar(p), w(p)) per binary p, and h(A) is ``_row_sum(binary, A)``.
+    ``branch.labels`` reads, from the weights ``CompiledTheory.wfomc`` read
+    per predicate: ``pick``, ``binary`` and ``factors``; h(A) is
+    ``_row_sum(binary, A)``.
 
-    A label of one class k keeps w_k, and r_kl toward another such label l.
-    Toward a label o of several classes its pair weights all factor as
-    h(own[k][o]) times a factor of the partner's, so h(own[k][o]) is its
-    entry there and the partner's factor moves into o's layer: o's members
-    i, each with w_i and h(own[i][o']) per label o'.  Between two labels of
-    several classes the entry is 1, as their factors are in the layers."""
-    if not branch.outgoing:
-        return weights, r, ()
+    Class k weighs w_k, the ``_row_sum(pick, ...)`` of its cells.  A label
+    of one class k keeps w_k, and r_kl toward another such label l: the sum
+    in code order of the monomials of their ``pair_counts``, each built
+    once, the product over binary p of ``factors[p][t]``, t p's digit, the
+    lowest first.  Toward a label o of several classes its pair weights all
+    factor as h(own[k][o]) times a factor of the partner's, so h(own[k][o])
+    is its entry there and the partner's factor moves into o's layer: o's
+    members i, each with w_i and h(own[i][o']) per label o'.  Between two
+    labels of several classes the entry is 1, as their factors are in the
+    layers."""
+    weights = [_row_sum(pick, rows) for rows in branch.cells]
     h = {key: _row_sum(binary, rows) for key, rows in branch.outgoing.items()}
     labels = branch.labels
     plain = [members[0] for members in labels if len(members) == 1]
     layered = range(len(plain), len(labels))
-    table = [[r[k][l] for l in plain] + [h[k, o] for o in layered]
+    pairs = {(k, l): branch.pair_counts[k, l] for k in plain for l in plain
+             if k <= l}
+    monomials = {c: math.prod(f[c // 3 ** k % 3]
+                              for k, f in enumerate(factors))
+                 for c in set().union(*pairs.values())}
+    r = {}
+    for (k, l), codes in pairs.items():
+        r[k, l] = r[l, k] = functools.reduce(
+            operator.add, map(monomials.get, codes), 0)
+    table = [[r[k, l] for l in plain] + [h[k, o] for o in layered]
              for k in plain]
     table += [[h[k, o] for k in plain] + [1] * len(layered) for o in layered]
     layers = tuple((o, [(weights[i], [h[i, p] for p in range(len(labels))])
@@ -478,7 +474,7 @@ def _outer_table(branch, binary, weights, r):
 
 def _outer_labels(own, size):
     """The outer labels of one branch's classes, and the outgoing sets that
-    ``_outer_table`` weighs.
+    ``_label_table`` weighs.
 
     ``own`` holds the classes' ``_pair_table`` masks and ``size`` the
     lengths of their pair rows, as lists.  Class a is separable when its
@@ -521,13 +517,10 @@ def _branch(nullary_values, sign, rows, table, ids, own) -> _Branch:
     pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
                    for a in range(len(reps)) for b in range(a, len(reps))}
     size = np.array([len(row) for row in rows])[ids[reps][:, reps]].tolist()
-    labels, outgoing = _outer_labels(own[reps][:, reps].tolist(), size)
-    plain = {members[0] for members in labels if len(members) == 1}
     return _Branch(
         nullary_values, sign,
         tuple(table[members].tolist() for members in classes.values()),
-        pair_counts, labels, outgoing,
-        {k: v for k, v in pair_counts.items() if plain.issuperset(k)})
+        pair_counts, *_outer_labels(own[reps][:, reps].tolist(), size))
 
 
 def _expand(tables) -> tuple[_Branch, ...]:
@@ -629,7 +622,7 @@ def _compositions(n: int, c: int, exact: bool, layered: bool):
 def _config_sum(n: int, cell_weights: list, r: list, layers=()):
     """Sum over compositions m of n elements into cells of multinomial(n;
     m) * prod w_i^{m_i} * prod r_ii^{C(m_i,2)} * prod_{i<j} r_ij^{m_i m_j},
-    times W_o^{m_o} per layer (o, members) of ``_outer_table``, W_o the sum
+    times W_o^{m_o} per layer (o, members) of ``_label_table``, W_o the sum
     over its members (w, h) of w * prod_j h_j^{max(m_j - [j = o], 0)}.
 
     Each weight and h_j but an int 1 is raised to its column of

@@ -24,21 +24,21 @@ import re
 
 from .errors import FormulaSyntaxError, TooManyVariablesError, VocabularyError
 from .logic import (
-    And, Atom, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
+    _BINARY, _PREC, Atom, Exists, FALSE, ForAll, Formula, Implies, Not,
     Predicate, TRUE, Var,
 )
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
-  | (?P<iff><->)
-  | (?P<implies>->)
   | (?P<name>[a-z_][A-Za-z0-9_]*)
   | (?P<upper>[A-Z][A-Za-z0-9_]*)
   | (?P<int>\d+)
-  | (?P<sym>[()!&|,])
+  | (?P<sym><->|->|[()!&|,])
 """, re.VERBOSE)
 
 _KEYWORDS = {"forall", "exists", "true", "false"}
+# The binary connectives, loosest first.
+_LEVELS = sorted(_BINARY, key=_PREC.get)
 
 
 def _tokenize(text: str):
@@ -87,7 +87,7 @@ class _Parser:
         return tok
 
     def parse(self) -> Formula:
-        f = self.iff()
+        f = self.binary()
         tok = self.peek()
         if tok is not None:
             raise FormulaSyntaxError(f"unexpected trailing input {tok[1]!r}",
@@ -98,32 +98,15 @@ class _Parser:
                 f"({', '.join(sorted(self.names))}); at most 2 allowed")
         return f
 
-    def iff(self) -> Formula:
-        f = self.implies()
-        while (tok := self.peek()) and tok[0] == "iff":
+    def binary(self, level=0) -> Formula:
+        """The connectives of ``_LEVELS[level]`` and tighter binding ones."""
+        if level == len(_LEVELS):
+            return self.unary()
+        node, f = _LEVELS[level], self.binary(level + 1)
+        while (tok := self.peek()) and tok[1] == _BINARY[node]:
             self.next()
-            f = Iff(f, self.implies())
-        return f
-
-    def implies(self) -> Formula:
-        f = self.disjunction()
-        if (tok := self.peek()) and tok[0] == "implies":
-            self.next()
-            return Implies(f, self.implies())
-        return f
-
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while (tok := self.peek()) and tok[1] == "|":
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
-        f = self.unary()
-        while (tok := self.peek()) and tok[1] == "&":
-            self.next()
-            f = And(f, self.unary())
+            # -> associates right: its right side is a whole implication.
+            f = node(f, self.binary(level + (node is not Implies)))
         return f
 
     def unary(self) -> Formula:
@@ -146,7 +129,7 @@ class _Parser:
                 f"expected a variable after {word[1]!r}, found {var_tok[1]!r}",
                 column=var_tok[2])
         # Body runs to the end of the enclosing expression.
-        body = self.iff()
+        body = self.binary()
         node = ForAll if word[1] == "forall" else Exists
         self.names.add(var_tok[1])
         return node(Var(var_tok[1]), body)
@@ -154,7 +137,7 @@ class _Parser:
     def primary(self) -> Formula:
         tok = self.next()
         if tok[1] == "(":
-            f = self.iff()
+            f = self.binary()
             self.expect(")")
             return f
         if tok[1] == "true":

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -16,8 +17,8 @@ from mlncount import lifted
 from mlncount.logic import iter_subformulas
 from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
 from mlncount.lifted import (
-    Fo2Theory, _assignments, _codes, _config_sum, _enumerate_cells,
-    _normalize_theory, _pair_table, _weights, compile_theory,
+    Fo2Theory, _Branch, _assignments, _codes, _config_sum, _enumerate_cells,
+    _label_table, _normalize_theory, _pair_table, compile_theory,
 )
 
 from helpers import (
@@ -167,14 +168,19 @@ class TestCells:
 
 
 def _pair_weights(matrix, preds, w, wbar, table=None):
-    """``_weights``' pair-weight matrix under ``matrix`` between the cells
-    in ``table`` (default: every cell of ``preds``)."""
+    """``_label_table``'s pair-weight matrix under ``matrix`` between the
+    cells in ``table`` (default: every cell of ``preds``), each cell a
+    label of its own."""
     if table is None:
         table = _enumerate_cells(preds, [TRUE])
     ids, rows, _ = _pair_table([matrix], preds, table)
     c = len(table)
     pairs = {(i, j): rows[ids[i, j]] for i in range(c) for j in range(i, c)}
-    return _weights(preds, [[]] * c, pairs, w, wbar)[1]
+    branch = _Branch((), 1, ([],) * c, pairs, tuple((i,) for i in range(c)),
+                     {})
+    factors = [(wbar(p) * wbar(p), w(p) * wbar(p), w(p) * w(p))
+               for p in preds if p.arity == 2]
+    return _label_table(branch, [], [], factors)[1]
 
 
 class TestPairWeight:
@@ -308,6 +314,47 @@ class TestLiftedWfomc:
         with pytest.raises(NumericOverflowError,
                            match=r"exceeds MAGNITUDE_LIMIT=1e\+300"):
             compile_theory(t).wfomc(w, ONES, Domain(10))
+
+    @pytest.mark.parametrize("vocab,w,wbar", [
+        ([P, F], {"p": 10 ** 400}, {"f": 0.5}),
+        ([Predicate("q", 0), P], {"q": 10 ** 400, "p": 0.5}, {}),
+        ([F], {"f": 10 ** 400}, {"f": 0.5}),
+    ], ids=["class-weight", "nullary-factor", "pair-factor"])
+    def test_big_int_weight_meeting_a_float_is_typed(self, vocab, w, wbar):
+        compiled = compile_theory(Fo2Theory.of([], vocab))
+        with pytest.raises(NumericOverflowError,
+                           match="int weight or multinomial leaves the float"):
+            compiled.wfomc(WeightFunction(w), WeightFunction(wbar), Domain(3))
+
+    def test_multinomial_beyond_float_range_is_named(self):
+        # Two labels: the multinomials pass the double range from n = 1027,
+        # though this count, 1.2e-304, is a double.
+        p_p = And(Atom(P, (X,)), Atom(P, (Y,)))
+        t = Fo2Theory.of([ForAll(X, ForAll(Y, Implies(p_p, Atom(F, (X, Y)))))],
+                         [P, F])
+        half = WeightFunction({"p": 0.5, "f": 0.5})
+        with pytest.raises(NumericOverflowError) as err:
+            compile_theory(t).wfomc(half, half, Domain(1030))
+        assert "multinomial" in str(err.value)
+        assert "weighted count" not in str(err.value)
+
+    def test_weights_are_read_once_per_call(self, monkeypatch):
+        # One vocabulary; each ``exists x`` clause doubles the branches.
+        r = Predicate("r", 1)
+        calls = []
+        read = WeightFunction.__call__
+        monkeypatch.setattr(WeightFunction, "__call__",
+                            lambda self, pred: calls.append(pred)
+                            or read(self, pred))
+        lookups = []
+        for sentences in ([], [Exists(X, Atom(P, (X,))),
+                               Exists(X, Not(Atom(r, (X,))))]):
+            compiled = compile_theory(Fo2Theory.of(sentences, [P, r, F]))
+            calls.clear()
+            compiled.wfomc(WeightFunction({"p": 0.5}), ONES, Domain(3))
+            lookups.append((len(compiled.branches), len(calls)))
+        (one, first), (many, second) = lookups
+        assert (one, many) == (1, 4) and first == second
 
     def test_fraction_weights_have_no_magnitude_limit(self):
         # 900 atoms of weight 1 + 5/2: far beyond the float range, exact.
@@ -821,18 +868,13 @@ def _two_sided_theory(rng):
 
 
 def _class_level_wfomc(compiled, w, wbar, n):
-    """``CompiledTheory.wfomc`` over the uncollapsed class-level tables."""
-    w = w.updated({k: v[0] for k, v in compiled.skolem_weights})
-    wbar = wbar.updated({k: v[1] for k, v in compiled.skolem_weights})
-    total = 0
-    for branch in compiled.branches:
-        factor = branch.sign * math.prod(w(k) if v else wbar(k)
-                                         for k, v in branch.nullary_values)
-        value, _, _ = _config_sum(n, *_weights(compiled.vocabulary,
-                                               branch.cells,
-                                               branch.pair_counts, w, wbar))
-        total = total + factor * value
-    return total
+    """``CompiledTheory.wfomc`` over the uncollapsed class-level tables:
+    each branch with one label per class and no outgoing sets."""
+    branches = tuple(dataclasses.replace(
+        branch, labels=tuple((k,) for k in range(len(branch.cells))),
+        outgoing={}) for branch in compiled.branches)
+    return dataclasses.replace(compiled, branches=branches).wfomc(
+        w, wbar, Domain(n))[0]
 
 
 def _layered(branch):

@@ -199,13 +199,14 @@ class TestPartition:
         assert partition_function(Mln.of([], [P]), Domain(5)) == 32
 
     def test_big_int_term_meeting_a_float_is_typed(self):
-        # f has no weight, so its pair weight stays an exact int (4^780 at
-        # n = 40), which no float holds: multiplying it into p's float
-        # class weights overflows.  At n = 30 it still fits.
+        # f has no weight, so its pair weight is the int 4; p's weights are
+        # floats, so the sum raises it as a float power, and 4^780 at n = 40
+        # passes the power check.  At n = 30 (4^435) it still fits.
         mln = Mln.of([(Atom(P, (X,)), 0.5)], [P, F])
         assert partition_function(mln, Domain(30)) == pytest.approx(
             (1 + math.exp(0.5)) ** 30 * 2.0 ** 900, rel=1e-12)
-        with pytest.raises(NumericOverflowError, match="MAGNITUDE_LIMIT"):
+        with pytest.raises(NumericOverflowError,
+                           match="a weight's power exceeds MAGNITUDE_LIMIT"):
             partition_function(mln, Domain(40))
 
     def test_zero_weight_counts_worlds(self):
