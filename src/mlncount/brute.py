@@ -33,7 +33,7 @@ from .errors import (
 )
 from .logic import (
     And, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
-    TRUE, WeightFunction, conjoin, diagonal, evaluate_bitwise, fold,
+    TRUE, WeightFunction, children, conjoin, diagonal, evaluate_bitwise, fold,
     free_variables, ground_atoms, groundings, predicates_of, substitute,
     universal_closure,
 )
@@ -50,10 +50,8 @@ if sys.byteorder != "little":
 def _expand(f: Formula, d: Domain) -> Formula:
     if isinstance(f, Eq):
         return TRUE if f.left == f.right else FALSE
-    if isinstance(f, Not):
-        return Not(_expand(f.body, d))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_expand(f.left, d), _expand(f.right, d))
+    if isinstance(f, (Not, And, Or, Implies, Iff)):
+        return type(f)(*(_expand(g, d) for g in children(f)))
     if isinstance(f, (ForAll, Exists)):
         return reduce(And if isinstance(f, ForAll) else Or,
                       [_expand(substitute(f.body, {f.var: e}), d)

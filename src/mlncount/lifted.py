@@ -32,13 +32,13 @@ that is polynomial in the domain size:
    compositions of the domain into cells, with per-cell weights and
    per-cell-pair cross weights.  A binary p's bit in a cell is p(e, e), so
    p's diagonal weight (a soft or count ``p(x,x)``) multiplies into that
-   bit's weight.  Compilation keeps each cell's bool row and, per cell
-   pair, the base-3 codes of the allowed cross assignments; each call
-   builds a code's weight monomial once.  The binary matrices are evaluated
-   once over a (cell i, cell j, cross assignment) grid, x in cell i; the
-   orientation with x in cell j is its transpose with each assignment's
-   forward and backward halves swapped.  Cells with equal pair rows merge,
-   weights summed, which cuts the compositions visited.
+   bit's weight.  The binary matrices hold over a (cell i, cell j, cross
+   assignment) grid, x in cell i, evaluated once: x in cell j is its
+   transpose with each assignment's halves swapped.  One matmul against a
+   size-only one-hot table counts each cell pair's allowed assignments per
+   base-3 code.  Cells with equal rows of counts merge, weights summed,
+   which cuts the compositions visited.  Each distinct row between classes
+   becomes a sorted code list once; each call builds a code's monomial once.
 5. *Layered collapse* into outer labels.  A class is separable when the
    cross assignments it allows toward every class are every combination of
    a set of its own outgoing atoms p(u, v) with a set of the other's (as
@@ -78,8 +78,8 @@ from .errors import (
 )
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, Predicate, TRUE, Truth, Var, diagonal, evaluate_bitwise, fold,
-    free_variables, fresh_predicate, iter_subformulas, substitute,
+    Or, Predicate, TRUE, Truth, Var, children, diagonal, evaluate_bitwise,
+    fold, free_variables, fresh_predicate, leaf_terms, substitute,
 )
 
 # Bound on the bytes of an array evaluated at once: (cell, cell, cross
@@ -131,24 +131,38 @@ class Fo2Theory:
 # --- normalization ----------------------------------------------------------
 
 def _check_fragment(s: Formula, vocabulary) -> None:
-    """Reject what the lifted fragment cannot count: predicates outside the
-    vocabulary, free variables, equality atoms, constants, and more than two
-    variable names, bound ones included."""
-    if free_variables(s):
-        raise UnsupportedSentenceError(f"sentence has free variables: {s}")
-    names = set()
-    for g in iter_subformulas(s):
+    """Reject what the lifted fragment cannot count, in one walk over ``s``:
+    free variables; else the first in pre-order of a predicate outside the
+    vocabulary, an equality atom or a constant (domain element); else more
+    than two variable names, bound ones included."""
+    names, faults = set(), []
+
+    # Whether g has a variable not in ``bound``; records g's names and faults.
+    def free(g, bound) -> bool:
+        if isinstance(g, Not):
+            return free(g.body, bound)
+        if isinstance(g, (And, Or, Implies, Iff)):
+            return free(g.left, bound) | free(g.right, bound)
         if isinstance(g, Atom) and g.pred not in vocabulary:
-            raise VocabularyError(f"undeclared predicate {g.pred}")
+            faults.append(VocabularyError(f"undeclared predicate {g.pred}"))
         if isinstance(g, Eq):
-            raise UnsupportedSentenceError(
-                "equality atoms are outside the lifted fragment")
-        terms = (g.args if isinstance(g, Atom) else
-                 (g.var,) if isinstance(g, (ForAll, Exists)) else ())
+            faults.append(UnsupportedSentenceError(
+                "equality atoms are outside the lifted fragment"))
+        quantified = isinstance(g, (ForAll, Exists))
+        # An equality's sides too: its fault comes first either way.
+        terms = (g.var,) if quantified else leaf_terms(g)
         if any(isinstance(t, int) for t in terms):
-            raise UnsupportedSentenceError(
-                "constants (domain elements) are outside the lifted fragment")
-        names.update(t.name for t in terms)
+            faults.append(UnsupportedSentenceError(
+                "constants (domain elements) are outside the lifted fragment"))
+        names.update(t.name for t in terms if isinstance(t, Var))
+        if quantified:
+            return free(g.body, bound + terms)
+        return any(isinstance(t, Var) and t not in bound for t in terms)
+
+    if free(s, ()):
+        raise UnsupportedSentenceError(f"sentence has free variables: {s}")
+    if faults:
+        raise faults[0]
     if len(names) > 2:
         raise UnsupportedSentenceError(
             f"sentence uses {len(names)} distinct variables: {s}")
@@ -166,30 +180,23 @@ def _eliminate_inner(f: Formula, vocab: list, out: list) -> Formula:
     """Replace quantified subformulas by fresh definition predicates that
     join ``vocab``, emitting the defining clauses into ``out``.  Returns a
     quantifier-free formula, ``f`` itself if it is one."""
-    if isinstance(f, (Atom, Truth)):
-        return f
-    if isinstance(f, Not):
-        body = _eliminate_inner(f.body, vocab, out)
-        return f if body is f.body else Not(body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        a = _eliminate_inner(f.left, vocab, out)
-        b = _eliminate_inner(f.right, vocab, out)
-        return f if a is f.left and b is f.right else type(f)(a, b)
-    if isinstance(f, (ForAll, Exists)):
-        inner = _eliminate_inner(f.body, vocab, out)
-        # At most one: ``_check_fragment`` allows two variable names.
-        fv = sorted(free_variables(inner) - {f.var})
-        # d(fv) <-> Q v inner, as a universal and an existential half.
-        datom = Atom(fresh_predicate("def", len(fv), vocab), tuple(fv))
-        if isinstance(f, Exists):
-            every, some = Implies(inner, datom), Implies(datom, inner)
-        else:
-            every, some = Implies(datom, inner), Or(datom, Not(inner))
-        variables = fv + [f.var]
-        _emit(out, [ForAll] * len(variables), variables, every)
-        _emit(out, [ForAll] * len(fv) + [Exists], variables, some)
-        return datom
-    raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, (ForAll, Exists)):
+        parts = [_eliminate_inner(g, vocab, out) for g in children(f)]
+        return f if all(map(operator.is_, parts, children(f))) \
+            else type(f)(*parts)
+    inner = _eliminate_inner(f.body, vocab, out)
+    # At most one: ``_check_fragment`` allows two variable names.
+    fv = sorted(free_variables(inner) - {f.var})
+    # d(fv) <-> Q v inner, as a universal and an existential half.
+    datom = Atom(fresh_predicate("def", len(fv), vocab), tuple(fv))
+    if isinstance(f, Exists):
+        every, some = Implies(inner, datom), Implies(datom, inner)
+    else:
+        every, some = Implies(datom, inner), Or(datom, Not(inner))
+    variables = fv + [f.var]
+    _emit(out, [ForAll] * len(variables), variables, every)
+    _emit(out, [ForAll] * len(fv) + [Exists], variables, some)
+    return datom
 
 
 def _normalize_sentence(s: Formula, vocab: list, out: list) -> None:
@@ -209,8 +216,8 @@ def _normalize_sentence(s: Formula, vocab: list, out: list) -> None:
         quantifiers.append(type(body))
         variables.append(body.var)
         body = body.body
-    _emit(out, quantifiers, variables,
-          fold(_eliminate_inner(body, vocab, out)))
+    # ``body`` is folded and ``_eliminate_inner`` adds only atoms: no fold.
+    _emit(out, quantifiers, variables, _eliminate_inner(body, vocab, out))
 
 
 def _normalize_theory(t: Fo2Theory):
@@ -249,12 +256,13 @@ def _assignments(k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _codes(b: int) -> np.ndarray:
-    """Per cross assignment of b binary predicates, ``_assignments(2b)``,
-    its base-3 code; built once per b, read-only."""
+    """Per cross assignment of b binary predicates, ``_assignments(2b)``, the
+    one-hot row of its base-3 code; built once per b, read-only."""
     cross = _assignments(2 * b)
     code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
-    code.flags.writeable = False
-    return code
+    table = np.identity(3 ** b)[code]
+    table.flags.writeable = False
+    return table
 
 
 def _holds(preds, rows: np.ndarray, matrices) -> np.ndarray:
@@ -277,13 +285,12 @@ def _enumerate_cells(preds, diag_matrices) -> np.ndarray:
 
 
 def _pair_table(matrices2, preds, table):
-    """Cross-assignment codes for every pair of the cells in ``table``.
+    """Cross-assignment counts for every pair of the cells in ``table``.
 
     A code's base-3 digit k counts the true cross atoms of the k-th binary
-    predicate.  Returns ``(ids, rows, own)``: ``rows[ids[i, j]]`` is the
-    sorted list of the codes of the assignments satisfying every matrix over
-    x and y, in both orientations, between an element of cell i and one of
-    cell j.  ``ids`` is symmetric, and equal ids mean equal rows.
+    predicate.  Returns ``(counts, own)``: ``counts[i, j] == counts[j, i]``
+    counts per code the assignments satisfying every matrix over x and y,
+    in both orientations, between an element of cell i and one of cell j.
     ``own[i, j]`` masks, over ``_assignments(b)``, the assignments to the
     cross atoms p(u, v) from u in cell i to v in cell j that occur in the
     pair's satisfying assignments; those are every combination of
@@ -315,23 +322,10 @@ def _pair_table(matrices2, preds, table):
     # with each assignment's halves swapped.
     holds = holds.reshape(c, c, half, half)
     ok = holds & holds.transpose(1, 0, 3, 2)
-    own = ok.any(axis=3)
-    # Row p counts the satisfying assignments of the p-th pair i <= j per
-    # code; equal rows share an id.
-    first, second = np.nonzero(np.arange(c)[:, None] <= np.arange(c))
-    pair, assignment = np.nonzero(ok[first, second].reshape(len(first),
-                                                            len(cross)))
-    counts = np.bincount(pair * 3 ** b + _codes(b)[assignment],
-                         minlength=len(first) * 3 ** b)
-    raw, width = counts.tobytes(), counts.itemsize * 3 ** b
-    index = {}
-    found = [index.setdefault(raw[k:k + width], len(index))
-             for k in range(0, len(raw), width)]
-    rows = [np.repeat(np.arange(3 ** b), np.frombuffer(key, counts.dtype))
-            .tolist() for key in index]
-    ids = np.zeros((c, c), dtype=np.int64)
-    ids[first, second] = ids[second, first] = found
-    return ids, rows, own
+    counts = ok.reshape(c * c, len(cross)) @ _codes(b)
+    # A count is at most 2^b, the assignments of one code.
+    counts = counts.astype(np.min_scalar_type(2 ** b))
+    return counts.reshape(c, c, 3 ** b), ok.any(axis=3)
 
 
 # --- compiled theories ------------------------------------------------------
@@ -344,8 +338,8 @@ class _Branch:
     # Per class of interchangeable cells, its cells' bool rows over the
     # element predicates.
     cells: tuple[list, ...]
-    # (a, b), a <= b -> the sorted ``_pair_table`` codes between classes a
-    # and b, whose monomials ``_label_table`` builds once per call.
+    # (a, b), a <= b -> the sorted codes between classes a and b, each as
+    # often as ``_pair_table`` counts it; ``_label_table`` weighs them.
     pair_counts: dict
     # What the composition sum runs over, and what it weighs them by:
     # ``_outer_labels`` of the classes.
@@ -429,9 +423,8 @@ class CompiledTheory:
 
 def _row_sum(pick, rows):
     """Sum over bool rows of the product of ``pick[k][bit k]``."""
-    return functools.reduce(operator.add,
-                            (math.prod(pair[v] for pair, v in zip(pick, row))
-                             for row in rows), 0)
+    return functools.reduce(operator.add, (
+        math.prod(map(operator.getitem, pick, row)) for row in rows), 0)
 
 
 def _label_table(branch, pick, binary, factors):
@@ -504,23 +497,27 @@ def _outer_labels(own, size):
         if len(members) > 1 or len(others) > 1 for a in members}
 
 
-def _branch(nullary_values, sign, rows, table, ids, own) -> _Branch:
+def _branch(nullary_values, sign, table, counts, own) -> _Branch:
     """The branch over the cells in ``table``, whose ``_pair_table`` entries
-    are ``ids``, ``rows`` and ``own``."""
+    are ``counts`` and ``own``."""
     # Cells with the same row of pair entries (so r_ii = r_jj = r_ij) are
     # interchangeable: by the multinomial theorem one cell whose weight is
     # the sum of theirs replaces them, for any weights.
     classes = {}
-    for i, row in enumerate(ids):
+    for i, row in enumerate(counts):
         classes.setdefault(row.tobytes(), []).append(i)
     reps = [members[0] for members in classes.values()]
-    pair_counts = {(a, b): rows[ids[reps[a], reps[b]]]
-                   for a in range(len(reps)) for b in range(a, len(reps))}
-    size = np.array([len(row) for row in rows])[ids[reps][:, reps]].tolist()
+    counts, codes = counts[reps][:, reps], np.arange(counts.shape[-1])
+    keys = {(a, b): counts[a, b].tobytes()
+            for a in range(len(reps)) for b in range(a, len(reps))}
+    # Each distinct row of counts becomes a code list once.
+    lists = {key: codes.repeat(np.frombuffer(key, counts.dtype)).tolist()
+             for key in set(keys.values())}
     return _Branch(
         nullary_values, sign,
         tuple(table[members].tolist() for members in classes.values()),
-        pair_counts, *_outer_labels(own[reps][:, reps].tolist(), size))
+        {pair: lists[key] for pair, key in keys.items()},
+        *_outer_labels(own[reps][:, reps].tolist(), counts.sum(2).tolist()))
 
 
 def _expand(tables) -> tuple[_Branch, ...]:
@@ -529,15 +526,15 @@ def _expand(tables) -> tuple[_Branch, ...]:
     unless S is nonempty and keeps no cell.  A branch that keeps every cell
     reads the tables as they are."""
     branches = []
-    for values, table, keep, misses, ids, rows, own in tables:
+    for values, table, keep, misses, counts, own in tables:
         for subset in itertools.product((False, True), repeat=len(misses)):
             k = functools.reduce(operator.and_,
                                  itertools.compress(misses, subset), keep)
             if any(subset) and not k.any():
                 continue
-            cut = (table, ids, own) if k.all() else (
-                table[k], ids[k][:, k], own[k][:, k])
-            branches.append(_branch(values, (-1) ** sum(subset), rows, *cut))
+            cut = (table, counts, own) if k.all() else (
+                table[k], counts[k][:, k], own[k][:, k])
+            branches.append(_branch(values, (-1) ** sum(subset), *cut))
     return tuple(branches)
 
 

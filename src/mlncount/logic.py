@@ -9,6 +9,7 @@ enumeration order used elsewhere in the engine.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -185,21 +186,32 @@ def fresh_predicate(base: str, arity: int, vocab: list) -> Predicate:
     """A predicate named the first of base0, base1, ... that no predicate of
     ``vocab`` has, appended to ``vocab``."""
     names = {p.name for p in vocab}
-    i = 0
-    while f"{base}{i}" in names:
-        i += 1
+    i = next(i for i in itertools.count() if f"{base}{i}" not in names)
     vocab.append(Predicate(f"{base}{i}", arity))
     return vocab[-1]
 
 
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of ``f``."""
+    if isinstance(f, (Not, ForAll, Exists)):
+        return (f.body,)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    if isinstance(f, (Atom, Eq, Truth)):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def leaf_terms(f: Formula) -> tuple[Term, ...]:
+    """An atom's arguments or an equality's two sides; () for other nodes."""
+    return (f.args if isinstance(f, Atom) else
+            (f.left, f.right) if isinstance(f, Eq) else ())
+
+
 def free_variables(f: Formula) -> frozenset[Var]:
     """Variables of ``f`` not bound to any quantifier."""
-    if isinstance(f, Atom):
-        return frozenset(a for a in f.args if isinstance(a, Var))
-    if isinstance(f, Eq):
-        return frozenset(t for t in (f.left, f.right) if isinstance(t, Var))
-    if isinstance(f, Truth):
-        return frozenset()
+    if isinstance(f, (Atom, Eq, Truth)):
+        return frozenset(t for t in leaf_terms(f) if isinstance(t, Var))
     if isinstance(f, Not):
         return free_variables(f.body)
     if isinstance(f, (And, Or, Implies, Iff)):
@@ -207,6 +219,17 @@ def free_variables(f: Formula) -> frozenset[Var]:
     if isinstance(f, (ForAll, Exists)):
         return free_variables(f.body) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _occurs_free(v: Var, f: Formula) -> bool:
+    """Whether ``v`` is free in ``f``; stops at its first free occurrence."""
+    if isinstance(f, Not):
+        return _occurs_free(v, f.body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return _occurs_free(v, f.left) or _occurs_free(v, f.right)
+    if isinstance(f, (ForAll, Exists)):
+        return f.var != v and _occurs_free(v, f.body)
+    return v in leaf_terms(f)
 
 
 def predicates_of(f: Formula) -> frozenset[Predicate]:
@@ -219,27 +242,20 @@ def substitute(f: Formula, binding: dict[Var, Term]) -> Formula:
     or by other variables, all at once: {x: y, y: x} swaps x and y.  A
     quantifier of ``f`` may capture a variable substituted into its body.
     A subformula that nothing changes is returned as it is."""
-    if isinstance(f, Atom):
-        args = tuple(binding.get(a, a) if isinstance(a, Var) else a
-                     for a in f.args)
-        return f if args == f.args else Atom(f.pred, args)
-    if isinstance(f, Eq):
-        left = binding.get(f.left, f.left) if isinstance(f.left, Var) else f.left
-        right = binding.get(f.right, f.right) if isinstance(f.right, Var) else f.right
-        return Eq(left, right)
-    if isinstance(f, Truth):
-        return f
-    if isinstance(f, Not):
-        body = substitute(f.body, binding)
-        return f if body is f.body else Not(body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        a, b = substitute(f.left, binding), substitute(f.right, binding)
-        return f if a is f.left and b is f.right else type(f)(a, b)
+    if isinstance(f, (Atom, Eq)):
+        old = leaf_terms(f)
+        new = tuple(binding.get(t, t) if isinstance(t, Var) else t
+                    for t in old)
+        if new == old:
+            return f
+        return Atom(f.pred, new) if isinstance(f, Atom) else Eq(*new)
     if isinstance(f, (ForAll, Exists)):
         inner = {v: e for v, e in binding.items() if v != f.var}
         body = substitute(f.body, inner) if inner else f.body
         return f if body is f.body else type(f)(f.var, body)
-    raise TypeError(f"not a formula: {f!r}")
+    parts = [substitute(g, binding) for g in children(f)]
+    return f if all(map(operator.is_, parts, children(f))) \
+        else type(f)(*parts)
 
 
 def _negate(f: Formula) -> Formula:
@@ -277,7 +293,7 @@ def fold(f: Formula, values=None) -> Formula:
         return b if a.value else _negate(b)
     if isinstance(f, (ForAll, Exists)):
         b = fold(f.body, values)
-        if f.var not in free_variables(b):
+        if not _occurs_free(f.var, b):
             return b
         return f if b is f.body else type(f)(f.var, b)
     raise TypeError(f"not a formula: {f!r}")
@@ -290,12 +306,8 @@ def groundings(f: Formula, d: Domain) -> list[Formula]:
     ascending, first variable slowest.  A closed formula yields itself.
     """
     fv = sorted(free_variables(f), key=lambda v: v.name)
-    if not fv:
-        return [f]
-    out = []
-    for combo in itertools.product(d.elements, repeat=len(fv)):
-        out.append(substitute(f, dict(zip(fv, combo))))
-    return out
+    return [substitute(f, dict(zip(fv, combo)))
+            for combo in itertools.product(d.elements, repeat=len(fv))]
 
 
 def evaluate_bitwise(f: Formula, leaves: dict):
@@ -324,11 +336,8 @@ def evaluate_bitwise(f: Formula, leaves: dict):
 def ground_atoms(vocab, d: Domain) -> list[Atom]:
     """Every ground atom over the vocabulary, in the fixed enumeration order:
     predicates in declaration order, argument tuples lexicographic."""
-    atoms = []
-    for p in vocab:
-        for args in itertools.product(d.elements, repeat=p.arity):
-            atoms.append(Atom(p, args))
-    return atoms
+    return [Atom(p, args) for p in vocab
+            for args in itertools.product(d.elements, repeat=p.arity)]
 
 
 # Precedence levels for the printer; must match the surface grammar.
@@ -383,10 +392,5 @@ def universal_closure(f: Formula) -> Formula:
 
 def iter_subformulas(f: Formula) -> Iterator[Formula]:
     yield f
-    if isinstance(f, Not):
-        yield from iter_subformulas(f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from iter_subformulas(f.left)
-        yield from iter_subformulas(f.right)
-    elif isinstance(f, (ForAll, Exists)):
-        yield from iter_subformulas(f.body)
+    for g in children(f):
+        yield from iter_subformulas(g)

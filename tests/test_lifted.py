@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from mlncount import (
-    And, Atom, Domain, Eq, Exists, ForAll, Iff, Implies, Mln, Not, Or,
-    Predicate, TRUE, Var, WeightFunction, brute_wfomc, marginal,
-    translate_mln,
+    And, Atom, Between, CardinalityConstraint, CountSpec, Domain, Eq, Exists,
+    ForAll, Iff, Implies, Mln, Not, Or, Predicate, TRUE, Var, WeightFunction,
+    brute_wfomc, constrained_marginal, marginal, translate_mln,
 )
 from mlncount import lifted
 from mlncount.logic import iter_subformulas
-from mlncount.errors import NumericOverflowError, UnsupportedSentenceError
+from mlncount.errors import (
+    MlncountError, NumericOverflowError, UnsupportedSentenceError,
+    VocabularyError,
+)
 from mlncount.lifted import (
     Fo2Theory, _Branch, _assignments, _codes, _config_sum, _enumerate_cells,
     _label_table, _normalize_theory, _pair_table, compile_theory,
@@ -158,13 +161,19 @@ class TestCells:
         contradiction = And(Atom(P, (X,)), Not(Atom(P, (X,))))
         table = _enumerate_cells([P, F], [contradiction])
         assert table.shape == (0, 2)
-        ids, rows, _ = _pair_table([contradiction], [P, F], table)
-        assert ids.shape == (0, 0) and rows == []
+        counts, _ = _pair_table([contradiction], [P, F], table)
+        assert counts.shape == (0, 0, 3)
         compiled = compile_theory(Fo2Theory.of([ForAll(X, contradiction)],
                                                [P, F]))
         assert [b.cells for b in compiled.branches] == [()]
         assert compiled.composition_count(Domain(3)) == 0
         assert compiled.wfomc(ONES, ONES, Domain(3))[0] == 0
+
+
+def _codes_between(counts, i, j):
+    """The sorted codes of ``_pair_table``'s counts between cells i and j,
+    each as often as it is counted."""
+    return [code for code, k in enumerate(counts[i, j]) for _ in range(k)]
 
 
 def _pair_weights(matrix, preds, w, wbar, table=None):
@@ -173,9 +182,10 @@ def _pair_weights(matrix, preds, w, wbar, table=None):
     label of its own."""
     if table is None:
         table = _enumerate_cells(preds, [TRUE])
-    ids, rows, _ = _pair_table([matrix], preds, table)
+    counts, _ = _pair_table([matrix], preds, table)
     c = len(table)
-    pairs = {(i, j): rows[ids[i, j]] for i in range(c) for j in range(i, c)}
+    pairs = {(i, j): _codes_between(counts, i, j)
+             for i in range(c) for j in range(i, c)}
     branch = _Branch((), 1, ([],) * c, pairs, tuple((i,) for i in range(c)),
                      {})
     factors = [(wbar(p) * wbar(p), w(p) * wbar(p), w(p) * w(p))
@@ -194,17 +204,19 @@ class TestPairWeight:
     def test_no_binary_predicates(self):
         assert _pair_weights(TRUE, [P], ONES, ONES)[0][1] == 1
         # p(x) -> p(y) fails only from a p-cell to a non-p cell.
-        ids, rows, _ = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))],
-                                   [P], _enumerate_cells([P], [TRUE]))
-        assert rows[ids[0, 0]] == rows[ids[1, 1]] == [0]
-        assert rows[ids[0, 1]] == rows[ids[1, 0]] == []
+        counts, _ = _pair_table([Implies(Atom(P, (X,)), Atom(P, (Y,)))],
+                                [P], _enumerate_cells([P], [TRUE]))
+        assert _codes_between(counts, 0, 0) == \
+            _codes_between(counts, 1, 1) == [0]
+        assert _codes_between(counts, 0, 1) == \
+            _codes_between(counts, 1, 0) == []
 
     def test_true_matrix_keeps_every_cross_assignment(self):
-        ids, rows, _ = _pair_table([TRUE], [P, F],
-                                   _enumerate_cells([P, F], [TRUE]))
-        assert len(set(ids.flat)) == 1
+        counts, _ = _pair_table([TRUE], [P, F],
+                                _enumerate_cells([P, F], [TRUE]))
+        assert (counts == counts[0, 0]).all()
         # One code per cross assignment: its number of true f atoms.
-        assert rows[ids[0, 0]] == [0, 1, 1, 2]
+        assert _codes_between(counts, 0, 0) == [0, 1, 1, 2]
 
     def test_hand_counted_weights(self):
         w, wbar = WeightFunction({"f": 2}), WeightFunction({"f": 3})
@@ -247,6 +259,47 @@ class TestPairWeight:
                         want += math.prod(w(a.pred) if b else wbar(a.pred)
                                           for a, b in zip(cross, bits))
                 assert r[i][j] == want
+
+    def test_branch_codes_match_world_evaluation(self):
+        # Per class pair of every branch, and every cell of either class:
+        # the codes of the cross assignments between two elements under
+        # which every normalized forall-forall sentence holds.
+        rng = random.Random(2718)
+        for _ in range(20):
+            theory, _, _ = random_theory(rng)
+            if rng.random() < 0.5:
+                atoms = [Atom(p, (X,) * p.arity) for p in theory.vocabulary]
+                theory = Fo2Theory.of(
+                    theory.sentences + (Exists(X, random_matrix(rng, atoms)),),
+                    theory.vocabulary)
+            compiled = compile_theory(theory)
+            preds = [p for p in compiled.vocabulary if p.arity]
+            binary = [p for p in preds if p.arity == 2]
+            cross = [Atom(p, args) for p in binary
+                     for args in ((0, 1), (1, 0))]
+            pairs = [ForAll(X, ForAll(Y, Or(Eq(X, Y), s.body.body)))
+                     for s in _normalized(theory)[0]
+                     if isinstance(s, ForAll) and isinstance(s.body, ForAll)]
+            for branch in compiled.branches:
+                nullary = {Atom(Predicate(name, 0), ())
+                           for name, bit in branch.nullary_values if bit}
+                for (a, b), codes in branch.pair_counts.items():
+                    for cells in itertools.product(branch.cells[a],
+                                                   branch.cells[b]):
+                        own = {Atom(p, (e,) * p.arity)
+                               for e, cell in enumerate(cells)
+                               for p, bit in zip(preds, cell) if bit}
+                        want = []
+                        for bits in itertools.product((0, 1),
+                                                      repeat=len(cross)):
+                            world = PossibleWorld(frozenset(own | nullary | {
+                                x for x, bit in zip(cross, bits) if bit}))
+                            if all(evaluate(s, world, Domain(2))
+                                   for s in pairs):
+                                want.append(sum(
+                                    3 ** k * (bits[2 * k] + bits[2 * k + 1])
+                                    for k in range(len(binary))))
+                        assert codes == sorted(want), theory.sentences
 
     def test_symmetry(self):
         # The cells in reverse order swap which end of each pair is the
@@ -307,6 +360,38 @@ class TestLiftedWfomc:
                          [F])
         with pytest.raises(UnsupportedSentenceError, match="3 distinct"):
             compile_theory(t).wfomc(ONES, ONES, Domain(2))
+
+    @pytest.mark.parametrize("sentence, error, message", [
+        # Free variables first, before any fault found inside the sentence.
+        (Or(Exists(X, Atom(Predicate("q", 1), (X,))), Atom(P, (Y,))),
+         UnsupportedSentenceError,
+         "sentence has free variables: (exists x q(x)) | p(y)"),
+        # Otherwise the first fault in pre-order.
+        (ForAll(X, Or(Eq(X, X), Atom(P, (0,)))), UnsupportedSentenceError,
+         "equality atoms are outside the lifted fragment"),
+        (ForAll(X, Or(Atom(P, (0,)), Eq(X, X))), UnsupportedSentenceError,
+         "constants (domain elements) are outside the lifted fragment"),
+        # The variable count last.
+        (ForAll(X, ForAll(Y, Exists(Var("z"), Atom(Predicate("q", 2),
+                                                    (X, Y))))),
+         VocabularyError, "undeclared predicate q/2"),
+    ], ids=["free-undeclared", "equality-constant", "constant-equality",
+            "three-names-undeclared"])
+    @pytest.mark.parametrize("entry", ["compile", "marginal",
+                                       "constrained_marginal"])
+    def test_error_precedence(self, sentence, error, message, entry):
+        mln = Mln.of([(Atom(P, (X,)), 0.5)], [P, F])
+        cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
+                                   Between(0, 0, 2))
+        with pytest.raises(MlncountError) as caught:
+            if entry == "compile":
+                compile_theory(Fo2Theory.of([sentence], [P, F]))
+            elif entry == "marginal":
+                marginal(mln, sentence, Domain(2))
+            else:
+                constrained_marginal(mln, cc, sentence, Domain(2))
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     def test_overflow_detected(self):
         t = Fo2Theory.of([], [F])

@@ -327,6 +327,23 @@ def test_fold_drops_quantifier_left_vacuous_by_folding():
     assert fold(Exists(X, Not(Atom(Q, ()))), {Atom(Q, ()): FALSE}) == TRUE
 
 
+_Q1 = Predicate("q", 1)
+
+
+@pytest.mark.parametrize("f, free, folded", [
+    # The inner x shadows the outer, which binds nothing.
+    (ForAll(X, Exists(X, Atom(P, (X,)))), set(), Exists(X, Atom(P, (X,)))),
+    # The inner x shadows the outer in its own scope only.
+    (ForAll(X, And(Atom(P, (X,)), Exists(X, Atom(_Q1, (X,))))), set(), None),
+    (Exists(Y, ForAll(X, Atom(F, (X, X)))), set(), ForAll(X, Atom(F, (X, X)))),
+    (ForAll(Y, Or(Atom(P, (X,)), Atom(_Q1, (Y,)))), {X}, None),
+], ids=["shadowed-vacuous", "shadowed-scoped", "vacuous-outer", "open"])
+def test_shadowed_and_vacuous_quantifiers(f, free, folded):
+    # None: nothing is vacuous, so fold returns its input.
+    assert free_variables(f) == free
+    assert fold(f) is f if folded is None else fold(f) == folded
+
+
 def test_rewrite_that_changes_nothing_returns_its_input():
     # No Truth leaf, no vacuous quantifier: fold and an identity
     # substitution return the node they were given, not an equal copy.
