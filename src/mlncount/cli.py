@@ -224,26 +224,20 @@ _COMMANDS = {
 }
 
 
+# The exit code of the first entry an error is of; else 1 (MlncountError).
+_EXIT_CODES = (((FormulaSyntaxError, VocabularyError, TooManyVariablesError,
+                 UnsupportedSentenceError, OSError), 2),
+               (InfeasibleConstraintError, 3), (BruteForceCapError, 4))
+
+
 def main(argv=None) -> int:
     args = _build_argparser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FormulaSyntaxError, VocabularyError, TooManyVariablesError,
-            UnsupportedSentenceError) as err:
+    except (MlncountError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except InfeasibleConstraintError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except BruteForceCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except MlncountError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return next((code for kinds, code in _EXIT_CODES
+                     if isinstance(err, kinds)), 1)
 
 
 if __name__ == "__main__":

@@ -34,11 +34,12 @@ that is polynomial in the domain size:
    p's diagonal weight (a soft or count ``p(x,x)``) multiplies into that
    bit's weight.  The binary matrices hold over a (cell i, cell j, cross
    assignment) grid, x in cell i, evaluated once: x in cell j is its
-   transpose with each assignment's halves swapped.  One matmul against a
-   size-only one-hot table counts each cell pair's allowed assignments per
-   base-3 code.  Cells with equal rows of counts merge, weights summed,
-   which cuts the compositions visited.  Each distinct row between classes
-   becomes a sorted code list once; each call builds a code's monomial once.
+   transpose with each assignment's halves swapped.  One count over the
+   grid gives each cell pair's allowed assignments per base-3 code, digit
+   k the k-th binary predicate's true cross atoms.  Cells with equal rows
+   of counts merge, weights summed, which cuts the compositions visited.
+   Each distinct row between classes becomes a sorted code list once;
+   each call builds a code's monomial once.
 5. *Layered collapse* into outer labels.  A class is separable when the
    cross assignments it allows toward every class are every combination of
    a set of its own outgoing atoms p(u, v) with a set of the other's (as
@@ -78,8 +79,8 @@ from .errors import (
 )
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, Predicate, TRUE, Truth, Var, children, diagonal, evaluate_bitwise,
-    fold, free_variables, fresh_predicate, leaf_terms, substitute,
+    Or, Predicate, TRUE, Var, children, diagonal, evaluate_bitwise, fold,
+    free_variables, fresh_predicate, leaf_terms, substitute,
 )
 
 # Bound on the bytes of an array evaluated at once: (cell, cell, cross
@@ -181,9 +182,9 @@ def _eliminate_inner(f: Formula, vocab: list, out: list) -> Formula:
     join ``vocab``, emitting the defining clauses into ``out``.  Returns a
     quantifier-free formula, ``f`` itself if it is one."""
     if not isinstance(f, (ForAll, Exists)):
-        parts = [_eliminate_inner(g, vocab, out) for g in children(f)]
-        return f if all(map(operator.is_, parts, children(f))) \
-            else type(f)(*parts)
+        old = children(f)
+        parts = [_eliminate_inner(g, vocab, out) for g in old]
+        return f if all(map(operator.is_, parts, old)) else type(f)(*parts)
     inner = _eliminate_inner(f.body, vocab, out)
     # At most one: ``_check_fragment`` allows two variable names.
     fv = sorted(free_variables(inner) - {f.var})
@@ -256,13 +257,12 @@ def _assignments(k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _codes(b: int) -> np.ndarray:
-    """Per cross assignment of b binary predicates, ``_assignments(2b)``, the
-    one-hot row of its base-3 code; built once per b, read-only."""
+    """Per cross assignment of b binary predicates, ``_assignments(2b)``,
+    its base-3 code; built once per b, read-only."""
     cross = _assignments(2 * b)
     code = (cross[:, :b].astype(np.int64) + cross[:, b:]) @ 3 ** np.arange(b)
-    table = np.identity(3 ** b)[code]
-    table.flags.writeable = False
-    return table
+    code.flags.writeable = False
+    return code
 
 
 def _holds(preds, rows: np.ndarray, matrices) -> np.ndarray:
@@ -322,9 +322,12 @@ def _pair_table(matrices2, preds, table):
     # with each assignment's halves swapped.
     holds = holds.reshape(c, c, half, half)
     ok = holds & holds.transpose(1, 0, 3, 2)
-    counts = ok.reshape(c * c, len(cross)) @ _codes(b)
-    # A count is at most 2^b, the assignments of one code.
-    counts = counts.astype(np.min_scalar_type(2 ** b))
+    # Counts per pair p = c i + j and code k, at p 3^b + k.  A count is at
+    # most 2^b, the assignments of one code.
+    pair, assignment = np.nonzero(ok.reshape(c * c, len(cross)))
+    counts = np.bincount(pair * 3 ** b + _codes(b)[assignment],
+                         minlength=c * c * 3 ** b)
+    counts = counts.astype(np.min_scalar_type(half))
     return counts.reshape(c, c, 3 ** b), ok.any(axis=3)
 
 

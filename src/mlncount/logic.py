@@ -9,7 +9,6 @@ enumeration order used elsewhere in the engine.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -186,7 +185,9 @@ def fresh_predicate(base: str, arity: int, vocab: list) -> Predicate:
     """A predicate named the first of base0, base1, ... that no predicate of
     ``vocab`` has, appended to ``vocab``."""
     names = {p.name for p in vocab}
-    i = next(i for i in itertools.count() if f"{base}{i}" not in names)
+    i = 0
+    while f"{base}{i}" in names:
+        i += 1
     vocab.append(Predicate(f"{base}{i}", arity))
     return vocab[-1]
 
@@ -242,20 +243,27 @@ def substitute(f: Formula, binding: dict[Var, Term]) -> Formula:
     or by other variables, all at once: {x: y, y: x} swaps x and y.  A
     quantifier of ``f`` may capture a variable substituted into its body.
     A subformula that nothing changes is returned as it is."""
-    if isinstance(f, (Atom, Eq)):
-        old = leaf_terms(f)
-        new = tuple(binding.get(t, t) if isinstance(t, Var) else t
-                    for t in old)
-        if new == old:
-            return f
-        return Atom(f.pred, new) if isinstance(f, Atom) else Eq(*new)
+    if isinstance(f, Atom):
+        args = tuple(binding.get(a, a) if isinstance(a, Var) else a
+                     for a in f.args)
+        return f if args == f.args else Atom(f.pred, args)
+    if isinstance(f, Eq):
+        left = binding.get(f.left, f.left) if isinstance(f.left, Var) else f.left
+        right = binding.get(f.right, f.right) if isinstance(f.right, Var) else f.right
+        return Eq(left, right)
+    if isinstance(f, Truth):
+        return f
+    if isinstance(f, Not):
+        body = substitute(f.body, binding)
+        return f if body is f.body else Not(body)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        a, b = substitute(f.left, binding), substitute(f.right, binding)
+        return f if a is f.left and b is f.right else type(f)(a, b)
     if isinstance(f, (ForAll, Exists)):
         inner = {v: e for v, e in binding.items() if v != f.var}
         body = substitute(f.body, inner) if inner else f.body
         return f if body is f.body else type(f)(f.var, body)
-    parts = [substitute(g, binding) for g in children(f)]
-    return f if all(map(operator.is_, parts, children(f))) \
-        else type(f)(*parts)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def _negate(f: Formula) -> Formula:
@@ -306,8 +314,12 @@ def groundings(f: Formula, d: Domain) -> list[Formula]:
     ascending, first variable slowest.  A closed formula yields itself.
     """
     fv = sorted(free_variables(f), key=lambda v: v.name)
-    return [substitute(f, dict(zip(fv, combo)))
-            for combo in itertools.product(d.elements, repeat=len(fv))]
+    if not fv:
+        return [f]
+    out = []
+    for combo in itertools.product(d.elements, repeat=len(fv)):
+        out.append(substitute(f, dict(zip(fv, combo))))
+    return out
 
 
 def evaluate_bitwise(f: Formula, leaves: dict):
@@ -336,8 +348,11 @@ def evaluate_bitwise(f: Formula, leaves: dict):
 def ground_atoms(vocab, d: Domain) -> list[Atom]:
     """Every ground atom over the vocabulary, in the fixed enumeration order:
     predicates in declaration order, argument tuples lexicographic."""
-    return [Atom(p, args) for p in vocab
-            for args in itertools.product(d.elements, repeat=p.arity)]
+    atoms = []
+    for p in vocab:
+        for args in itertools.product(d.elements, repeat=p.arity):
+            atoms.append(Atom(p, args))
+    return atoms
 
 
 # Precedence levels for the printer; must match the surface grammar.

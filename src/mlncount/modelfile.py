@@ -116,14 +116,20 @@ def parse_model_text(text: str) -> Model:
                     raise FormulaSyntaxError("expected 'hard : <formula>'")
                 formula = parse_formula(rest[1:].strip(), list(preds.values()))
                 weighted.append((formula, math.inf))
-            elif head == "count":
+            elif head in ("count", "query"):
                 name, formula_text = _split_colon(rest)
+                named = counts if head == "count" else queries
                 if not _NAME.match(name):
-                    raise FormulaSyntaxError(f"invalid count name {name!r}")
-                if any(n == name for n, _ in counts):
-                    raise VocabularyError(f"duplicate count name {name!r}")
-                counts.append((name,
-                               parse_formula(formula_text, list(preds.values()))))
+                    raise FormulaSyntaxError(f"invalid {head} name {name!r}")
+                if any(n == name for n, _ in named):
+                    raise VocabularyError(f"duplicate {head} name {name!r}")
+                formula = parse_formula(formula_text, list(preds.values()))
+                if head == "query" and free_variables(formula):
+                    raise FormulaSyntaxError(
+                        f"query {name!r} must be a sentence "
+                        f"(free variables: "
+                        f"{', '.join(sorted(v.name for v in free_variables(formula)))})")
+                named.append((name, formula))
             elif head == "cardinality":
                 clauses.append(_parse_cardinality(rest, counts))
             elif head == "function":
@@ -135,19 +141,6 @@ def parse_model_text(text: str) -> Model:
                         f"function constraint needs a binary relation, "
                         f"{pred} is unary")
                 functions.append(FunctionConstraint(pred))
-            elif head == "query":
-                name, formula_text = _split_colon(rest)
-                if not _NAME.match(name):
-                    raise FormulaSyntaxError(f"invalid query name {name!r}")
-                if any(n == name for n, _ in queries):
-                    raise VocabularyError(f"duplicate query name {name!r}")
-                formula = parse_formula(formula_text, list(preds.values()))
-                if free_variables(formula):
-                    raise FormulaSyntaxError(
-                        f"query {name!r} must be a sentence "
-                        f"(free variables: "
-                        f"{', '.join(sorted(v.name for v in free_variables(formula)))})")
-                queries.append((name, formula))
             else:
                 raise FormulaSyntaxError(f"unknown directive {head!r}")
         except (FormulaSyntaxError, VocabularyError,
@@ -190,28 +183,24 @@ def _split_colon(rest: str) -> tuple[str, str]:
 
 def _parse_cardinality(rest: str, counts):
     names = [n for n, _ in counts]
-    if "==" in rest:
-        name, _, value = rest.partition("==")
-        name, value = name.strip(), value.strip()
-        if name not in names:
-            raise VocabularyError(f"undeclared count name {name!r}")
+    op = next((op for op in ("==", " in ") if op in rest), None)
+    if op is None:
+        raise FormulaSyntaxError(
+            "expected 'cardinality <name> == <int>' or "
+            "'cardinality <name> in <lo>..<hi>'")
+    name, _, value = (part.strip() for part in rest.partition(op))
+    if name not in names:
+        raise VocabularyError(f"undeclared count name {name!r}")
+    if op == "==":
         if not value.isdigit():
             raise FormulaSyntaxError(
                 f"expected an integer after '==', got {value!r}")
         return Equals(names.index(name), int(value))
-    if " in " in rest:
-        name, _, range_text = rest.partition(" in ")
-        name, range_text = name.strip(), range_text.strip()
-        if name not in names:
-            raise VocabularyError(f"undeclared count name {name!r}")
-        m = _RANGE.match(range_text)
-        if not m:
-            raise FormulaSyntaxError(
-                f"expected 'lo..hi' after 'in', got {range_text!r}")
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise FormulaSyntaxError(f"empty range {lo}..{hi}")
-        return Between(names.index(name), lo, hi)
-    raise FormulaSyntaxError(
-        "expected 'cardinality <name> == <int>' or "
-        "'cardinality <name> in <lo>..<hi>'")
+    m = _RANGE.match(value)
+    if not m:
+        raise FormulaSyntaxError(
+            f"expected 'lo..hi' after 'in', got {value!r}")
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise FormulaSyntaxError(f"empty range {lo}..{hi}")
+    return Between(names.index(name), lo, hi)

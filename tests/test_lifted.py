@@ -3,6 +3,7 @@ import gc
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -176,6 +177,25 @@ def _codes_between(counts, i, j):
     return [code for code, k in enumerate(counts[i, j]) for _ in range(k)]
 
 
+def _smokers(b):
+    """smokes/1 and friends/2 with b - 1 two-variable soft formulas, each
+    weighed on a binary indicator of its own: b binary predicates over few
+    cells."""
+    s, f = Predicate("smokes", 1), Predicate("friends", 2)
+    formulas = [
+        Implies(And(Atom(f, (X, Y)), Atom(s, (X,))), Atom(s, (Y,))),
+        Implies(Atom(f, (X, Y)), Atom(f, (Y, X))),
+        Or(Atom(f, (X, Y)), Atom(s, (Y,))),
+        Iff(Atom(s, (X,)), Atom(f, (Y, X))),
+        And(Atom(s, (X,)), Not(Atom(s, (Y,)))),
+        Implies(Atom(f, (Y, X)), Atom(s, (X,))),
+        Or(Not(Atom(f, (X, Y))), Not(Atom(s, (Y,)))),
+    ]
+    mln = Mln.of([(g, 0.5 + k / 10) for k, g in enumerate(formulas[:b - 1])],
+                 [s, f])
+    return translate_mln(mln)[0]
+
+
 def _pair_weights(matrix, preds, w, wbar, table=None):
     """``_label_table``'s pair-weight matrix under ``matrix`` between the
     cells in ``table`` (default: every cell of ``preds``), each cell a
@@ -264,7 +284,10 @@ class TestPairWeight:
         # Per class pair of every branch, and every cell of either class:
         # the codes of the cross assignments between two elements under
         # which every normalized forall-forall sentence holds.
+        # Random theories have at most one binary predicate; the smokers
+        # theory has four, so the codes have four base-3 digits.
         rng = random.Random(2718)
+        theories = [_smokers(4)]
         for _ in range(20):
             theory, _, _ = random_theory(rng)
             if rng.random() < 0.5:
@@ -272,6 +295,8 @@ class TestPairWeight:
                 theory = Fo2Theory.of(
                     theory.sentences + (Exists(X, random_matrix(rng, atoms)),),
                     theory.vocabulary)
+            theories.append(theory)
+        for theory in theories:
             compiled = compile_theory(theory)
             preds = [p for p in compiled.vocabulary if p.arity]
             binary = [p for p in preds if p.arity == 2]
@@ -300,6 +325,21 @@ class TestPairWeight:
                                     3 ** k * (bits[2 * k] + bits[2 * k + 1])
                                     for k in range(len(binary))))
                         assert codes == sorted(want), theory.sentences
+
+    def test_many_binary_predicates_compile_in_bounded_memory(self):
+        # Seven binary predicates over few cells: the pair table's work and
+        # memory grow with 4^7 cross assignments per cell pair, and no
+        # table over every (assignment, code) pair, 4^7 * 3^7 entries, is
+        # built.
+        theory = _smokers(7)
+        tracemalloc.start()
+        try:
+            compiled = compile_theory(theory)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(p.arity == 2 for p in compiled.vocabulary) == 7
+        assert peak < 16 << 20
 
     def test_symmetry(self):
         # The cells in reverse order swap which end of each pair is the
