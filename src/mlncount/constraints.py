@@ -18,8 +18,8 @@ three-variable uniqueness clause never has to be evaluated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections import namedtuple
+from typing import Sequence
 
 import numpy as np
 
@@ -27,15 +27,22 @@ from .errors import (
     RESOLVE_LIMIT, InfeasibleConstraintError, NumericResidueError,
 )
 from .lifted import _check_fragment, times_exp
-from .logic import Atom, Domain, Exists, ForAll, Formula, Predicate, Var
+from .logic import (
+    Atom, Domain, Exists, ForAll, Formula, Predicate, Var, _Value,
+)
 from .mln import Mln, as_probability
 # Unused here; kept so that ``constraints.partition_function`` resolves.
 from .mln import partition_function  # noqa: F401
 from .spectrum import CountSpec, count_distribution, shape_vector
 
 
-class CardinalityPredicate:
+class CardinalityPredicate(_Value):
     """Total 0/1 predicate over integer count vectors."""
+
+    __slots__ = ()
+
+    def __bool__(self):  # true as a value, though TautologyTrue() is ()
+        return True
 
     def __call__(self, vector: Sequence[int]) -> bool:
         raise NotImplementedError
@@ -45,16 +52,15 @@ class CardinalityPredicate:
         return -1
 
 
-@dataclass(frozen=True)
-class TautologyTrue(CardinalityPredicate):
+class TautologyTrue(CardinalityPredicate, namedtuple("TautologyTrue", ())):
+    __slots__ = ()
+
     def __call__(self, vector):
         return True
 
 
-@dataclass(frozen=True)
-class Equals(CardinalityPredicate):
-    dim: int
-    value: int
+class Equals(CardinalityPredicate, namedtuple("Equals", "dim value")):
+    __slots__ = ()
 
     def __call__(self, vector):
         return vector[self.dim] == self.value
@@ -63,11 +69,8 @@ class Equals(CardinalityPredicate):
         return self.dim
 
 
-@dataclass(frozen=True)
-class Between(CardinalityPredicate):
-    dim: int
-    lo: int
-    hi: int
+class Between(CardinalityPredicate, namedtuple("Between", "dim lo hi")):
+    __slots__ = ()
 
     def __call__(self, vector):
         return self.lo <= vector[self.dim] <= self.hi
@@ -76,9 +79,8 @@ class Between(CardinalityPredicate):
         return self.dim
 
 
-@dataclass(frozen=True)
-class Conjunction(CardinalityPredicate):
-    parts: tuple[CardinalityPredicate, ...]
+class Conjunction(CardinalityPredicate, namedtuple("Conjunction", "parts")):
+    __slots__ = ()
 
     def __call__(self, vector):
         return all(p(vector) for p in self.parts)
@@ -87,37 +89,39 @@ class Conjunction(CardinalityPredicate):
         return max((p.max_dimension() for p in self.parts), default=-1)
 
 
-@dataclass(frozen=True)
-class CustomPredicate(CardinalityPredicate):
-    """Escape hatch wrapping an arbitrary total predicate on count vectors."""
+class CustomPredicate(CardinalityPredicate, namedtuple("CustomPredicate",
+                                                       "fn")):
+    """Escape hatch wrapping an arbitrary total predicate on count vectors,
+    ``fn(vector) -> bool``."""
 
-    fn: Callable[[Sequence[int]], bool]
+    __slots__ = ()
 
     def __call__(self, vector):
         return bool(self.fn(vector))
 
 
-@dataclass(frozen=True)
-class CardinalityConstraint:
-    psi: CountSpec
-    predicate: CardinalityPredicate
+class CardinalityConstraint(_Value, namedtuple("CardinalityConstraint",
+                                               "psi predicate")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.predicate.max_dimension() >= len(self.psi):
+    def __new__(cls, psi: CountSpec, predicate: CardinalityPredicate):
+        if predicate.max_dimension() >= len(psi):
             raise ValueError(
-                f"predicate inspects dimension {self.predicate.max_dimension()}"
-                f" but the count spec has {len(self.psi)} formula(s)")
+                f"predicate inspects dimension {predicate.max_dimension()}"
+                f" but the count spec has {len(psi)} formula(s)")
+        return tuple.__new__(cls, (psi, predicate))
 
 
-@dataclass(frozen=True)
-class FunctionConstraint:
-    relation: Predicate
+class FunctionConstraint(_Value, namedtuple("FunctionConstraint",
+                                            "relation")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.relation.arity != 2:
+    def __new__(cls, relation: Predicate):
+        if relation.arity != 2:
             raise ValueError(
                 f"function constraint needs a binary relation, got "
-                f"{self.relation}")
+                f"{relation}")
+        return tuple.__new__(cls, (relation,))
 
 
 def _kept_masses(phi: Mln, cc: CardinalityConstraint, d: Domain, extra=()):

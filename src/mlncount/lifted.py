@@ -69,7 +69,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -79,8 +79,8 @@ from .errors import (
 )
 from .logic import (
     And, Atom, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not,
-    Or, Predicate, TRUE, Var, children, diagonal, evaluate_bitwise, fold,
-    free_variables, fresh_predicate, leaf_terms, substitute,
+    Or, Predicate, TRUE, Var, _Value, children, diagonal, evaluate_bitwise,
+    fold, free_variables, fresh_predicate, leaf_terms, substitute,
 )
 
 # Bound on the bytes of an array evaluated at once: (cell, cell, cross
@@ -117,12 +117,10 @@ def times_exp(x, y, z, what: str, *args):
     return value
 
 
-@dataclass(frozen=True)
-class Fo2Theory:
+class Fo2Theory(_Value, namedtuple("Fo2Theory", "sentences vocabulary")):
     """A finite set of closed two-variable sentences over a vocabulary."""
 
-    sentences: tuple[Formula, ...]
-    vocabulary: tuple[Predicate, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(sentences, vocabulary) -> "Fo2Theory":
@@ -333,32 +331,30 @@ def _pair_table(matrices2, preds, table):
 
 # --- compiled theories ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Branch:
-    nullary_values: tuple[tuple[str, bool], ...]
+class _Branch(_Value, namedtuple("_Branch", [
+    "nullary_values",
     # (-1)^|S|, S the ``exists x`` sentences whose complements it counts.
-    sign: int
+    "sign",
     # Per class of interchangeable cells, its cells' bool rows over the
     # element predicates.
-    cells: tuple[list, ...]
+    "cells",
     # (a, b), a <= b -> the sorted codes between classes a and b, each as
     # often as ``_pair_table`` counts it; ``_label_table`` weighs them.
-    pair_counts: dict
+    "pair_counts",
     # What the composition sum runs over, and what it weighs them by:
     # ``_outer_labels`` of the classes.
-    labels: tuple[tuple[int, ...], ...]
-    outgoing: dict
+    "labels", "outgoing"])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CompiledTheory:
-    vocabulary: tuple[Predicate, ...]
-    branches: tuple[_Branch, ...]
+class CompiledTheory(_Value, namedtuple("CompiledTheory", [
+    "vocabulary", "branches",
     # (1, -1) weight pairs of the relaxation predicates introduced by
     # Skolemization; applied on top of caller weights at evaluation time.
-    skolem_weights: tuple[tuple[str, tuple[int, int]], ...] = ()
+    "skolem_weights",
     # Per nullary branch, what ``_expand`` builds its branches from.
-    tables: tuple = field(default=(), repr=False, compare=False)
+    "tables"], defaults=((), ()))):
+    __slots__ = ()
 
     def _conditioned(self, gamma: Formula) -> "CompiledTheory | None":
         """This theory and ``gamma`` (checked by ``_check_fragment``) as

@@ -9,45 +9,61 @@ enumeration order used elsewhere in the engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Union
 
 from .errors import VocabularyError
 
 
-@dataclass(frozen=True)
-class Domain:
+class _Value(tuple):
+    """Base of the value classes: a ``namedtuple`` of the fields, hashable,
+    immutable, and equal only to a value of the same class with equal
+    fields.  ``_replace`` checks its result as the constructor does."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Domain(_Value, namedtuple("Domain", "size")):
     """A finite domain; elements are the integers ``0..size-1``."""
 
-    size: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __new__(cls, size):
+        if size < 1:
             raise ValueError("domain size must be >= 1")
+        return tuple.__new__(cls, (size,))
 
     @property
     def elements(self) -> range:
         return range(self.size)
 
 
-@dataclass(frozen=True, order=True)
-class Predicate:
-    name: str
-    arity: int
+class Predicate(_Value, namedtuple("Predicate", "name arity")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arity < 0 or self.arity > 2:
+    def __new__(cls, name, arity):
+        if arity < 0 or arity > 2:
             raise VocabularyError(
-                f"predicate {self.name}/{self.arity}: arity must be 0, 1 or 2"
-            )
+                f"predicate {name}/{arity}: arity must be 0, 1 or 2")
+        return tuple.__new__(cls, (name, arity))
 
     def __str__(self):
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    name: str
+class Var(_Value, namedtuple("Var", "name")):
+    __slots__ = ()
 
     def __str__(self):
         return self.name
@@ -57,7 +73,7 @@ class Var:
 Term = Union[Var, int]
 
 
-class Formula:
+class Formula(_Value):
     """Base class of all formula nodes."""
 
     __slots__ = ()
@@ -69,75 +85,58 @@ class Formula:
         return f"{type(self).__name__}({pretty(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
-class Atom(Formula):
-    pred: Predicate
-    args: tuple[Term, ...]
+class Atom(Formula, namedtuple("Atom", "pred args")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.args) != self.pred.arity:
+    def __new__(cls, pred, args):
+        if len(args) != pred.arity:
             raise VocabularyError(
-                f"atom {self.pred.name} given {len(self.args)} argument(s), "
-                f"declared arity is {self.pred.arity}"
+                f"atom {pred.name} given {len(args)} argument(s), "
+                f"declared arity is {pred.arity}"
             )
+        return tuple.__new__(cls, (pred, args))
 
 
-@dataclass(frozen=True, repr=False)
-class Eq(Formula):
+class Eq(Formula, namedtuple("Eq", "left right")):
     """Equality between two terms; exhaustive-oracle only."""
 
-    left: Term
-    right: Term
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Truth(Formula):
-    value: bool
+class Truth(Formula, namedtuple("Truth", "value")):
+    __slots__ = ()
 
 
 TRUE = Truth(True)
 FALSE = Truth(False)
 
 
-@dataclass(frozen=True, repr=False)
-class Not(Formula):
-    body: Formula
+class Not(Formula, namedtuple("Not", "body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(Formula, namedtuple("And", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(Formula, namedtuple("Or", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(Formula, namedtuple("Implies", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Iff(Formula, namedtuple("Iff", "left right")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class ForAll(Formula):
-    var: Var
-    body: Formula
+class ForAll(Formula, namedtuple("ForAll", "var body")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
-class Exists(Formula):
-    var: Var
-    body: Formula
+class Exists(Formula, namedtuple("Exists", "var body")):
+    __slots__ = ()
 
 
 _BINARY = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
@@ -397,10 +396,11 @@ def _pretty(f: Formula, parent_prec: int) -> str:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def universal_closure(f: Formula) -> Formula:
-    """Quantify every free variable universally, in sorted name order."""
+def universal_closure(f: Formula, fv=None) -> Formula:
+    """Quantify every free variable universally, in sorted name order;
+    ``fv``, if given, is f's free variables in that order."""
     out = f
-    for v in sorted(free_variables(f), key=lambda v: v.name, reverse=True):
+    for v in reversed(sorted(free_variables(f)) if fv is None else fv):
         out = ForAll(v, out)
     return out
 

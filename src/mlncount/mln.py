@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CANCEL_LIMIT, COUNT_IMAG_TOL, PROB_TOL, InfeasibleConstraintError,
@@ -22,17 +22,15 @@ from .errors import (
 from . import lifted
 from .lifted import Fo2Theory, times_exp
 from .logic import (
-    Atom, Domain, Formula, Iff, Not, Predicate, Var, WeightFunction,
-    diagonal, fresh_predicate, free_variables, universal_closure,
+    Atom, Domain, Formula, Iff, Not, Var, WeightFunction, _Value, diagonal,
+    fresh_predicate, free_variables, universal_closure,
 )
 
 
-@dataclass(frozen=True)
-class Mln:
+class Mln(_Value, namedtuple("Mln", "weighted_formulas vocabulary")):
     """Weighted formulas (natural-log scale) over a declared vocabulary."""
 
-    weighted_formulas: tuple[tuple[Formula, float], ...]
-    vocabulary: tuple[Predicate, ...]
+    __slots__ = ()
 
     @staticmethod
     def of(weighted_formulas, vocabulary) -> "Mln":
@@ -54,10 +52,10 @@ def weigh(formula, y, phi, sentences, vocab, weights, base, z=1):
         key = (atom.pred.name if len(set(atom.args)) == atom.pred.arity
                else diagonal(atom.pred))
     else:
-        fv = tuple(sorted(free_variables(formula), key=lambda v: v.name))
+        fv = tuple(sorted(free_variables(formula)))
         pred = fresh_predicate(base, len(fv), vocab)
         key, side = pred.name, True
-        sentences.append(universal_closure(Iff(Atom(pred, fv), formula)))
+        sentences.append(universal_closure(Iff(Atom(pred, fv), formula), fv))
     weights[side] = weights[side].updated({key: times_exp(
         weights[side](key), y, z, "weight %g of %s", y, formula)})
 

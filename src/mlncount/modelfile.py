@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constraints import (
     Between, CardinalityConstraint, Conjunction, Equals, FunctionConstraint,
     rewrite_function_constraints,
 )
 from .errors import FormulaSyntaxError, TooManyVariablesError, VocabularyError
-from .logic import Domain, Formula, Predicate, free_variables
+from .logic import Domain, Formula, Predicate, _Value, free_variables
 from .mln import Mln
 from .parser import _KEYWORDS, parse_formula
 from .spectrum import CountSpec
@@ -39,16 +39,15 @@ _NAME = re.compile(r"^[a-z_][A-Za-z0-9_]*$")
 _RANGE = re.compile(r"^(\d+)\s*\.\.\s*(\d+)$")
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Value, namedtuple("Model", [
+    "domain", "vocabulary", "mln",
+    "count_spec",  # a CountSpec or None
+    "cardinality",  # a CardinalityConstraint or None
+    "queries",  # ((name, Formula), ...)
+])):
     """A fully validated model file."""
 
-    domain: Domain
-    vocabulary: tuple[Predicate, ...]
-    mln: Mln
-    count_spec: CountSpec | None
-    cardinality: CardinalityConstraint | None
-    queries: tuple[tuple[str, Formula], ...]
+    __slots__ = ()
 
 
 def parse_model(path: str) -> Model:

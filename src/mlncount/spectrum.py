@@ -16,7 +16,7 @@ the distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -24,19 +24,19 @@ from .errors import (
     GRID_IMAG_TOL, GRID_NEG_TOL, GRID_SUM_TOL, NumericResidueError,
 )
 from .lifted import compile_theory
-from .logic import Domain, Formula, free_variables
+from .logic import Domain, Formula, _Value, free_variables
 from .mln import Mln, as_normalizer, translate_mln
 
 
-@dataclass(frozen=True)
-class CountSpec:
+class CountSpec(_Value, namedtuple("CountSpec", "formulas")):
     """The formulas whose true-grounding counts are tracked."""
 
-    formulas: tuple[Formula, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.formulas:
+    def __new__(cls, formulas):
+        if not formulas:
             raise ValueError("count spec must contain at least one formula")
+        return tuple.__new__(cls, (formulas,))
 
     @staticmethod
     def of(formulas) -> "CountSpec":
@@ -51,25 +51,27 @@ def shape_vector(psi: CountSpec, d: Domain) -> tuple[int, ...]:
     return tuple(d.size ** len(free_variables(b)) + 1 for b in psi.formulas)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Value, namedtuple("Spectrum", [
+    "values",  # complex128, shape = shape_vector(psi, d)
+    "normalizer",  # Z, the count at frequency zero
+], defaults=(1.0,))):
     """Complex transform values on the full frequency grid."""
 
-    values: np.ndarray  # complex128, shape = shape_vector(psi, d)
-    normalizer: float = 1.0  # Z, the count at frequency zero
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
 
-@dataclass(frozen=True)
-class CountDistribution:
+class CountDistribution(_Value, namedtuple("CountDistribution", [
+    "probabilities",  # float64, shape = shape_vector(psi, d)
+    "normalizer",  # Z of the spectrum the grid was read from
+    "residue",  # worst |imaginary part| or negative mass inverted
+], defaults=(1.0, 0.0))):
     """Probabilities on the count grid; indices are count vectors."""
 
-    probabilities: np.ndarray  # float64, shape = shape_vector(psi, d)
-    normalizer: float = 1.0  # Z of the spectrum the grid was read from
-    residue: float = 0.0  # worst |imaginary part| or negative mass inverted
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple[int, ...]:

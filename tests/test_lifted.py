@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 import math
@@ -995,10 +994,10 @@ def _two_sided_theory(rng):
 def _class_level_wfomc(compiled, w, wbar, n):
     """``CompiledTheory.wfomc`` over the uncollapsed class-level tables:
     each branch with one label per class and no outgoing sets."""
-    branches = tuple(dataclasses.replace(
-        branch, labels=tuple((k,) for k in range(len(branch.cells))),
+    branches = tuple(branch._replace(
+        labels=tuple((k,) for k in range(len(branch.cells))),
         outgoing={}) for branch in compiled.branches)
-    return dataclasses.replace(compiled, branches=branches).wfomc(
+    return compiled._replace(branches=branches).wfomc(
         w, wbar, Domain(n))[0]
 
 
