@@ -14,8 +14,7 @@ from .brute import (
     brute_wfomc,
 )
 from .constraints import (
-    Between, CardinalityConstraint, CardinalityPredicate, Conjunction,
-    CustomPredicate, Equals, FunctionConstraint, TautologyTrue,
+    Between, CardinalityConstraint, Conjunction, Equals, FunctionConstraint,
     analytic_fixed_points, constrained_marginal, constrained_partition,
     fixed_point_distribution, rewrite_function_constraints,
 )

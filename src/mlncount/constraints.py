@@ -1,13 +1,14 @@
 """Hard constraints on grounding counts, and function constraints.
 
 A cardinality constraint pairs count formulas with a 0/1 predicate over
-their count vectors; worlds whose counts fail the predicate get probability
-zero.  One reader lists the kept count vectors, then takes their masses
-off one count grid, tilted toward the middle of the kept counts on each
-axis and carrying its normalizer: the constrained normalizer, every
-marginal (an extra axis for the query's truth) and the fixed-point law of
-a random function (an extra axis for ``f(x, x)``) are read off it.  The
-tilt depends on the kept set alone, not on how the predicate spells it.
+their count vectors, any callable; worlds whose counts fail the predicate
+get probability zero.  One reader lists the kept count vectors, then takes
+their masses off one count grid, tilted toward the middle of the kept
+counts on each axis and carrying its normalizer: the constrained
+normalizer, every marginal (an extra axis for the query's truth) and the
+fixed-point law of a random function (an extra axis for ``f(x, x)``) are
+read off it.  The tilt depends on the kept set alone, not on how the
+predicate spells it.
 
 A function constraint on a binary relation (every element maps to exactly
 one successor) is equivalent to totality plus the relation having exactly
@@ -36,79 +37,55 @@ from .mln import partition_function  # noqa: F401
 from .spectrum import CountSpec, count_distribution, shape_vector
 
 
-class CardinalityPredicate(_Value):
-    """Total 0/1 predicate over integer count vectors."""
-
-    __slots__ = ()
-
-    def __bool__(self):  # true as a value, though TautologyTrue() is ()
-        return True
-
-    def __call__(self, vector: Sequence[int]) -> bool:
-        raise NotImplementedError
-
-    def max_dimension(self) -> int:
-        """Largest vector index the predicate inspects, or -1."""
-        return -1
-
-
-class TautologyTrue(CardinalityPredicate, namedtuple("TautologyTrue", ())):
-    __slots__ = ()
-
-    def __call__(self, vector):
-        return True
-
-
-class Equals(CardinalityPredicate, namedtuple("Equals", "dim value")):
+class Equals(_Value, namedtuple("Equals", "dim value")):
     __slots__ = ()
 
     def __call__(self, vector):
         return vector[self.dim] == self.value
 
-    def max_dimension(self):
-        return self.dim
+    def dims(self):
+        return (self.dim,)
 
 
-class Between(CardinalityPredicate, namedtuple("Between", "dim lo hi")):
+class Between(_Value, namedtuple("Between", "dim lo hi")):
     __slots__ = ()
 
     def __call__(self, vector):
         return self.lo <= vector[self.dim] <= self.hi
 
-    def max_dimension(self):
-        return self.dim
+    def dims(self):
+        return (self.dim,)
 
 
-class Conjunction(CardinalityPredicate, namedtuple("Conjunction", "parts")):
+class Conjunction(_Value, namedtuple("Conjunction", "parts")):
     __slots__ = ()
 
     def __call__(self, vector):
         return all(p(vector) for p in self.parts)
 
-    def max_dimension(self):
-        return max((p.max_dimension() for p in self.parts), default=-1)
+    def dims(self):
+        return tuple(i for p in self.parts for i in _dims(p))
 
 
-class CustomPredicate(CardinalityPredicate, namedtuple("CustomPredicate",
-                                                       "fn")):
-    """Escape hatch wrapping an arbitrary total predicate on count vectors,
-    ``fn(vector) -> bool``."""
-
-    __slots__ = ()
-
-    def __call__(self, vector):
-        return bool(self.fn(vector))
+def _dims(predicate) -> tuple:
+    """The count axes that ``predicate`` names: its ``dims()``, or none for
+    a bare callable."""
+    return predicate.dims() if hasattr(predicate, "dims") else ()
 
 
 class CardinalityConstraint(_Value, namedtuple("CardinalityConstraint",
                                                "psi predicate")):
+    """Count formulas ``psi`` and a predicate, ``vector -> bool``, on their
+    count vectors; each axis it names (``dims()``) must be one of psi's."""
+
     __slots__ = ()
 
-    def __new__(cls, psi: CountSpec, predicate: CardinalityPredicate):
-        if predicate.max_dimension() >= len(psi):
-            raise ValueError(
-                f"predicate inspects dimension {predicate.max_dimension()}"
-                f" but the count spec has {len(psi)} formula(s)")
+    def __new__(cls, psi: CountSpec, predicate):
+        for dim in _dims(predicate):
+            if not 0 <= dim < len(psi):
+                raise ValueError(
+                    f"predicate inspects dimension {dim} but the count spec"
+                    f" has {len(psi)} formula(s)")
         return tuple.__new__(cls, (psi, predicate))
 
 

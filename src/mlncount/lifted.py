@@ -349,8 +349,8 @@ class _Branch(_Value, namedtuple("_Branch", [
 
 class CompiledTheory(_Value, namedtuple("CompiledTheory", [
     "vocabulary", "branches",
-    # (1, -1) weight pairs of the relaxation predicates introduced by
-    # Skolemization; applied on top of caller weights at evaluation time.
+    # (1, -1) weight pairs, (w, wbar), of the relaxation predicates that
+    # Skolemization introduces; read over the caller's weights.
     "skolem_weights",
     # Per nullary branch, what ``_expand`` builds its branches from.
     "tables"], defaults=((), ()))):
@@ -377,16 +377,15 @@ class CompiledTheory(_Value, namedtuple("CompiledTheory", [
         complex scalars; exact and array sums add 0 (``_config_sum``).  An
         int weight or multinomial beyond the float range that meets a float
         raises NumericOverflowError, as does a count above MAGNITUDE_LIMIT."""
-        if self.skolem_weights:
-            w = w.updated({k: v[0] for k, v in self.skolem_weights})
-            wbar = wbar.updated({k: v[1] for k, v in self.skolem_weights})
         total = magnitude = 0
         try:
             # Overflow shows as inf or NaN and raises below, not as a warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                # Each weight read once: (wbar(p), w(p)), indexed by a bit.
+                # Each weight read once: (wbar(p), w(p)), indexed by a bit;
+                # a Skolem predicate's (w, wbar) pair over the caller's.
                 read = {p.name: (wbar(p.name), w(p.name))
                         for p in self.vocabulary}
+                read.update((k, v[::-1]) for k, v in self.skolem_weights)
                 binary = [read[p.name] for p in self.vocabulary
                           if p.arity == 2]
                 # A binary p's bit is p(e, e): it carries the diagonal weight.

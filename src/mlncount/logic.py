@@ -208,16 +208,21 @@ def leaf_terms(f: Formula) -> tuple[Term, ...]:
             (f.left, f.right) if isinstance(f, Eq) else ())
 
 
-def free_variables(f: Formula) -> frozenset[Var]:
-    """Variables of ``f`` not bound to any quantifier."""
+def free_variables(f: Formula, vocabulary=None) -> frozenset[Var]:
+    """Variables of ``f`` not bound to any quantifier; given a
+    ``vocabulary``, an atom of a predicate outside it raises."""
     if isinstance(f, (Atom, Eq, Truth)):
+        if vocabulary is not None and isinstance(f, Atom) and \
+                f.pred not in vocabulary:
+            raise VocabularyError(f"undeclared predicate {f.pred}")
         return frozenset(t for t in leaf_terms(f) if isinstance(t, Var))
     if isinstance(f, Not):
-        return free_variables(f.body)
+        return free_variables(f.body, vocabulary)
     if isinstance(f, (And, Or, Implies, Iff)):
-        return free_variables(f.left) | free_variables(f.right)
+        return (free_variables(f.left, vocabulary) |
+                free_variables(f.right, vocabulary))
     if isinstance(f, (ForAll, Exists)):
-        return free_variables(f.body) - {f.var}
+        return free_variables(f.body, vocabulary) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
 
 

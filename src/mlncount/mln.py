@@ -38,21 +38,23 @@ class Mln(_Value, namedtuple("Mln", "weighted_formulas vocabulary")):
                    tuple(vocabulary))
 
 
-def weigh(formula, y, phi, sentences, vocab, weights, base, z=1):
+def weigh(formula, y, declared, sentences, vocab, weights, base, z=1):
     """Multiply ``z * exp(y)`` into the entry of ``weights``, [wbar, w],
     that counts each true grounding of ``formula``: w(p), or wbar(p) if it
-    is negated, of its own p if it is an atom of ``phi`` over distinct
-    variables, p's diagonal weight (``logic.diagonal``) if it is ``p(v,v)``,
-    else of a fresh p named from ``base`` that joins ``vocab``, with
-    ``forall vars: p(vars) <-> formula`` joining ``sentences``."""
+    is negated, of its own p if it is an atom of a ``declared`` p over
+    distinct variables, p's diagonal weight (``logic.diagonal``) if it is
+    ``p(v,v)``, else of a fresh p named from ``base`` that joins ``vocab``,
+    with ``forall vars: p(vars) <-> formula`` joining ``sentences``.  The
+    walk that finds its variables checks its predicates against
+    ``declared``, so an undeclared ``xi0`` is not read as the indicator."""
     atom = formula.body if isinstance(formula, Not) else formula
     side = atom is formula
-    if isinstance(atom, Atom) and atom.pred in phi.vocabulary and all(
+    if isinstance(atom, Atom) and atom.pred in declared and all(
             isinstance(a, Var) for a in atom.args):
         key = (atom.pred.name if len(set(atom.args)) == atom.pred.arity
                else diagonal(atom.pred))
     else:
-        fv = tuple(sorted(free_variables(formula)))
+        fv = tuple(sorted(free_variables(formula, declared)))
         pred = fresh_predicate(base, len(fv), vocab)
         key, side = pred.name, True
         sentences.append(universal_closure(Iff(Atom(pred, fv), formula), fv))
@@ -67,17 +69,19 @@ def translate_mln(phi: Mln, counted=()):
     and then a count formula (b, t, z) of ``counted`` multiplies in
     ``z * exp(t)`` alike, with any indicator it needs named from ``xb``."""
     sentences, vocab = [], list(phi.vocabulary)
+    declared = frozenset(vocab)
     weights = [WeightFunction(), WeightFunction()]  # wbar, w
     for formula, weight in phi.weighted_formulas:
         if weight == math.inf:
-            sentences.append(universal_closure(formula))
+            sentences.append(universal_closure(
+                formula, sorted(free_variables(formula, declared))))
         elif math.isfinite(weight):
-            weigh(formula, weight, phi, sentences, vocab, weights, "xi")
+            weigh(formula, weight, declared, sentences, vocab, weights, "xi")
         else:
             raise ValueError(f"weight {weight} of {formula} is not finite or "
                              "+inf, the weight of a hard formula")
     for formula, tilt, z in counted:
-        weigh(formula, tilt, phi, sentences, vocab, weights, "xb", z)
+        weigh(formula, tilt, declared, sentences, vocab, weights, "xb", z)
     return Fo2Theory.of(sentences, vocab), weights[True], weights[False]
 
 
@@ -132,7 +136,7 @@ def marginal(phi: Mln, gamma: Formula, d: Domain) -> float:
     """Probability that a sampled world satisfies the sentence ``gamma``.
     A ``forall x m`` or ``exists x m`` gamma costs no second compile."""
     theory, w, wbar = translate_mln(phi)
-    lifted._check_fragment(gamma, theory.vocabulary)
+    lifted._check_fragment(gamma, phi.vocabulary)
     compiled = lifted.compile_theory(theory)
     den = as_normalizer(*compiled.wfomc(w, wbar, d))
     query = compiled._conditioned(gamma) or lifted.compile_theory(

@@ -14,7 +14,7 @@ from mlncount.brute import (
     brute_constrained_marginal, brute_constrained_partition,
     brute_count_distribution,
 )
-from mlncount.constraints import Between, CustomPredicate, Equals
+from mlncount.constraints import Between, Equals
 from mlncount.logic import diagonal, ground_atoms
 from mlncount.errors import (
     BruteForceCapError, InfeasibleConstraintError, VocabularyError,
@@ -144,6 +144,12 @@ class TestBruteWfomc:
         wd = PossibleWorld(frozenset({Atom(P, (0,))}))
         assert world_weight(wd, w, wbar, [P], Domain(2)) == 6
 
+    def test_open_formula_is_refused(self):
+        open_formula = Atom(F, (X, Y))
+        with pytest.raises(ValueError, match="has free variables"):
+            brute_wfomc([TRUE, open_formula], ONES, ONES, Domain(2),
+                        vocab=[F])
+
     def test_cap_propagates(self):
         with pytest.raises(BruteForceCapError):
             brute_wfomc(TRUE, ONES, ONES, Domain(6), vocab=[F])
@@ -241,7 +247,7 @@ class TestAgainstPerWorldDefinition:
             top = max(c[0] for c in counts)
             lo = rng.randint(0, top)
             for keep in (Between(0, lo, rng.randint(lo, top)),
-                         CustomPredicate(lambda c: sum(c) % 2 == 0)):
+                         lambda c: sum(c) % 2 == 0):
                 kept = [(m, h) for m, c, h in zip(mass, counts, holds)
                         if keep(c)]
                 den = math.fsum(m for m, _ in kept)

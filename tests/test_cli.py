@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mlncount import cli
 from mlncount.cli import main
 from mlncount.lifted import CompiledTheory
 
@@ -200,6 +201,18 @@ class TestFixedpoints:
         assert float(k1[2]) == pytest.approx(0.387420489, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["countdist", SMALL], ["countdist", SMALL, "--format", "json"],
+    ["spectrum", SMALL], ["fixedpoints", "--n", "4"]])
+def test_stdout_holds_the_file_bytes(argv, model_path, tmp_path, capsys):
+    argv = [model_path(a) if a == SMALL else a for a in argv]
+    path = tmp_path / "out"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    code, out, err = run(capsys, *argv)  # --out - is the default
+    assert (code, err) == (0, "")
+    assert out.encode() == path.read_bytes()
+
+
 class TestCheck:
     def test_small_model_passes(self, model_path, capsys):
         code, out, _ = run(capsys, "check", model_path(SMALL))
@@ -214,6 +227,19 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0, out
         assert "MISMATCH" not in out
+
+    def test_gap_prints_mismatch_and_exits_one(self, model_path, capsys,
+                                               monkeypatch):
+        # The oracle's partition function, doubled: the queries still agree.
+        real = cli.brute_mln_partition
+        monkeypatch.setattr(cli, "brute_mln_partition",
+                            lambda *args: 2 * real(*args))
+        code, out, _ = run(capsys, "check", model_path(SMALL))
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("partition: ")
+        assert lines[0].endswith(" MISMATCH")
+        assert lines[1:] and all(line.endswith(" ok") for line in lines[1:])
 
     def test_cap_exceeded(self, model_path, capsys):
         code, _, err = run(capsys, "check", model_path(EXAMPLE_1))

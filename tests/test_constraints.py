@@ -7,7 +7,7 @@ import pytest
 
 from mlncount import (
     And, Atom, Domain, Eq, Equals, Exists, ForAll, FunctionConstraint, Iff,
-    Implies, Mln, Predicate, TautologyTrue, Var, analytic_fixed_points,
+    Implies, Mln, Predicate, Var, analytic_fixed_points,
     constrained_marginal, constrained_partition, count_distribution,
     fixed_point_distribution, full_spectrum, lifted, parse_model,
     rewrite_function_constraints, spectrum,
@@ -15,9 +15,7 @@ from mlncount import (
 from mlncount.brute import (
     brute_constrained_marginal, brute_constrained_partition,
 )
-from mlncount.constraints import (
-    Between, CardinalityConstraint, Conjunction, CustomPredicate,
-)
+from mlncount.constraints import Between, CardinalityConstraint, Conjunction
 from mlncount.errors import (
     InfeasibleConstraintError, NumericResidueError, UnsupportedSentenceError,
 )
@@ -55,17 +53,26 @@ class TestCardinalityPredicates:
         g = Conjunction((Equals(0, 1), Between(1, 0, 2)))
         assert g((1, 2)) and not g((1, 3)) and not g((0, 0))
 
-    def test_tautology(self):
-        assert TautologyTrue()((5, 5, 5))
+    @pytest.mark.parametrize("g", [
+        Equals(2, 0), Equals(-1, 3), Between(-2, 0, 1),
+        Conjunction((Equals(0, 1), Between(2, 0, 1))),
+        Conjunction((lambda v: True, Equals(-1, 0)))])
+    def test_dimension_checked(self, g):
+        # Each axis the predicate names; Python would read a negative one
+        # from the end of the vector.
+        psi = CountSpec.of([Atom(P, (X,)), Atom(R, (X, Y))])
+        with pytest.raises(ValueError, match="predicate inspects dimension"):
+            CardinalityConstraint(psi, g)
 
-    def test_custom_escape_hatch(self):
-        g = CustomPredicate(lambda v: sum(v) % 2 == 0)
-        assert g((1, 1)) and not g((1, 0))
-
-    def test_dimension_checked(self):
+    def test_any_callable_is_a_predicate(self):
+        # A bare callable names no axis, so none is checked.
         psi = CountSpec.of([Atom(P, (X,))])
-        with pytest.raises(ValueError):
-            CardinalityConstraint(psi, Equals(1, 0))
+        mln, d = Mln.of([], [P]), Domain(3)
+        for g in (lambda v: v[0] % 2 == 0,
+                  Conjunction((Between(0, 0, 2), lambda v: v[0] != 1))):
+            cc = CardinalityConstraint(psi, g)
+            assert cc.predicate is g
+            assert constrained_partition(mln, cc, d) == pytest.approx(4.0)
 
 
 class TestConstrainedPartition:
@@ -73,7 +80,7 @@ class TestConstrainedPartition:
         from mlncount import partition_function
         mln = Mln.of([(Atom(P, (X,)), 0.4)], [P])
         cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
-                                   TautologyTrue())
+                                   lambda v: True)
         assert constrained_partition(mln, cc, Domain(3)) == \
             pytest.approx(float(partition_function(mln, Domain(3))))
 
@@ -115,7 +122,7 @@ class TestConstrainedMarginal:
         mln = Mln.of([(Atom(P, (X,)), 0.25)], [P])
         gamma = Exists(X, Atom(P, (X,)))
         cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
-                                   TautologyTrue())
+                                   lambda v: True)
         assert constrained_marginal(mln, cc, gamma, Domain(3)) == \
             pytest.approx(marginal(mln, gamma, Domain(3)), abs=1e-9)
 
@@ -157,7 +164,7 @@ class TestConstrainedMarginal:
                 np.array(masses + [[0.0, 0.0]])))
         mln = Mln.of([], [P])
         cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
-                                   CustomPredicate(lambda v: True))
+                                   lambda v: True)
         gamma = Exists(X, Atom(P, (X,)))
         if want is None:
             with pytest.raises(NumericResidueError,
@@ -282,6 +289,14 @@ class TestFixedPoints:
             assert probs[k] == pytest.approx(analytic_fixed_points(n, k),
                                              abs=tol)
 
+    @pytest.mark.parametrize("ask, message", [
+        (lambda: analytic_fixed_points(3, 4), "k=4 outside 0..3"),
+        (lambda: analytic_fixed_points(3, -1), "k=-1 outside 0..3"),
+        (lambda: fixed_point_distribution(0), "n must be >= 1")])
+    def test_out_of_range_arguments_are_refused(self, ask, message):
+        with pytest.raises(ValueError, match=message):
+            ask()
+
     def test_distribution_sums_to_one(self):
         for n in (1, 4, 10):
             assert math.fsum(fixed_point_distribution(n)) == \
@@ -335,7 +350,7 @@ class TestTiltFromKeptSet:
     TOTAL = Mln.of([(TOTALITY, math.inf)], [R])
     SPELLINGS = [
         Equals(0, 10),
-        CustomPredicate(lambda v: v[0] == 10),
+        lambda v: v[0] == 10,
         Conjunction((Between(0, 0, 100), Equals(0, 10))),
         Conjunction((Equals(0, 10), Between(0, 0, 100))),
     ]
@@ -362,7 +377,7 @@ class TestTiltFromKeptSet:
             (constrained_partition(mln, cc, Domain(n)),
              constrained_marginal(mln, cc, gamma, Domain(n)))
             for cc in (CardinalityConstraint(psi, Between(0, 0, 10 ** 6)),
-                       CardinalityConstraint(psi, TautologyTrue())))
+                       CardinalityConstraint(psi, lambda v: True)))
         assert got == want
 
     def test_wide_one_sided_range_is_aimed_off_its_mass(self):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from mlncount import (
-    And, Atom, CompiledTheory, CountSpec, Domain, Exists, ForAll, Iff,
-    Implies, Mln, Not, Or, Predicate, Var, brute_count_distribution,
-    brute_mln_marginal, brute_mln_partition, count_distribution, marginal,
-    partition_function, translate_mln,
+    And, Atom, CardinalityConstraint, CompiledTheory, CountSpec, Domain,
+    Equals, Exists, ForAll, Iff, Implies, Mln, Not, Or, Predicate, Var,
+    brute_count_distribution, brute_mln_marginal, brute_mln_partition,
+    constrained_partition, count_distribution, marginal, partition_function,
+    translate_mln,
 )
 from mlncount import lifted
 from mlncount.errors import (
@@ -57,6 +58,34 @@ class TestUndeclaredPredicates:
         mln = Mln.of([(Atom(P, (X,)), 0.5)], [P])
         with pytest.raises(VocabularyError, match="q/1"):
             count_distribution(mln, CountSpec.of([Atom(Q, (X,))]), Domain(2))
+
+
+# Undeclared atoms named as translation's first fresh indicators: xi0 for a
+# soft formula, xb0 for a count formula.
+XI0, XB0 = Atom(Predicate("xi0", 1), (X,)), Atom(Predicate("xb0", 1), (X,))
+P_AND_Q = And(Atom(P, (X,)), Atom(Q, (X,)))
+SOFT_P_AND_Q = Mln.of([(P_AND_Q, 1.0)], [P, Q])
+
+
+@pytest.mark.parametrize("ask", [
+    lambda: marginal(SOFT_P_AND_Q, ForAll(X, XI0), Domain(3)),
+    lambda: count_distribution(SOFT_P_AND_Q, CountSpec.of([XI0]), Domain(2)),
+    lambda: count_distribution(SOFT_P_AND_Q, CountSpec.of([P_AND_Q, XB0]),
+                               Domain(2)),
+    lambda: constrained_partition(SOFT_P_AND_Q, CardinalityConstraint(
+        CountSpec.of([XI0]), Equals(0, 1)), Domain(2)),
+    lambda: partition_function(
+        Mln.of([(And(XI0, Atom(P, (X,))), 1.0)], [P]), Domain(2)),
+    lambda: partition_function(
+        Mln.of([(ForAll(X, XI0), math.inf), (P_AND_Q, 1.0)], [P, Q]),
+        Domain(2)),
+], ids=["marginal", "count-law", "count-law-xb", "constrained", "soft",
+        "hard"])
+def test_an_indicator_name_is_not_declared(ask):
+    # Checked against the model's vocabulary, not the translated one that
+    # holds the indicators; unchecked, each read the indicator of its name.
+    with pytest.raises(VocabularyError, match="undeclared predicate x"):
+        ask()
 
 
 class TestTranslate:

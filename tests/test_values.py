@@ -13,8 +13,7 @@ import pytest
 
 import mlncount
 from mlncount.constraints import (
-    Between, CardinalityConstraint, Conjunction, CustomPredicate, Equals,
-    FunctionConstraint, TautologyTrue,
+    Between, CardinalityConstraint, Conjunction, Equals, FunctionConstraint,
 )
 from mlncount.errors import VocabularyError
 from mlncount.lifted import CompiledTheory, Fo2Theory, _Branch
@@ -41,9 +40,8 @@ VALUES = [
     lambda: _Branch((), 1, ([[True]],), {}, ((1,),), {}),
     lambda: CompiledTheory((Q,), ()), lambda: Mln(((B, 1.0),), (Q,)),
     lambda: CountSpec((A, B)), lambda: Spectrum(GRID, 2.0),
-    lambda: CountDistribution(GRID, 2.0, 0.0), lambda: TautologyTrue(),
-    lambda: Equals(0, 3), lambda: Between(0, 1, 2),
-    lambda: Conjunction((Equals(0, 3),)), lambda: CustomPredicate(bool),
+    lambda: CountDistribution(GRID, 2.0, 0.0), lambda: Equals(0, 3),
+    lambda: Between(0, 1, 2), lambda: Conjunction((Equals(0, 3),)),
     lambda: CardinalityConstraint(CountSpec((A,)), Equals(0, 3)),
     lambda: FunctionConstraint(P),
     lambda: Model(Domain(3), (Q,), Mln(((B, 1.0),), (Q,)), None, None,
@@ -69,7 +67,7 @@ def _subclasses(cls):
 def test_every_value_class_is_covered():
     classes = {c for c in _subclasses(_Value) if hasattr(c, "_fields")}
     assert classes == {type(make()) for make in VALUES}
-    assert len(classes) == 28
+    assert len(classes) == 26
 
 
 @pytest.mark.parametrize("make", VALUES, ids=IDS)
@@ -128,11 +126,6 @@ def test_constructor_checks(build, error, message):
     with pytest.raises(error) as raised:
         build()
     assert str(raised.value) == message
-
-
-def test_a_fieldless_value_is_true():
-    assert TautologyTrue() == TautologyTrue() and bool(TautologyTrue())
-    assert TautologyTrue()((0,))
 
 
 def test_count_spec_length_and_replace():
