@@ -34,8 +34,7 @@ from .errors import (
 from .logic import (
     And, Domain, Eq, Exists, FALSE, ForAll, Formula, Iff, Implies, Not, Or,
     TRUE, WeightFunction, children, conjoin, diagonal, evaluate_bitwise, fold,
-    free_variables, ground_atoms, groundings, predicates_of, substitute,
-    universal_closure,
+    free_variables, ground_atoms, groundings, substitute, universal_closure,
 )
 
 DEFAULT_ATOM_CAP = 30
@@ -129,22 +128,24 @@ def _tally(keys) -> Counter:
     return tally
 
 
+def _closed(gamma) -> list:
+    """``gamma``, a closed formula or a sequence of them, as a list."""
+    sentences = [gamma] if isinstance(gamma, Formula) else list(gamma or [])
+    for s in sentences:
+        if free_variables(s):
+            raise ValueError(f"sentence {s} has free variables")
+    return sentences
+
+
 def brute_wfomc(gamma, w: WeightFunction, wbar: WeightFunction, d: Domain,
-                vocab=None, cap: int = DEFAULT_ATOM_CAP):
+                vocab, cap: int = DEFAULT_ATOM_CAP):
     """Weighted model count of the conjunction of closed formulas ``gamma``
     over all worlds of the vocabulary.
 
     Returns an exact int when every weight is an integer and a complex
     number otherwise.
     """
-    sentences = [gamma] if isinstance(gamma, Formula) else list(gamma or [])
-    for s in sentences:
-        if free_variables(s):
-            raise ValueError(f"gamma must be a conjunction of closed "
-                             f"formulas; {s} has free variables")
-    if vocab is None:
-        vocab = sorted({p for s in sentences for p in predicates_of(s)})
-    vocab = list(vocab)
+    sentences = _closed(gamma)
 
     # Count classes: the vector of per-predicate true-atom counts, each a
     # popcount over the predicate's contiguous run of index bits, and per
@@ -223,7 +224,7 @@ def brute_mln_partition(mln, d: Domain, cap: int = DEFAULT_ATOM_CAP) -> float:
 
 def brute_mln_marginal(mln, gamma: Formula, d: Domain,
                        cap: int = DEFAULT_ATOM_CAP) -> float:
-    masses = _masses(mln, [gamma], d, cap)
+    masses = _masses(mln, _closed(gamma), d, cap)
     return _ratio(math.fsum(m for (k,), m in masses if k),
                   math.fsum(m for _, m in masses))
 
@@ -234,7 +235,7 @@ def brute_count_distribution(mln, psi, d: Domain,
 
     Returns a dict mapping count vectors (tuples) to probabilities.
     """
-    masses = _masses(mln, psi, d, cap)
+    masses = _masses(mln, psi.formulas, d, cap)
     z = math.fsum(m for _, m in masses)
     by_counts: dict[tuple, list] = {}
     for k, m in masses:
@@ -242,15 +243,17 @@ def brute_count_distribution(mln, psi, d: Domain,
     return {k: math.fsum(ms) / z for k, ms in by_counts.items()}
 
 
-def brute_constrained_partition(mln, psi, predicate, d: Domain,
+def brute_constrained_partition(mln, cc, d: Domain,
                                 cap: int = DEFAULT_ATOM_CAP) -> float:
-    """Total mass of the worlds whose count vector the predicate keeps."""
-    return math.fsum(m for k, m in _masses(mln, psi, d, cap) if predicate(k))
+    """Total mass of the worlds whose count vector ``cc.predicate`` keeps."""
+    return math.fsum(m for k, m in _masses(mln, cc.psi.formulas, d, cap)
+                     if cc.predicate(k))
 
 
-def brute_constrained_marginal(mln, psi, predicate, gamma: Formula, d: Domain,
+def brute_constrained_marginal(mln, cc, gamma: Formula, d: Domain,
                                cap: int = DEFAULT_ATOM_CAP) -> float:
-    kept = [(k[-1], m) for k, m in _masses(mln, [*psi, gamma], d, cap)
-            if predicate(k[:-1])]
+    formulas = [*cc.psi.formulas, *_closed(gamma)]
+    kept = [(k[-1], m) for k, m in _masses(mln, formulas, d, cap)
+            if cc.predicate(k[:-1])]
     return _ratio(math.fsum(m for q, m in kept if q),
                   math.fsum(m for _, m in kept))

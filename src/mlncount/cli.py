@@ -195,9 +195,8 @@ def _cmd_check(args) -> int:
 
     lifted_z = _partition_value(model)
     if model.cardinality is not None:
-        brute_z = brute_constrained_partition(
-            model.mln, model.cardinality.psi.formulas,
-            model.cardinality.predicate, model.domain, cap)
+        brute_z = brute_constrained_partition(model.mln, model.cardinality,
+                                              model.domain, cap)
     else:
         brute_z = brute_mln_partition(model.mln, model.domain, cap)
     compare("partition", lifted_z, brute_z)
@@ -206,8 +205,7 @@ def _cmd_check(args) -> int:
         lifted_p = _marginal_value(model, sentence)
         if model.cardinality is not None:
             brute_p = brute_constrained_marginal(
-                model.mln, model.cardinality.psi.formulas,
-                model.cardinality.predicate, sentence, model.domain, cap)
+                model.mln, model.cardinality, sentence, model.domain, cap)
         else:
             brute_p = brute_mln_marginal(model.mln, sentence, model.domain, cap)
         compare(f"marginal {name}", lifted_p, brute_p)

@@ -38,51 +38,47 @@ class Mln(_Value, namedtuple("Mln", "weighted_formulas vocabulary")):
                    tuple(vocabulary))
 
 
-def weigh(formula, y, declared, sentences, vocab, weights, base, z=1):
-    """Multiply ``z * exp(y)`` into the entry of ``weights``, [wbar, w],
-    that counts each true grounding of ``formula``: w(p), or wbar(p) if it
-    is negated, of its own p if it is an atom of a ``declared`` p over
-    distinct variables, p's diagonal weight (``logic.diagonal``) if it is
-    ``p(v,v)``, else of a fresh p named from ``base`` that joins ``vocab``,
-    with ``forall vars: p(vars) <-> formula`` joining ``sentences``.  The
-    walk that finds its variables checks its predicates against
-    ``declared``, so an undeclared ``xi0`` is not read as the indicator."""
-    atom = formula.body if isinstance(formula, Not) else formula
-    side = atom is formula
-    if isinstance(atom, Atom) and atom.pred in declared and all(
-            isinstance(a, Var) for a in atom.args):
-        key = (atom.pred.name if len(set(atom.args)) == atom.pred.arity
-               else diagonal(atom.pred))
-    else:
-        fv = tuple(sorted(free_variables(formula, declared)))
-        pred = fresh_predicate(base, len(fv), vocab)
-        key, side = pred.name, True
-        sentences.append(universal_closure(Iff(Atom(pred, fv), formula), fv))
-    weights[side] = weights[side].updated({key: times_exp(
-        weights[side](key), y, z, "weight %g of %s", y, formula)})
-
-
 def translate_mln(phi: Mln, counted=()):
-    """Reduce the model to a weighted counting problem (theory, w, wbar):
-    hard formulas add their universal closure, a soft formula (a, w)
-    multiplies exp(w) into the weight counting a's groundings (``weigh``),
-    and then a count formula (b, t, z) of ``counted`` multiplies in
-    ``z * exp(t)`` alike, with any indicator it needs named from ``xb``."""
+    """Reduce the model to a weighted counting problem (theory, w, wbar).
+
+    A hard formula adds its universal closure.  A soft formula (a, y), then
+    a count formula (a, y, z) of ``counted``, multiplies ``z * exp(y)``
+    (z = 1 for a soft one) into the weight that counts each true grounding
+    of a: w(p), or wbar(p) if a is negated, of its own p if a is an atom of
+    a declared p over distinct variables, p's diagonal weight
+    (``logic.diagonal``) if a is ``p(v,v)``, else of a fresh p named from
+    ``xi`` (soft) or ``xb`` (counted) that joins the vocabulary, with
+    ``forall vars: p(vars) <-> a`` joining the theory.  The walk that finds
+    a's variables checks its predicates against the declared vocabulary, so
+    an undeclared ``xi0`` is not read as the indicator."""
     sentences, vocab = [], list(phi.vocabulary)
     declared = frozenset(vocab)
-    weights = [WeightFunction(), WeightFunction()]  # wbar, w
-    for formula, weight in phi.weighted_formulas:
-        if weight == math.inf:
+    weights = ({}, {})  # wbar, w
+    own = [(f, w, 1, "xi") for f, w in phi.weighted_formulas]
+    for formula, y, z, base in own + [(f, t, z, "xb") for f, t, z in counted]:
+        if base == "xi" and not math.isfinite(y):
+            if y != math.inf:
+                raise ValueError(f"weight {y} of {formula} is not finite or "
+                                 "+inf, the weight of a hard formula")
             sentences.append(universal_closure(
                 formula, sorted(free_variables(formula, declared))))
-        elif math.isfinite(weight):
-            weigh(formula, weight, declared, sentences, vocab, weights, "xi")
+            continue
+        atom = formula.body if isinstance(formula, Not) else formula
+        side = atom is formula
+        if isinstance(atom, Atom) and atom.pred in declared and all(
+                isinstance(a, Var) for a in atom.args):
+            key = (atom.pred.name if len(set(atom.args)) == atom.pred.arity
+                   else diagonal(atom.pred))
         else:
-            raise ValueError(f"weight {weight} of {formula} is not finite or "
-                             "+inf, the weight of a hard formula")
-    for formula, tilt, z in counted:
-        weigh(formula, tilt, declared, sentences, vocab, weights, "xb", z)
-    return Fo2Theory.of(sentences, vocab), weights[True], weights[False]
+            fv = tuple(sorted(free_variables(formula, declared)))
+            pred = fresh_predicate(base, len(fv), vocab)
+            key, side = pred.name, True
+            sentences.append(
+                universal_closure(Iff(Atom(pred, fv), formula), fv))
+        weights[side][key] = times_exp(weights[side].get(key, 1), y, z,
+                                       "weight %g of %s", y, formula)
+    return (Fo2Theory.of(sentences, vocab), WeightFunction(weights[True]),
+            WeightFunction(weights[False]))
 
 
 def as_real(value, what: str):

@@ -82,8 +82,9 @@ def test_criterion_3_count_distribution_correctness():
     worst = 0.0
     for _ in range(50):
         mln, psi, d = random_feasible_mln(rng, max_atoms=12)
-        dist = count_distribution(mln, CountSpec.of(psi), d)
-        reference = brute_count_distribution(mln, psi, d)
+        spec = CountSpec.of(psi)
+        dist = count_distribution(mln, spec, d)
+        reference = brute_count_distribution(mln, spec, d)
         for idx in np.ndindex(*dist.shape):
             err = abs(float(dist.probabilities[idx]) - reference.get(idx, 0.0))
             worst = max(worst, err)
@@ -141,12 +142,12 @@ def test_criterion_6_cardinality_ratio_preservation():
         if len(kept) < 2:
             continue
         z = math.fsum(mass.values())
+        cc = CardinalityConstraint(CountSpec.of(psi), g)
         try:
-            z_prime = constrained_partition(
-                mln, CardinalityConstraint(CountSpec.of(psi), g), d)
+            z_prime = constrained_partition(mln, cc, d)
         except Exception:
             continue
-        z_prime_brute = brute_constrained_partition(mln, psi, g, d)
+        z_prime_brute = brute_constrained_partition(mln, cc, d)
         worst = max(worst, abs(z_prime - z_prime_brute) / (1 + z_prime_brute))
         for w1 in kept[:5]:
             for w2 in kept[:5]:

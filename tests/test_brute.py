@@ -14,10 +14,14 @@ from mlncount.brute import (
     brute_constrained_marginal, brute_constrained_partition,
     brute_count_distribution,
 )
-from mlncount.constraints import Between, Equals
+from mlncount.constraints import (
+    Between, CardinalityConstraint, Equals, constrained_marginal,
+)
 from mlncount.logic import diagonal, ground_atoms
+from mlncount.spectrum import CountSpec
 from mlncount.errors import (
-    BruteForceCapError, InfeasibleConstraintError, VocabularyError,
+    BruteForceCapError, InfeasibleConstraintError, UnsupportedSentenceError,
+    VocabularyError,
 )
 
 from helpers import (
@@ -154,6 +158,27 @@ class TestBruteWfomc:
         with pytest.raises(BruteForceCapError):
             brute_wfomc(TRUE, ONES, ONES, Domain(6), vocab=[F])
 
+    def test_open_query_is_refused_by_both_marginals(self):
+        # Counting p(x)'s true groundings would answer for exists x p(x);
+        # the engine refuses such a query, and so does the oracle.
+        mln, d = Mln.of([(Atom(P, (X,)), 0.5)], [P]), Domain(3)
+        cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
+                                   Between(0, 0, 3))
+        with pytest.raises(ValueError, match="has free variables"):
+            brute_mln_marginal(mln, Atom(P, (X,)), d)
+        with pytest.raises(ValueError, match="has free variables"):
+            brute_constrained_marginal(mln, cc, Atom(P, (X,)), d)
+        with pytest.raises(UnsupportedSentenceError, match="free variables"):
+            marginal(mln, Atom(P, (X,)), d)
+        with pytest.raises(UnsupportedSentenceError, match="free variables"):
+            constrained_marginal(mln, cc, Atom(P, (X,)), d)
+
+    def test_more_count_classes_than_one_key_holds(self):
+        # 64 formulas of two classes each: 2^64 keys, one past int64.
+        mln = Mln.of([(Atom(P, (X,)), 0.5)] * 64, [P])
+        with pytest.raises(ValueError, match="64-bit key"):
+            brute_mln_partition(mln, Domain(1))
+
 
 class TestMlnReferences:
     def test_partition_uniform(self):
@@ -175,7 +200,8 @@ class TestMlnReferences:
 
     def test_count_distribution_binomial(self):
         mln = Mln.of([], [P])
-        dist = brute_count_distribution(mln, [Atom(P, (X,))], Domain(2))
+        dist = brute_count_distribution(mln, CountSpec.of([Atom(P, (X,))]),
+                                        Domain(2))
         assert dist[(0,)] == pytest.approx(0.25)
         assert dist[(1,)] == pytest.approx(0.5)
         assert dist[(2,)] == pytest.approx(0.25)
@@ -190,9 +216,11 @@ class TestInfeasibleQueries:
 
     def test_constraint_keeps_nothing(self):
         mln = Mln.of([(Atom(P, (X,)), math.inf)], [P])
+        cc = CardinalityConstraint(CountSpec.of([Atom(P, (X,))]),
+                                   Equals(0, 0))
         with pytest.raises(InfeasibleConstraintError):
-            brute_constrained_marginal(mln, [Atom(P, (X,))], Equals(0, 0),
-                                       Exists(X, Atom(P, (X,))), Domain(2))
+            brute_constrained_marginal(mln, cc, Exists(X, Atom(P, (X,))),
+                                       Domain(2))
 
 
 class TestUndeclaredPredicates:
@@ -239,7 +267,8 @@ class TestAgainstPerWorldDefinition:
             for c, m in zip(counts, mass):
                 if m:
                     by_counts.setdefault(c, []).append(m)
-            dist = brute_count_distribution(mln, psi, d)
+            spec = CountSpec.of(psi)
+            dist = brute_count_distribution(mln, spec, d)
             assert dist.keys() == by_counts.keys()
             for c, ms in by_counts.items():
                 assert _close(dist[c], math.fsum(ms) / z)
@@ -251,14 +280,14 @@ class TestAgainstPerWorldDefinition:
                 kept = [(m, h) for m, c, h in zip(mass, counts, holds)
                         if keep(c)]
                 den = math.fsum(m for m, _ in kept)
-                assert _close(brute_constrained_partition(mln, psi, keep, d),
-                             den)
+                cc = CardinalityConstraint(spec, keep)
+                assert _close(brute_constrained_partition(mln, cc, d), den)
                 if den == 0.0:
                     with pytest.raises(InfeasibleConstraintError):
-                        brute_constrained_marginal(mln, psi, keep, query, d)
+                        brute_constrained_marginal(mln, cc, query, d)
                     continue
                 assert _close(
-                    brute_constrained_marginal(mln, psi, keep, query, d),
+                    brute_constrained_marginal(mln, cc, query, d),
                     math.fsum(m for m, h in kept if h) / den)
 
 

@@ -241,6 +241,29 @@ class TestCheck:
         assert lines[0].endswith(" MISMATCH")
         assert lines[1:] and all(line.endswith(" ok") for line in lines[1:])
 
+    def test_oracle_gets_the_models_own_constraint(self, capsys,
+                                                   monkeypatch):
+        import pathlib
+        path = pathlib.Path(__file__).parent.parent / "models" / \
+            "functions3.mln"
+        parse, oracle = cli.parse_model, cli.brute_constrained_partition
+        models, seen = [], []
+
+        def parse_model(text_path):
+            models.append(parse(text_path))
+            return models[-1]
+
+        def brute_constrained_partition(mln, cc, *rest):
+            seen.append(cc)
+            return oracle(mln, cc, *rest)
+
+        monkeypatch.setattr(cli, "parse_model", parse_model)
+        monkeypatch.setattr(cli, "brute_constrained_partition",
+                            brute_constrained_partition)
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0, out
+        assert len(seen) == 1 and seen[0] is models[0].cardinality
+
     def test_cap_exceeded(self, model_path, capsys):
         code, _, err = run(capsys, "check", model_path(EXAMPLE_1))
         assert code == 4

@@ -109,10 +109,10 @@ class TestConstrainedPartition:
             try:
                 engine = constrained_partition(mln, cc, d)
             except InfeasibleConstraintError:
-                brute = brute_constrained_partition(mln, psi, g, d)
+                brute = brute_constrained_partition(mln, cc, d)
                 assert brute == pytest.approx(0.0, abs=1e-12)
                 continue
-            brute = brute_constrained_partition(mln, psi, g, d)
+            brute = brute_constrained_partition(mln, cc, d)
             assert engine == pytest.approx(brute, rel=1e-8)
 
 
@@ -188,7 +188,7 @@ class TestConstrainedMarginal:
                 engine = constrained_marginal(mln, cc, gamma, d)
             except InfeasibleConstraintError:
                 continue
-            brute = brute_constrained_marginal(mln, psi, g, gamma, d)
+            brute = brute_constrained_marginal(mln, cc, gamma, d)
             assert engine == pytest.approx(brute, abs=1e-8)
             checked += 1
 
@@ -255,7 +255,8 @@ class TestRatioPreservation:
                   if g(tuple([count_true_groundings(psi[0], w, d)]))
                   and mass[w] > 0]
         z = sum(mass.values())
-        z_prime = brute_constrained_partition(mln, psi, g, d)
+        z_prime = brute_constrained_partition(
+            mln, CardinalityConstraint(CountSpec.of(psi), g), d)
         for w1 in worlds[:6]:
             for w2 in worlds[:6]:
                 plain = (mass[w1] / z) / (mass[w2] / z)

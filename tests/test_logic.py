@@ -270,6 +270,20 @@ def test_parse_pretty_roundtrip(f):
     assert parse_formula(pretty(f), VOCAB) == f
 
 
+class TestPretty:
+    # The leaves that the round-trip strategy above never draws.
+    def test_nullary_atom_is_its_name(self):
+        q = Predicate("q", 0)
+        assert pretty(Atom(q, ())) == "q"
+        assert parse_formula("q", VOCAB + [q]) == Atom(q, ())
+
+    def test_equality_with_a_constant(self):
+        assert pretty(Eq(X, 0)) == "x = 0"
+
+    def test_variable_is_its_name(self):
+        assert str(Var("x")) == "x"
+
+
 # -- constant folding ---------------------------------------------------------
 
 Q = Predicate("q", 0)

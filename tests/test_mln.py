@@ -215,8 +215,8 @@ class TestTranslate:
         query = Exists(X, And(xi_x, d_x))
         assert marginal(mln, query, n) == pytest.approx(
             brute_mln_marginal(mln, query, n), abs=1e-12)
-        psi = [Or(xi_x, d_x)]
-        dist = count_distribution(mln, CountSpec.of(psi), n)
+        psi = CountSpec.of([Or(xi_x, d_x)])
+        dist = count_distribution(mln, psi, n)
         want = np.zeros(dist.shape)
         for counts, p in brute_count_distribution(mln, psi, n).items():
             want[counts] = p

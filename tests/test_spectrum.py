@@ -90,12 +90,13 @@ class TestFullSpectrum:
         rng = random.Random(31)
         checked = existentials = 0
         while checked < 10 or existentials < 4:
-            mln, psi, d = random_feasible_mln(rng)
+            mln, formulas, d = random_feasible_mln(rng)
             checked += 1
             existentials += any(isinstance(f, ForAll) and
                                 isinstance(f.body, Exists)
                                 for f, _ in mln.weighted_formulas)
-            spec = full_spectrum(mln, CountSpec.of(psi), d)
+            psi = CountSpec.of(formulas)
+            spec = full_spectrum(mln, psi, d)
             law = np.zeros(spec.shape)
             for idx, p in brute_count_distribution(mln, psi, d).items():
                 law[idx] = p
@@ -158,8 +159,9 @@ class TestCountDistribution:
     def test_matches_brute_aggregation(self):
         rng = random.Random(202)
         for _ in range(8):
-            mln, psi, d = random_feasible_mln(rng)
-            dist = count_distribution(mln, CountSpec.of(psi), d)
+            mln, formulas, d = random_feasible_mln(rng)
+            psi = CountSpec.of(formulas)
+            dist = count_distribution(mln, psi, d)
             ref = brute_count_distribution(mln, psi, d)
             for idx in np.ndindex(*dist.shape):
                 assert dist.probabilities[idx] == \
